@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .errors import PreconditionError, SizeLimitError, ValidationError
+from .errors import PreconditionError, ValidationError
 from . import harness
 from .lattice import (
     AreaSequence,
@@ -30,7 +30,6 @@ from .lattice import (
 )
 from .partlist import p_map, q_map
 from .uio import (
-    UnitIntervalOrder,
     a_inverse,
     a_map,
     enumerate_uio,
@@ -61,9 +60,8 @@ def _default_jobs() -> int:
 def _to_area_sequence(kind: str, text: str) -> AreaSequence:
     """Parse any source encoding down to the area-sequence hub.
 
-    Order encodings (pred, intervals) cross over via the incomparability
-    correspondence pred[j] = j - 1 - a_j, i.e. the area bijection; the
-    part-listing bijection stays available as `map --name p`.
+    Order encodings (pred, intervals) cross over via the area bijection
+    a_map; the part-listing bijection stays available as `map --name p`.
     """
     if kind == "word":
         return area_sequence_from_word(parse_word(text))
@@ -72,11 +70,10 @@ def _to_area_sequence(kind: str, text: str) -> AreaSequence:
     if kind == "areaset":
         return area_sequence_from_area_set(parse_area_set(text))
     if kind == "pred":
-        u = parse_pred(text)
-        return AreaSequence(tuple(j - 1 - p for j, p in enumerate(u.pred, start=1)))
+        return area_sequence_from_word(a_map(parse_pred(text)))
     if kind == "intervals":
         u = uio_from_intervals(parse_intervals(text))
-        return AreaSequence(tuple(j - 1 - p for j, p in enumerate(u.pred, start=1)))
+        return area_sequence_from_word(a_map(u))
     raise ValidationError(f"unknown encoding {kind!r}")
 
 
@@ -88,8 +85,7 @@ def _from_area_sequence(kind: str, seq: AreaSequence) -> str:
     if kind == "areaset":
         return str(area_set_from_area_sequence(seq))
     if kind == "pred":
-        pred = tuple(j - 1 - a for j, a in enumerate(seq.entries, start=1))
-        return str(UnitIntervalOrder(pred))
+        return str(a_inverse(word_from_area_sequence(seq)))
     raise ValidationError(f"unknown encoding {kind!r}")
 
 
@@ -298,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help=f"worker processes (default from ${JOBS_ENV_VAR}, else 1)",
+        help=f"worker processes (default from ${JOBS_ENV_VAR}, else 1; "
+        "capped at the usable CPUs)",
     )
     verify.add_argument("--max-n", type=int, default=None, dest="max_n",
                         help="raise the default size ceiling")
@@ -332,7 +329,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValidationError, PreconditionError, SizeLimitError) as exc:
+    except (ValidationError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -11,7 +11,3 @@ class ValidationError(ValueError):
 
 class PreconditionError(ValueError):
     """An operation was called with arguments outside its contract."""
-
-
-class SizeLimitError(RuntimeError):
-    """The requested size exceeds what the chosen strategy supports."""

@@ -18,6 +18,7 @@ deterministic for a fixed n regardless of worker count.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -114,8 +115,20 @@ def _ceiling(check: str, n: int, max_n: Optional[int]) -> int:
     return ceiling
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _shard_bounds(total: int, jobs: int) -> list[tuple[int, int]]:
-    jobs = max(1, min(jobs, total if total else 1))
+    """Contiguous rank ranges covering [0, total), one per worker.
+
+    The worker count is capped by the instance count and by the CPUs this
+    process may run on, so a huge jobs value never starts a huge pool.
+    """
+    jobs = max(1, min(jobs, total, _usable_cpus()))
     base, extra = divmod(total, jobs)
     bounds = []
     lo = 0
@@ -128,9 +141,9 @@ def _shard_bounds(total: int, jobs: int) -> list[tuple[int, int]]:
 
 def _run_sharded(worker: Callable, n: int, total: int, jobs: int):
     """Run worker(n, lo, hi) over contiguous rank ranges; merge in order."""
-    if jobs <= 1:
-        return [worker(n, 0, total)]
     bounds = _shard_bounds(total, jobs)
+    if len(bounds) == 1:
+        return [worker(n, 0, total)]
     with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
         return list(pool.map(worker, *zip(*((n, lo, hi) for lo, hi in bounds))))
 
@@ -140,6 +153,30 @@ def _assert_complete(check: str, seen: int, expected: int) -> None:
         raise RuntimeError(
             f"{check} enumeration truncated: saw {seen} of {expected} instances"
         )
+
+
+def _sweep(check, n, total, jobs, shard, sweep_range, a_fn, p_fn, zeta_fn):
+    """Run one check over `total` instances and report.
+
+    Without injected maps the work goes to `shard` over rank ranges; with
+    any of a_fn/p_fn/zeta_fn injected, `sweep_range` runs on this process
+    with the injected maps in place of a_map/p_map/zeta.
+    """
+    start = time.perf_counter()
+    if any(f is not None for f in (a_fn, p_fn, zeta_fn)):
+        results = [
+            sweep_range(
+                n, 0, None, a_fn or a_map, p_fn or p_map, zeta_fn or zeta
+            )
+        ]
+    else:
+        results = _run_sharded(shard, n, total, jobs)
+    count = sum(r[0] for r in results)
+    failures = tuple(f for r in results for f in r[1])
+    _assert_complete(check, count, total)
+    return VerificationReport(
+        check, n, count, failures, time.perf_counter() - start
+    )
 
 
 # ---------------------------------------------------------------- theorem
@@ -158,22 +195,8 @@ def check_theorem(
     injected callables force single-process execution.
     """
     _ceiling("theorem", n, max_n)
-    start = time.perf_counter()
-    injected = any(f is not None for f in (a_fn, p_fn, zeta_fn))
-    if injected:
-        results = [
-            _theorem_range(
-                n, 0, None, a_fn or a_map, p_fn or p_map, zeta_fn or zeta
-            )
-        ]
-    else:
-        results = _run_sharded(_theorem_shard, n, catalan(n), jobs)
-    count = sum(r[0] for r in results)
-    failures = tuple(f for r in results for f in r[1])
-    _assert_complete("theorem", count, catalan(n))
-    return VerificationReport(
-        "theorem", n, count, failures, time.perf_counter() - start
-    )
+    return _sweep("theorem", n, catalan(n), jobs, _theorem_shard,
+                  _theorem_range, a_fn, p_fn, zeta_fn)
 
 
 def _theorem_shard(n: int, lo: int, hi: int):
@@ -222,22 +245,8 @@ def check_induction_step(
     instance count must equal Catalan(n + 1).
     """
     _ceiling("induction", n, max_n)
-    start = time.perf_counter()
-    injected = any(f is not None for f in (a_fn, p_fn, zeta_fn))
-    if injected:
-        results = [
-            _induction_range(
-                n, 0, None, a_fn or a_map, p_fn or p_map, zeta_fn or zeta
-            )
-        ]
-    else:
-        results = _run_sharded(_induction_shard, n, catalan(n + 1), jobs)
-    count = sum(r[0] for r in results)
-    failures = tuple(f for r in results for f in r[1])
-    _assert_complete("induction", count, catalan(n + 1))
-    return VerificationReport(
-        "induction", n, count, failures, time.perf_counter() - start
-    )
+    return _sweep("induction", n, catalan(n + 1), jobs, _induction_shard,
+                  _induction_range, a_fn, p_fn, zeta_fn)
 
 
 def _extension_pairs(n: int) -> Iterator[tuple[UnitIntervalOrder, int]]:

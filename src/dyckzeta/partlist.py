@@ -143,33 +143,33 @@ def poset_from_json(text: str) -> Poset:
 
 @dataclass(frozen=True, slots=True)
 class InsertionTrace:
-    """Full record of an insertion run: levels, comparability counts C_i,
-    the intermediate listings q_1..q_n, and where each letter landed."""
+    """Record of an insertion run: levels, comparability counts C_i, and
+    where each letter landed.  The intermediate listings q_1..q_n follow
+    from these and are replayed by `words`."""
 
     levels: LevelProfile
     c: tuple[int, ...]
-    words: tuple[PartListing, ...]
     positions: tuple[int, ...]
 
     def __post_init__(self):
         n = self.levels.n
-        if not (len(self.c) == len(self.words) == len(self.positions) == n):
+        if not (len(self.c) == len(self.positions) == n):
             raise ValidationError("trace components disagree on length")
-        prev: tuple[int, ...] = ()
-        for i in range(n):
-            word = self.words[i].entries
-            if len(word) != i + 1:
-                raise ValidationError(f"intermediate word {i + 1} has wrong length")
-            pos = self.positions[i]
-            lv = self.levels.levels[i]
-            if word != prev[:pos] + (lv,) + prev[pos:]:
+        for i, pos in enumerate(self.positions):
+            if not 0 <= pos <= i:
                 raise ValidationError(
-                    f"word {i + 1} is not word {i} with {lv} inserted at {pos}"
+                    f"letter {i + 1} inserted at {pos}, outside 0..{i}"
                 )
-            prev = word
-        if n:
-            # the finished listing must be an area sequence
-            AreaSequence(self.words[-1].entries)
+
+    @property
+    def words(self) -> tuple[PartListing, ...]:
+        """The intermediate listings q_1..q_n, rebuilt insertion by insertion."""
+        words = []
+        cur: tuple[int, ...] = ()
+        for level, pos in zip(self.levels.levels, self.positions):
+            cur = cur[:pos] + (level,) + cur[pos:]
+            words.append(PartListing(cur))
+        return tuple(words)
 
 
 def poset_of(w: PartListing) -> Poset:
@@ -249,7 +249,6 @@ def q_map(u: UnitIntervalOrder) -> tuple[PartListing, InsertionTrace]:
     """
     profile = levels(u)
     lv = profile.levels
-    words: list[PartListing] = []
     cs: list[int] = []
     positions: list[int] = []
     cur: tuple[int, ...] = ()
@@ -258,12 +257,11 @@ def q_map(u: UnitIntervalOrder) -> tuple[PartListing, InsertionTrace]:
         c = sum(1 for j in range(u.pred[i]) if lv[j] == level - 1)
         pos = _insertion_point(cur, level, c)
         cur = cur[:pos] + (level,) + cur[pos:]
-        words.append(PartListing(cur))
         cs.append(c)
         positions.append(pos)
-    listing = words[-1] if words else PartListing(())
-    trace = InsertionTrace(profile, tuple(cs), tuple(words), tuple(positions))
-    return listing, trace
+    AreaSequence(cur)   # the finished listing must be an area sequence
+    trace = InsertionTrace(profile, tuple(cs), tuple(positions))
+    return PartListing(cur), trace
 
 
 def p_map(u: UnitIntervalOrder) -> DyckWord:

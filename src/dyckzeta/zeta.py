@@ -13,24 +13,19 @@ Label dictionary, fixed once to avoid the classic swapped-convention bug:
 Both directions reuse the same two letters on purpose: the textual form of
 the input word and the diagonal reading share an alphabet, so worked strings
 can be compared letter for letter.
+
+zeta_inverse is p o a^-1 (p from partlist, a^-1 from uio): the paper's
+theorem a(U) = zeta(p(U)) leaves no separate inverse to compute.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
-from .errors import SizeLimitError, ValidationError
-from .lattice import DyckWord, Step, enumerate_dyck
-from .partlist import q_map
-from .uio import UnitIntervalOrder, extend, levels
-
-#: zeta_inverse builds a full lookup table per size; past this the table
-#: (Catalan(n) entries) stops being cheap.
-ZETA_INVERSE_MAX_N = 12
-
-_inverse_tables: dict[int, dict[tuple[Step, ...], DyckWord]] = {}
-_inverse_lock = threading.Lock()
+from .errors import ValidationError
+from .lattice import DyckWord, Step
+from .partlist import p_map, q_map
+from .uio import UnitIntervalOrder, a_inverse, extend, levels
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,48 +68,23 @@ class DiagonalDecomposition:
 def diagonal_decomposition(d: DyckWord) -> DiagonalDecomposition:
     """Bucket the 2n step-endpoint labels of d by diagonal.
 
-    Also checks, strip by strip, that up and down crossings alternate with
-    equal counts; for a valid Dyck word this always holds.
+    d is a valid Dyck word, so every strip is crossed up and down
+    alternately; DiagonalDecomposition checks the resulting balance.
     """
     if not d.steps:
         return DiagonalDecomposition(())
-    buckets: list[list[str]] = [[] for _ in range(_max_height(d) + 1)]
-    pending_down: dict[int, int] = {}   # strip -> 1 if an up crossing awaits its down
+    buckets: list[list[str]] = [[]]
     x = y = 0
     for step in d.steps:
         if step is Step.UP:
             y += 1
-            t = y - x
-            buckets[t].append("a")
-            if pending_down.get(t):
-                raise ValidationError(
-                    f"strip {t}: two up crossings without a down crossing"
-                )
-            pending_down[t] = 1
+            if y - x == len(buckets):
+                buckets.append([])
+            buckets[y - x].append("a")
         else:
             x += 1
-            t = y - x
-            buckets[t].append("b")
-            if not pending_down.get(t + 1):
-                raise ValidationError(
-                    f"strip {t + 1}: down crossing without a preceding up crossing"
-                )
-            pending_down[t + 1] = 0
-    if any(pending_down.values()):
-        raise ValidationError("some strip ends with an unmatched up crossing")
+            buckets[y - x].append("b")
     return DiagonalDecomposition(tuple(tuple(b) for b in buckets))
-
-
-def _max_height(d: DyckWord) -> int:
-    best = x = y = 0
-    for step in d.steps:
-        if step is Step.UP:
-            y += 1
-            if y - x > best:
-                best = y - x
-        else:
-            x += 1
-    return best
 
 
 def zeta(d: DyckWord) -> DyckWord:
@@ -129,25 +99,8 @@ def zeta(d: DyckWord) -> DyckWord:
 
 
 def zeta_inverse(d: DyckWord) -> DyckWord:
-    """The unique path mapping to d under zeta.
-
-    Implemented as a memoized full table per size, built on first use;
-    Catalan(12) = 208012 keeps that cheap up to ZETA_INVERSE_MAX_N.  The
-    table is immutable once published, so lookups are thread-safe.
-    """
-    n = d.n
-    if n > ZETA_INVERSE_MAX_N:
-        raise SizeLimitError(
-            f"zeta_inverse supports n <= {ZETA_INVERSE_MAX_N}, got {n}"
-        )
-    table = _inverse_tables.get(n)
-    if table is None:
-        with _inverse_lock:
-            table = _inverse_tables.get(n)
-            if table is None:
-                table = {zeta(e).steps: e for e in enumerate_dyck(n)}
-                _inverse_tables[n] = table
-    return table[d.steps]
+    """The unique path mapping to d under zeta, at any size: p(a^-1(d))."""
+    return p_map(a_inverse(d))
 
 
 def added_peak_parameters(u: UnitIntervalOrder, k: int) -> tuple[int, int]:

@@ -53,6 +53,17 @@ def drawn_area_sequence(word):
     return tuple(counts)
 
 
+def staircase_closed(boxes):
+    """Definitional closure: (i,j) present forces every (i',j') with
+    i <= i' < j' <= j."""
+    return all(
+        (i2, j2) in boxes
+        for i, j in boxes
+        for i2 in range(i, j)
+        for j2 in range(i2 + 1, j + 1)
+    )
+
+
 def strip_crossings(word):
     """Per-strip crossing sequences: 'u' for an up step into strip t from
     below, 'd' for a right step leaving it downward."""
@@ -76,6 +87,22 @@ def area_sequences(draw, max_n=20):
         ceiling = 0 if j == 0 else entries[-1] + 1
         entries.append(draw(st.integers(min_value=0, max_value=ceiling)))
     return AreaSequence(tuple(entries))
+
+
+@st.composite
+def box_sets(draw, max_n=7):
+    """(n, boxes) with 1 <= i < j <= n: a staircase or the empty set, with
+    an arbitrary set of boxes toggled, so both closed and unclosed sets
+    come up."""
+    seq = draw(area_sequences(max_n=max_n))
+    n = seq.n
+    base = set()
+    if draw(st.booleans()):
+        base = {(j - a + k, j) for j, a in enumerate(seq.entries, start=1)
+                for k in range(a)}
+    candidates = [(i, j) for j in range(1, n + 1) for i in range(1, j)]
+    toggled = draw(st.sets(st.sampled_from(candidates))) if candidates else set()
+    return n, frozenset(base ^ toggled)
 
 
 @st.composite

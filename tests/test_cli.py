@@ -159,6 +159,19 @@ def test_verify_jobs_env_default(capsys, monkeypatch):
     assert "PASS" in out
 
 
+def test_verify_huge_jobs_env_is_capped_at_usable_cpus(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one usable CPU must not start a pool")
+
+    monkeypatch.setenv(cli.JOBS_ENV_VAR, "50000")
+    monkeypatch.setattr(cli.harness.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(cli.harness, "ProcessPoolExecutor", no_pool)
+    code, out, _ = run(capsys, "verify", "--check", "theorem", "--n", "4")
+    assert code == 0
+    assert "PASS" in out
+
+
 # -------------------------------------------------------------- enumerate
 
 def test_enumerate_dyck_lines(capsys):

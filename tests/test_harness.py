@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dyckzeta import harness
 from dyckzeta import (
     PreconditionError,
     catalan,
@@ -89,6 +90,41 @@ def test_jobs_exceeding_instances_are_harmless():
     report = check_theorem(2, jobs=16)
     assert report.passed
     assert report.instances_checked == 2
+
+
+def _assert_covers(bounds, total):
+    assert bounds[0][0] == 0 and bounds[-1][1] == total
+    assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("cpus, jobs, shards", [(3, 50_000, 3), (2, 2, 2), (4, 1, 1)])
+def test_shard_plan_is_capped_at_usable_cpus(monkeypatch, cpus, jobs, shards):
+    monkeypatch.setattr(
+        harness.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+    )
+    total = catalan(11)
+    bounds = harness._shard_bounds(total, jobs)
+    assert len(bounds) == shards
+    _assert_covers(bounds, total)
+
+
+def test_shard_plan_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    bounds = harness._shard_bounds(100, 50_000)
+    assert len(bounds) == 3
+    _assert_covers(bounds, 100)
+
+
+def test_one_usable_cpu_runs_inline_whatever_jobs(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-shard plan must not start a pool")
+
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    report = check_theorem(5, jobs=50_000)
+    assert report.passed
+    assert report.instances_checked == catalan(5)
 
 
 # ------------------------------------------------- corrupted-map fuzzing

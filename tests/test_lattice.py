@@ -24,9 +24,11 @@ from dyckzeta import (
 )
 from helpers import (
     area_sequences,
+    box_sets,
     catalan_by_recurrence,
     drawn_area_sequence,
     drawn_boxes,
+    staircase_closed,
 )
 
 
@@ -72,6 +74,16 @@ def test_area_set_rejects_closure_violation():
     # (1,3) forces (2,3) to be present
     with pytest.raises(ValidationError, match="closure"):
         AreaSet(frozenset({(1, 3)}), 3)
+
+
+@given(box_sets(max_n=7))
+def test_area_set_accepts_exactly_the_closed_box_sets(case):
+    n, boxes = case
+    if staircase_closed(boxes):
+        assert AreaSet(boxes, n).boxes == boxes
+    else:
+        with pytest.raises(ValidationError, match="closure"):
+            AreaSet(boxes, n)
 
 
 # ------------------------------------------------------------ conversions

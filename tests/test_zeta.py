@@ -2,8 +2,6 @@ import pytest
 
 from dyckzeta import (
     PreconditionError,
-    SizeLimitError,
-    ZETA_INVERSE_MAX_N,
     added_peak_parameters,
     catalan,
     diagonal_decomposition,
@@ -94,10 +92,24 @@ def test_zeta_inverse_round_trip_small():
             assert zeta(zeta_inverse(word)) == word
 
 
-def test_zeta_inverse_size_cap():
-    big = parse_word("a" * (ZETA_INVERSE_MAX_N + 1) + "b" * (ZETA_INVERSE_MAX_N + 1))
-    with pytest.raises(SizeLimitError, match="supports n <="):
-        zeta_inverse(big)
+def test_zeta_inverse_matches_lookup_table_oracle():
+    # the table inverts zeta by exhaustion, independently of p and a
+    for n in range(0, 9):
+        table = {zeta(e).steps: e for e in enumerate_dyck(n)}
+        for word in enumerate_dyck(n):
+            assert zeta_inverse(word) == table[word.steps]
+
+
+def test_zeta_inverse_round_trip_past_twelve():
+    for text in (
+        "ab" * 13,
+        "a" * 14 + "b" * 14,
+        "aaab" * 5 + "b" * 10,
+        "aaabababbbab" + "aaabbabb" + "abaababb" + "aabb",
+    ):
+        word = parse_word(text)
+        assert 13 <= word.n <= 16
+        assert zeta(zeta_inverse(word)) == word
 
 
 # -------------------------------------------------- added peak parameters
