@@ -12,6 +12,12 @@ as data rather than raising:
               area sequences; a_inverse undoes a
   grevlex     the exhaustive grevlex-minimum search agrees with q
 
+The theorem sweep runs on integer tuples: levels and listings by the
+insertion of partlist, zeta by Haglund's scan (zeta.zeta_scan), compared
+with a(U)'s area sequence.  An order on which they disagree is re-checked
+through the objects (a_map, p_map, zeta), which are also what injected test
+maps replace; the other checks use the objects throughout.
+
 Work shards by contiguous enumeration-rank ranges, so reports are
 deterministic for a fixed n regardless of worker count.
 """
@@ -23,6 +29,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
+from operator import sub
 from typing import Callable, Iterator, Optional
 
 from .errors import PreconditionError, ValidationError
@@ -34,13 +41,13 @@ from .lattice import (
     enumerate_dyck,
     final_maximal_peak,
 )
-from .partlist import grevlex_min_search, p_map, q_map
+from .partlist import _insert, grevlex_min_search, p_map, q_map
 from .uio import UnitIntervalOrder, a_inverse, a_map, enumerate_uio, extend
-from .zeta import added_peak_parameters, zeta
+from .zeta import added_peak_parameters, zeta, zeta_scan
 
 #: Per-check size ceilings keeping the full sweep under a minute on
 #: commodity hardware; raise via the max_n argument (or --max-n in the CLI).
-DEFAULT_CEILINGS = {"theorem": 11, "induction": 9, "bijections": 11, "grevlex": 5}
+DEFAULT_CEILINGS = {"theorem": 13, "induction": 9, "bijections": 11, "grevlex": 5}
 
 
 @dataclass(frozen=True)
@@ -200,7 +207,68 @@ def check_theorem(
 
 
 def _theorem_shard(n: int, lo: int, hi: int):
-    return _theorem_range(n, lo, hi, a_map, p_map, zeta)
+    """The theorem on integer tuples, for the orders of rank lo..hi - 1.
+
+    Orders come in lexicographic order, the preorder of the tree of
+    rightmost extensions, so consecutive orders share a prefix; the levels
+    and listings of the prefix are kept per depth and only the changed
+    suffix is inserted again.  Each finished listing must be an area
+    sequence, and its zeta_scan must equal a(U)'s area sequence
+    a_j = j - 1 - pred[j].  A disagreement is re-checked on the objects.
+    """
+    count = 0
+    failures = []
+    prev = (-1,) * n                # no order of size n matches it anywhere
+    lv = [0] * n                    # lv[i]: level of element i
+    listings = [()] * (n + 1)       # listings[i]: listing of elements 0..i-1
+    for rank, u in enumerate(islice(enumerate_uio(n), lo, hi), start=lo):
+        count += 1
+        pred = u.pred
+        d = 0
+        while pred[d] == prev[d]:
+            d += 1
+        for i in range(d, n):
+            listings[i + 1], lv[i], _, _ = _insert(listings[i], lv, pred[i])
+        prev = pred
+        listing = listings[n]
+        area = tuple(map(sub, range(n), pred))     # a_j = j - 1 - pred[j]
+        if (
+            listing[0] != 0
+            or max(map(sub, listing[1:], listing), default=0) > 1
+            or zeta_scan(listing) != area
+        ):
+            failures.append(
+                _theorem_failure(rank, u, a_map, p_map, zeta)
+                or Failure(
+                    rank,
+                    (("pred", str(u)), ("q", ",".join(map(str, listing)))),
+                    "kernel agrees with a_map, p_map and zeta",
+                    ",".join(map(str, zeta_scan(listing))),
+                    ",".join(map(str, area)),
+                )
+            )
+    return count, failures
+
+
+def _theorem_failure(rank, u, a_fn, p_fn, zeta_fn) -> Optional[Failure]:
+    """The Failure for a(U) != zeta(p(U)) on the objects, or None."""
+    left = a_fn(u)
+    p_word = p_fn(u)
+    right = zeta_fn(p_word)
+    if left == right:
+        return None
+    listing, _ = q_map(u)
+    return Failure(
+        rank,
+        (
+            ("pred", str(u)),
+            ("q", str(listing)),
+            ("p_word", str(p_word)),
+        ),
+        "a(U) == zeta(p(U))",
+        str(left),
+        str(right),
+    )
 
 
 def _theorem_range(n, lo, hi, a_fn, p_fn, zeta_fn):
@@ -208,24 +276,9 @@ def _theorem_range(n, lo, hi, a_fn, p_fn, zeta_fn):
     failures = []
     for rank, u in enumerate(islice(enumerate_uio(n), lo, hi), start=lo):
         count += 1
-        left = a_fn(u)
-        p_word = p_fn(u)
-        right = zeta_fn(p_word)
-        if left != right:
-            listing, _ = q_map(u)
-            failures.append(
-                Failure(
-                    rank,
-                    (
-                        ("pred", str(u)),
-                        ("q", str(listing)),
-                        ("p_word", str(p_word)),
-                    ),
-                    "a(U) == zeta(p(U))",
-                    str(left),
-                    str(right),
-                )
-            )
+        failure = _theorem_failure(rank, u, a_fn, p_fn, zeta_fn)
+        if failure is not None:
+            failures.append(failure)
     return count, failures
 
 
@@ -262,11 +315,17 @@ def _induction_shard(n: int, lo: int, hi: int):
 def _induction_range(n, lo, hi, a_fn, p_fn, zeta_fn):
     count = 0
     failures = []
+    u_prev = None
     for rank, (u, k) in enumerate(islice(_extension_pairs(n), lo, hi), start=lo):
         count += 1
+        if u != u_prev:         # pairs of one U come for consecutive k
+            u_prev = u
+            q_small, _ = q_map(u)
+            zp_small = zeta_fn(p_fn(u))
+            a_small = a_fn(u)
         extended = extend(u, k)
-        q_small, _ = q_map(u)
         q_big, trace = q_map(extended)
+        p_big = p_fn(extended)
         pos = trace.positions[-1]
         inputs = (
             ("pred", str(u)),
@@ -295,7 +354,7 @@ def _induction_range(n, lo, hi, a_fn, p_fn, zeta_fn):
                     f"inserted at {pos}",
                     f"last maximum at {last_top}",
                 )
-            peak = final_maximal_peak(p_fn(extended))
+            peak = final_maximal_peak(p_big)
             if peak.apex[1] != pos + 1:
                 fail(
                     "final maximal peak of p(extend(U,k)) sits in the inserted row",
@@ -304,8 +363,7 @@ def _induction_range(n, lo, hi, a_fn, p_fn, zeta_fn):
                 )
 
         r, s = added_peak_parameters(u, k)
-        zp_small = zeta_fn(p_fn(u))
-        zp_big = zeta_fn(p_fn(extended))
+        zp_big = zeta_fn(p_big)
         try:
             expected = add_final_peak(zp_small, r)
         except PreconditionError as exc:
@@ -316,7 +374,6 @@ def _induction_range(n, lo, hi, a_fn, p_fn, zeta_fn):
                 fail("zeta(p(extend(U,k))) == add_final_peak(zeta(p(U)), r)",
                      str(zp_big), str(expected))
 
-        a_small = a_fn(u)
         a_big = a_fn(extended)
         try:
             expected = add_final_peak(a_small, s)

@@ -11,12 +11,13 @@ q_map builds it one element at a time.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import PreconditionError, ValidationError
 from .lattice import AreaSequence, DyckWord, word_from_area_sequence
-from .uio import LevelProfile, UnitIntervalOrder, levels
+from .uio import LevelProfile, UnitIntervalOrder
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,6 +239,41 @@ def q_step(q_prev: PartListing, level: int, c: int) -> PartListing:
     return PartListing(e[:pos] + (level,) + e[pos:])
 
 
+def _insert(
+    cur: tuple[int, ...], lv: list[int], p: int
+) -> tuple[tuple[int, ...], int, int, int]:
+    """Insert the next element, which has p predecessors, into listing cur.
+
+    lv holds the levels of the elements already inserted (only lv[:p] is
+    read).  The element's level is one more than that of its last
+    predecessor (0 with none); C counts the predecessors one level lower,
+    which, levels being weakly increasing, end at index p - 1.  Returns the
+    grown listing, the level, C and the insertion position.
+    """
+    if p == 0:
+        level = c = 0
+    else:
+        level = lv[p - 1] + 1
+        c = p - bisect_left(lv, level - 1, 0, p)
+    pos = _insertion_point(cur, level, c)
+    return cur[:pos] + (level,) + cur[pos:], level, c, pos
+
+
+def _insert_all(u: UnitIntervalOrder) -> tuple[tuple[int, ...], list, list, list]:
+    """Insert the elements of u in turn: the finished listing, unchecked,
+    with the levels, C_i and positions of the run."""
+    cur: tuple[int, ...] = ()
+    lv: list[int] = []
+    cs: list[int] = []
+    positions: list[int] = []
+    for p in u.pred:
+        cur, level, c, pos = _insert(cur, lv, p)
+        lv.append(level)
+        cs.append(c)
+        positions.append(pos)
+    return cur, lv, cs, positions
+
+
 def q_map(u: UnitIntervalOrder) -> tuple[PartListing, InsertionTrace]:
     """Insert the level of each element of u in turn.
 
@@ -247,27 +283,15 @@ def q_map(u: UnitIntervalOrder) -> tuple[PartListing, InsertionTrace]:
     valid area sequence, and its poset is the original order up to the
     relabeling of relabeled_poset.
     """
-    profile = levels(u)
-    lv = profile.levels
-    cs: list[int] = []
-    positions: list[int] = []
-    cur: tuple[int, ...] = ()
-    for i in range(u.n):
-        level = lv[i]
-        c = sum(1 for j in range(u.pred[i]) if lv[j] == level - 1)
-        pos = _insertion_point(cur, level, c)
-        cur = cur[:pos] + (level,) + cur[pos:]
-        cs.append(c)
-        positions.append(pos)
+    cur, lv, cs, positions = _insert_all(u)
     AreaSequence(cur)   # the finished listing must be an area sequence
-    trace = InsertionTrace(profile, tuple(cs), tuple(positions))
+    trace = InsertionTrace(LevelProfile(tuple(lv)), tuple(cs), tuple(positions))
     return PartListing(cur), trace
 
 
 def p_map(u: UnitIntervalOrder) -> DyckWord:
     """Path whose area sequence is the listing produced by q_map."""
-    listing, _ = q_map(u)
-    return word_from_area_sequence(AreaSequence(listing.entries))
+    return word_from_area_sequence(AreaSequence(_insert_all(u)[0]))
 
 
 def f_permutation(w: PartListing) -> tuple[int, ...]:

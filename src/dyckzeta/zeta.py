@@ -14,6 +14,15 @@ Both directions reuse the same two letters on purpose: the textual form of
 the input word and the diagonal reading share an alphabet, so worked strings
 can be compared letter for letter.
 
+On area sequences the same map is Haglund's scan (zeta_scan): for
+i = 0, 1, ..., max + 1, read the sequence left to right; an entry equal to i
+gives an UP step and an entry equal to i - 1 a RIGHT step.  It reads the
+same labels without drawing the path: on diagonal i ends the UP step (a) of
+each row with a_j = i - 1, and for each row with a_j = i the RIGHT step (b)
+by which the path comes back down to diagonal i, in the same left-to-right
+order.  The theorem sweep in harness uses zeta_scan; zeta's diagonal
+reading stays the independent oracle it is tested against.
+
 zeta_inverse is p o a^-1 (p from partlist, a^-1 from uio): the paper's
 theorem a(U) = zeta(p(U)) leaves no separate inverse to compute.
 """
@@ -96,6 +105,26 @@ def zeta(d: DyckWord) -> DyckWord:
         for label in bucket
     )
     return DyckWord(steps)
+
+
+def zeta_scan(entries: tuple[int, ...]) -> tuple[int, ...]:
+    """Area sequence of zeta of the path with area sequence `entries`.
+
+    Haglund's scan: for i = 0..max + 1, entries equal to i give UP steps and
+    entries equal to i - 1 give RIGHT steps, left to right; each UP step's
+    entry is the ups minus the rights before it.  `entries` must be an area
+    sequence; nothing is checked.
+    """
+    out = []
+    height = 0
+    for i in range(max(entries, default=-1) + 2):
+        for e in entries:
+            if e == i:
+                out.append(height)
+                height += 1
+            elif e == i - 1:
+                height -= 1
+    return tuple(out)
 
 
 def zeta_inverse(d: DyckWord) -> DyckWord:

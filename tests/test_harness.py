@@ -53,7 +53,7 @@ def test_grevlex_small_sizes_pass():
 
 def test_ceilings_guard_and_override():
     with pytest.raises(PreconditionError, match="capped"):
-        check_theorem(12)
+        check_theorem(14)
     with pytest.raises(PreconditionError, match="capped"):
         check_induction_step(10)
     with pytest.raises(PreconditionError, match="capped"):
