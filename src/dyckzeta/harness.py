@@ -15,8 +15,10 @@ as data rather than raising:
 The theorem sweep runs on integer tuples: levels and listings by the
 insertion of partlist, zeta by Haglund's scan (zeta.zeta_scan), compared
 with a(U)'s area sequence.  An order on which they disagree is re-checked
-through the objects (a_map, p_map, zeta), which are also what injected test
-maps replace; the other checks use the objects throughout.
+through the objects (a_map, p_map, zeta); the other checks use the objects
+throughout.  Each check has one code path, its shard function; tests that
+corrupt a map patch the names this module looks up (harness.zeta,
+harness.zeta_scan) and so run the same code as the CLI.
 
 Work shards by contiguous enumeration-rank ranges, so reports are
 deterministic for a fixed n regardless of worker count.
@@ -35,7 +37,6 @@ from typing import Callable, Iterator, Optional
 from .errors import PreconditionError, ValidationError
 from .lattice import (
     AreaSequence,
-    DyckWord,
     add_final_peak,
     catalan,
     enumerate_dyck,
@@ -43,7 +44,7 @@ from .lattice import (
 )
 from .partlist import _insert, grevlex_min_search, p_map, q_map
 from .uio import UnitIntervalOrder, a_inverse, a_map, enumerate_uio, extend
-from .zeta import added_peak_parameters, zeta, zeta_scan
+from .zeta import _peak_parameters, zeta, zeta_scan
 
 #: Per-check size ceilings keeping the full sweep under a minute on
 #: commodity hardware; raise via the max_n argument (or --max-n in the CLI).
@@ -111,7 +112,7 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _ceiling(check: str, n: int, max_n: Optional[int]) -> int:
+def _ceiling(check: str, n: int, max_n: Optional[int]) -> None:
     if n < 1:
         raise PreconditionError(f"{check} check needs n >= 1, got {n}")
     ceiling = DEFAULT_CEILINGS[check] if max_n is None else max_n
@@ -119,7 +120,6 @@ def _ceiling(check: str, n: int, max_n: Optional[int]) -> int:
         raise PreconditionError(
             f"{check} check capped at n = {ceiling}; pass max_n to raise it"
         )
-    return ceiling
 
 
 def _usable_cpus() -> int:
@@ -162,22 +162,14 @@ def _assert_complete(check: str, seen: int, expected: int) -> None:
         )
 
 
-def _sweep(check, n, total, jobs, shard, sweep_range, a_fn, p_fn, zeta_fn):
-    """Run one check over `total` instances and report.
+def _sweep(check, n, total, jobs, shard):
+    """Run shard(n, lo, hi) over the `total` instances of one check and report.
 
-    Without injected maps the work goes to `shard` over rank ranges; with
-    any of a_fn/p_fn/zeta_fn injected, `sweep_range` runs on this process
-    with the injected maps in place of a_map/p_map/zeta.
+    Each shard returns its instance count and its failures; the counts must
+    add up to `total`.
     """
     start = time.perf_counter()
-    if any(f is not None for f in (a_fn, p_fn, zeta_fn)):
-        results = [
-            sweep_range(
-                n, 0, None, a_fn or a_map, p_fn or p_map, zeta_fn or zeta
-            )
-        ]
-    else:
-        results = _run_sharded(shard, n, total, jobs)
+    results = _run_sharded(shard, n, total, jobs)
     count = sum(r[0] for r in results)
     failures = tuple(f for r in results for f in r[1])
     _assert_complete(check, count, total)
@@ -189,21 +181,15 @@ def _sweep(check, n, total, jobs, shard, sweep_range, a_fn, p_fn, zeta_fn):
 # ---------------------------------------------------------------- theorem
 
 def check_theorem(
-    n: int,
-    jobs: int = 1,
-    max_n: Optional[int] = None,
-    a_fn: Optional[Callable[[UnitIntervalOrder], DyckWord]] = None,
-    p_fn: Optional[Callable[[UnitIntervalOrder], DyckWord]] = None,
-    zeta_fn: Optional[Callable[[DyckWord], DyckWord]] = None,
+    n: int, jobs: int = 1, max_n: Optional[int] = None
 ) -> VerificationReport:
     """Assert a(U) == zeta(p(U)) for every order of size n.
 
-    a_fn/p_fn/zeta_fn exist so tests can inject deliberately corrupted maps;
-    injected callables force single-process execution.
+    The sweep runs on integer tuples (_theorem_shard); an order on which
+    the tuples disagree is re-checked on the objects a_map, p_map and zeta.
     """
     _ceiling("theorem", n, max_n)
-    return _sweep("theorem", n, catalan(n), jobs, _theorem_shard,
-                  _theorem_range, a_fn, p_fn, zeta_fn)
+    return _sweep("theorem", n, catalan(n), jobs, _theorem_shard)
 
 
 def _theorem_shard(n: int, lo: int, hi: int):
@@ -238,7 +224,7 @@ def _theorem_shard(n: int, lo: int, hi: int):
             or zeta_scan(listing) != area
         ):
             failures.append(
-                _theorem_failure(rank, u, a_map, p_map, zeta)
+                _theorem_failure(rank, u)
                 or Failure(
                     rank,
                     (("pred", str(u)), ("q", ",".join(map(str, listing)))),
@@ -250,11 +236,11 @@ def _theorem_shard(n: int, lo: int, hi: int):
     return count, failures
 
 
-def _theorem_failure(rank, u, a_fn, p_fn, zeta_fn) -> Optional[Failure]:
+def _theorem_failure(rank, u) -> Optional[Failure]:
     """The Failure for a(U) != zeta(p(U)) on the objects, or None."""
-    left = a_fn(u)
-    p_word = p_fn(u)
-    right = zeta_fn(p_word)
+    left = a_map(u)
+    p_word = p_map(u)
+    right = zeta(p_word)
     if left == right:
         return None
     listing, _ = q_map(u)
@@ -271,26 +257,10 @@ def _theorem_failure(rank, u, a_fn, p_fn, zeta_fn) -> Optional[Failure]:
     )
 
 
-def _theorem_range(n, lo, hi, a_fn, p_fn, zeta_fn):
-    count = 0
-    failures = []
-    for rank, u in enumerate(islice(enumerate_uio(n), lo, hi), start=lo):
-        count += 1
-        failure = _theorem_failure(rank, u, a_fn, p_fn, zeta_fn)
-        if failure is not None:
-            failures.append(failure)
-    return count, failures
-
-
 # -------------------------------------------------------------- induction
 
 def check_induction_step(
-    n: int,
-    jobs: int = 1,
-    max_n: Optional[int] = None,
-    a_fn: Optional[Callable[[UnitIntervalOrder], DyckWord]] = None,
-    p_fn: Optional[Callable[[UnitIntervalOrder], DyckWord]] = None,
-    zeta_fn: Optional[Callable[[DyckWord], DyckWord]] = None,
+    n: int, jobs: int = 1, max_n: Optional[int] = None
 ) -> VerificationReport:
     """Check every rightmost extension of every order of size n.
 
@@ -298,8 +268,7 @@ def check_induction_step(
     instance count must equal Catalan(n + 1).
     """
     _ceiling("induction", n, max_n)
-    return _sweep("induction", n, catalan(n + 1), jobs, _induction_shard,
-                  _induction_range, a_fn, p_fn, zeta_fn)
+    return _sweep("induction", n, catalan(n + 1), jobs, _induction_shard)
 
 
 def _extension_pairs(n: int) -> Iterator[tuple[UnitIntervalOrder, int]]:
@@ -309,10 +278,6 @@ def _extension_pairs(n: int) -> Iterator[tuple[UnitIntervalOrder, int]]:
 
 
 def _induction_shard(n: int, lo: int, hi: int):
-    return _induction_range(n, lo, hi, a_map, p_map, zeta)
-
-
-def _induction_range(n, lo, hi, a_fn, p_fn, zeta_fn):
     count = 0
     failures = []
     u_prev = None
@@ -321,11 +286,11 @@ def _induction_range(n, lo, hi, a_fn, p_fn, zeta_fn):
         if u != u_prev:         # pairs of one U come for consecutive k
             u_prev = u
             q_small, _ = q_map(u)
-            zp_small = zeta_fn(p_fn(u))
-            a_small = a_fn(u)
+            zp_small = zeta(p_map(u))
+            a_small = a_map(u)
         extended = extend(u, k)
         q_big, trace = q_map(extended)
-        p_big = p_fn(extended)
+        p_big = p_map(extended)
         pos = trace.positions[-1]
         inputs = (
             ("pred", str(u)),
@@ -362,8 +327,8 @@ def _induction_range(n, lo, hi, a_fn, p_fn, zeta_fn):
                     f"inserted row {pos + 1}",
                 )
 
-        r, s = added_peak_parameters(u, k)
-        zp_big = zeta_fn(p_big)
+        r, s = _peak_parameters(q_small.entries, q_big.entries, pos, k)
+        zp_big = zeta(p_big)
         try:
             expected = add_final_peak(zp_small, r)
         except PreconditionError as exc:
@@ -374,7 +339,7 @@ def _induction_range(n, lo, hi, a_fn, p_fn, zeta_fn):
                 fail("zeta(p(extend(U,k))) == add_final_peak(zeta(p(U)), r)",
                      str(zp_big), str(expected))
 
-        a_big = a_fn(extended)
+        a_big = a_map(extended)
         try:
             expected = add_final_peak(a_small, s)
         except PreconditionError as exc:
@@ -470,13 +435,16 @@ def _bijections_shard(n: int, lo: int, hi: int):
 
 def check_grevlex(n: int, max_n: Optional[int] = None) -> VerificationReport:
     """The independent exhaustive minimum equals the insertion listing."""
-    ceiling = _ceiling("grevlex", n, max_n)
-    start = time.perf_counter()
+    _ceiling("grevlex", n, max_n)
+    return _sweep("grevlex", n, catalan(n), 1, _grevlex_shard)
+
+
+def _grevlex_shard(n: int, lo: int, hi: int):
     count = 0
     failures = []
-    for rank, u in enumerate(enumerate_uio(n)):
+    for rank, u in enumerate(islice(enumerate_uio(n), lo, hi), start=lo):
         count += 1
-        found = grevlex_min_search(u, n_max_guard=max(ceiling, n))
+        found = grevlex_min_search(u, n_max_guard=n)
         expected, _ = q_map(u)
         if found != expected:
             failures.append(
@@ -488,7 +456,4 @@ def check_grevlex(n: int, max_n: Optional[int] = None) -> VerificationReport:
                     str(expected),
                 )
             )
-    _assert_complete("grevlex", count, catalan(n))
-    return VerificationReport(
-        "grevlex", n, count, tuple(failures), time.perf_counter() - start
-    )
+    return count, failures

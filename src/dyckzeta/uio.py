@@ -18,7 +18,13 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError, ValidationError
-from .lattice import AreaSequence, DyckWord, area_sequence_from_word, word_from_area_sequence
+from .lattice import (
+    AreaSequence,
+    DyckWord,
+    _parse_int_vector,
+    area_sequence_from_word,
+    word_from_area_sequence,
+)
 
 
 class Relation(Enum):
@@ -208,17 +214,7 @@ def enumerate_uio(n: int) -> Iterator[UnitIntervalOrder]:
 
 def parse_pred(text: str) -> UnitIntervalOrder:
     """Parse a comma-separated predecessor-count vector such as "0,1,1,2"."""
-    if text == "":
-        return UnitIntervalOrder(())
-    entries = []
-    for pos, token in enumerate(text.split(","), start=1):
-        try:
-            entries.append(int(token))
-        except ValueError:
-            raise ValidationError(
-                f"entry {pos} is not an integer: {token!r}"
-            ) from None
-    return UnitIntervalOrder(tuple(entries))
+    return UnitIntervalOrder(_parse_int_vector(text))
 
 
 def parse_intervals(text: str) -> IntervalConfiguration:

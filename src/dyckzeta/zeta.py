@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .lattice import DyckWord, Step
 from .partlist import p_map, q_map
-from .uio import UnitIntervalOrder, a_inverse, extend, levels
+from .uio import UnitIntervalOrder, a_inverse, extend
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,13 +147,16 @@ def added_peak_parameters(u: UnitIntervalOrder, k: int) -> tuple[int, int]:
     steps, while the incomparability boxes put it after s; the two counts
     agree, which the harness asserts on every extension pair.
     """
-    extended = extend(u, k)
-    new_level = levels(extended).levels[-1]
     small, _ = q_map(u)
-    big, trace = q_map(extended)
-    pos = trace.positions[-1]
-    r = small.entries.count(new_level) + sum(
-        1 for w in big.entries[pos + 1:] if w == new_level - 1
-    )
-    s = u.n - k
-    return r, s
+    big, trace = q_map(extend(u, k))
+    return _peak_parameters(small.entries, big.entries, trace.positions[-1], k)
+
+
+def _peak_parameters(
+    small: tuple[int, ...], big: tuple[int, ...], pos: int, k: int
+) -> tuple[int, int]:
+    """added_peak_parameters from the listings of u (small) and of
+    extend(u, k) (big); the new element's letter landed at big[pos]."""
+    level = big[pos]
+    r = small.count(level) + big[pos + 1:].count(level - 1)
+    return r, len(small) - k

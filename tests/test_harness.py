@@ -5,6 +5,7 @@ import pytest
 from dyckzeta import harness
 from dyckzeta import (
     PreconditionError,
+    area_sequence_from_word,
     catalan,
     check_bijections,
     check_grevlex,
@@ -13,6 +14,7 @@ from dyckzeta import (
     enumerate_dyck,
     zeta,
 )
+from dyckzeta.zeta import zeta_scan
 
 
 # ---------------------------------------------------------------- passing
@@ -129,21 +131,27 @@ def test_one_usable_cpu_runs_inline_whatever_jobs(monkeypatch):
 
 # ------------------------------------------------- corrupted-map fuzzing
 
-def _corrupted_zeta(bad, replacement):
-    def zeta_fn(word):
-        return replacement if word == bad else zeta(word)
+def _corrupt_zeta(monkeypatch, bad, replacement):
+    """Make the harness's zeta send the path bad to replacement, both on the
+    objects (zeta) and on area sequences (the kernel's zeta_scan)."""
+    bad_seq = area_sequence_from_word(bad).entries
+    new_seq = area_sequence_from_word(replacement).entries
+    monkeypatch.setattr(
+        harness, "zeta", lambda word: replacement if word == bad else zeta(word)
+    )
+    monkeypatch.setattr(
+        harness, "zeta_scan", lambda seq: new_seq if seq == bad_seq else zeta_scan(seq)
+    )
 
-    return zeta_fn
 
-
-def test_corrupting_zeta_fails_theorem_and_matching_induction():
+def test_corrupting_zeta_fails_theorem_and_matching_induction(monkeypatch):
     n = 4
     words = list(enumerate_dyck(n))
     for bad in words[:5]:
         replacement = next(w for w in words if w != zeta(bad))
-        zeta_fn = _corrupted_zeta(bad, replacement)
-        theorem = check_theorem(n, zeta_fn=zeta_fn)
-        induction = check_induction_step(n - 1, zeta_fn=zeta_fn)
+        _corrupt_zeta(monkeypatch, bad, replacement)
+        theorem = check_theorem(n)
+        induction = check_induction_step(n - 1)
         # a failure at size n must show up as a failed extension at size n-1
         assert not theorem.passed
         assert not induction.passed
@@ -153,11 +161,12 @@ def test_corrupting_zeta_fails_theorem_and_matching_induction():
         )
 
 
-def test_failure_records_carry_diagnosable_encodings():
+def test_failure_records_carry_diagnosable_encodings(monkeypatch):
     n = 3
     words = list(enumerate_dyck(n))
     replacement = next(w for w in words if w != zeta(words[0]))
-    report = check_theorem(n, zeta_fn=_corrupted_zeta(words[0], replacement))
+    _corrupt_zeta(monkeypatch, words[0], replacement)
+    report = check_theorem(n)
     (failure,) = report.failures
     keys = dict(failure.inputs)
     assert set(keys) == {"pred", "q", "p_word"}
@@ -184,11 +193,12 @@ def test_report_text_shape():
     assert text.endswith("PASS")
 
 
-def test_failing_report_text_lists_counterexamples():
+def test_failing_report_text_lists_counterexamples(monkeypatch):
     n = 3
     words = list(enumerate_dyck(n))
     replacement = next(w for w in words if w != zeta(words[1]))
-    report = check_theorem(n, zeta_fn=_corrupted_zeta(words[1], replacement))
+    _corrupt_zeta(monkeypatch, words[1], replacement)
+    report = check_theorem(n)
     text = report.render_text()
     assert "FAIL" in text
     assert "rank" in text

@@ -9,12 +9,14 @@ q_map, the scan against zeta's diagonal reading.
 import pytest
 
 from dyckzeta import (
+    a_map,
     area_sequence_from_word,
     catalan,
     check_theorem,
     enumerate_dyck,
     enumerate_uio,
     harness,
+    p_map,
     q_map,
     word_from_area_sequence,
     zeta,
@@ -37,6 +39,13 @@ def test_kernel_listings_equal_q_map(monkeypatch):
         assert len(seen) == len(orders) == catalan(n)
         for u, listing in zip(orders, seen):
             assert listing == q_map(u)[0].entries, str(u)
+
+
+def test_theorem_holds_on_the_objects():
+    # the kernel's oracle, on its own: a(U) == zeta(p(U)) for every order
+    for n in range(0, 9):
+        for u in enumerate_uio(n):
+            assert a_map(u) == zeta(p_map(u)), str(u)
 
 
 def test_scan_equals_diagonal_reading():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 
@@ -26,6 +28,7 @@ from dyckzeta import (
     q_step,
     relabeled_poset,
 )
+from dyckzeta.partlist import POSET_JSON_MAX_N
 from helpers import pred_vectors
 
 
@@ -95,6 +98,20 @@ def test_poset_json_rejects_garbage():
         poset_from_json("[1,2]")
     with pytest.raises(ValidationError, match="relation pair"):
         poset_from_json('{"n": 2, "relations": [[0, 1]]}')
+
+
+@pytest.mark.parametrize("n", ["true", "-1", "201", "100000"])
+def test_poset_json_rejects_bad_size_before_allocating(n):
+    with pytest.raises(ValidationError, match="poset size"):
+        poset_from_json('{"n": %s, "relations": []}' % n)
+
+
+def test_poset_json_accepts_the_largest_size():
+    n = POSET_JSON_MAX_N
+    covers = [[i, i + 1] for i in range(1, n)]
+    chain = poset_from_json(json.dumps({"n": n, "relations": covers, "covers": True}))
+    assert chain.n == n
+    assert chain.relation_count() == n * (n - 1) // 2
 
 
 # ---------------------------------------------------------------- q_step

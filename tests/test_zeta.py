@@ -6,8 +6,12 @@ from dyckzeta import (
     catalan,
     diagonal_decomposition,
     enumerate_dyck,
+    enumerate_uio,
+    extend,
+    levels,
     parse_pred,
     parse_word,
+    q_map,
     zeta,
     zeta_inverse,
 )
@@ -133,3 +137,17 @@ def test_added_peak_parameters_chain():
 def test_added_peak_parameters_propagates_extension_errors():
     with pytest.raises(PreconditionError):
         added_peak_parameters(parse_pred("0,1,1,2"), 0)
+
+
+def test_added_peak_parameters_match_the_level_oracle():
+    # the new level read off levels(extend(u, k)), not off the listing
+    for n in range(0, 8):
+        for u in enumerate_uio(n):
+            small, _ = q_map(u)
+            for k in range(u.pred[-1] if n else 0, n + 1):
+                extended = extend(u, k)
+                level = levels(extended).levels[-1]
+                big, trace = q_map(extended)
+                after = big.entries[trace.positions[-1] + 1:]
+                r = small.entries.count(level) + after.count(level - 1)
+                assert added_peak_parameters(u, k) == (r, n - k), (str(u), k)
