@@ -57,7 +57,9 @@ def test_ceilings_guard_and_override():
     with pytest.raises(PreconditionError, match="capped"):
         check_theorem(14)
     with pytest.raises(PreconditionError, match="capped"):
-        check_induction_step(10)
+        check_induction_step(13)
+    with pytest.raises(PreconditionError, match="capped"):
+        check_bijections(13)
     with pytest.raises(PreconditionError, match="capped"):
         check_grevlex(6)
     # max_n overrides in both directions
@@ -159,6 +161,18 @@ def test_corrupting_zeta_fails_theorem_and_matching_induction(monkeypatch):
         assert any(
             "add_final_peak" in f.equation for f in induction.failures
         )
+
+
+def test_corrupting_only_a_zeta_prefix_fails_induction(monkeypatch):
+    # the replacement keeps the last area entry of zeta(bad), so only the
+    # prefix that zeta(p(U)) must keep under the extension goes wrong
+    words = {area_sequence_from_word(w).entries: w for w in enumerate_dyck(3)}
+    bad = next(w for w in words.values()
+               if area_sequence_from_word(zeta(w)).entries == (0, 1, 1))
+    _corrupt_zeta(monkeypatch, bad, words[(0, 0, 1)])
+    (failure,) = check_induction_step(2).failures
+    assert failure.equation == "zeta(p(extend(U,k))) == add_final_peak(zeta(p(U)), r)"
+    assert failure.lhs == str(words[(0, 0, 1)])
 
 
 def test_failure_records_carry_diagnosable_encodings(monkeypatch):

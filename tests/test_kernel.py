@@ -1,22 +1,33 @@
-"""The theorem sweep's tuple kernel against the object-level maps.
+"""The sweeps' tuple kernel against the object-level maps.
 
-The kernel (harness._theorem_shard) builds q(U) by prefix-sharing insertion
-and applies zeta by Haglund's scan (zeta.zeta_scan).  Each piece is checked
-here against an independent object-level computation: the listing against
-q_map, the scan against zeta's diagonal reading.
+Every sweep reads q(U) from one prefix-sharing insertion walk
+(harness._walk) and applies zeta by Haglund's scan (zeta.zeta_scan).  Each
+piece is checked here against an independent object-level computation: the
+listing against q_map, the scan against zeta's diagonal reading, the
+induction kernel against the per-pair object body, and the bijection
+images against a_map's rank alignment.  Fault tests patch the names the
+harness looks up and check the exact record each fault yields.
 """
+
+from itertools import product
 
 import pytest
 
 from dyckzeta import (
+    AreaSequence,
+    ValidationError,
+    a_inverse,
     a_map,
     area_sequence_from_word,
     catalan,
+    check_bijections,
+    check_induction_step,
     check_theorem,
     enumerate_dyck,
     enumerate_uio,
     harness,
     p_map,
+    parse_pred,
     q_map,
     word_from_area_sequence,
     zeta,
@@ -56,6 +67,18 @@ def test_scan_equals_diagonal_reading():
             assert zeta_scan(s.entries) == expected.entries, str(s)
 
 
+def test_kernel_area_rule_is_area_sequences_rule():
+    # on listings, whose entries are levels >= 0, the two rules agree
+    for length in range(1, 6):
+        for s in product(range(4), repeat=length):
+            try:
+                AreaSequence(s)
+                accepted = True
+            except ValidationError:
+                accepted = False
+            assert harness._is_area_sequence(s) == accepted, s
+
+
 def test_corrupted_scan_is_reported_as_kernel_disagreement(monkeypatch):
     n, bad_rank = 5, 17
     bad = q_map(list(enumerate_uio(n))[bad_rank])[0].entries
@@ -74,19 +97,27 @@ def test_corrupted_scan_is_reported_as_kernel_disagreement(monkeypatch):
     assert failure.lhs != failure.rhs
 
 
+def _insert_replacing(monkeypatch, good, bad=None, pos=None):
+    """Make the harness's insertion return `bad` (or put the letter at `pos`)
+    wherever it would grow the listing `good`."""
+    real_insert = harness._insert
+
+    def insert(cur, lv, p):
+        grown, level, c, at = real_insert(cur, lv, p)
+        if grown == good:
+            return (grown if bad is None else bad), level, c, (at if pos is None else pos)
+        return grown, level, c, at
+
+    monkeypatch.setattr(harness, "_insert", insert)
+
+
 @pytest.mark.parametrize("n, pred, good, bad", [
     (1, "0", (0,), (1,)),          # starts above 0
     (2, "0,1", (0, 1), (0, 2)),    # climbs by 2
 ])
 def test_listing_that_is_no_area_sequence_is_reported(monkeypatch, n, pred, good, bad):
     # the scan of `bad` is a(U), so only the area-sequence check catches it
-    real_insert = harness._insert
-
-    def insert(cur, lv, p):
-        grown, *rest = real_insert(cur, lv, p)
-        return (bad if grown == good else grown, *rest)
-
-    monkeypatch.setattr(harness, "_insert", insert)
+    _insert_replacing(monkeypatch, good, bad)
     assert zeta_scan(bad) == zeta_scan(good)
     (failure,) = check_theorem(n).failures
     assert failure.rank == catalan(n) - 1
@@ -109,3 +140,139 @@ def test_two_shards_match_one(monkeypatch):
     two = check_theorem(8, jobs=2)
     assert lone.instances_checked == two.instances_checked == catalan(8)
     assert lone.failures == two.failures
+
+
+# -------------------------------------------------------------- induction
+
+def test_induction_kernel_agrees_with_the_objects():
+    # the object body, the kernel's re-check, on its own: no pair n <= 7 fails
+    for n in range(1, 8):
+        total = catalan(n + 1)
+        assert harness._induction_shard(n, 0, total) == (total, [])
+        pairs = list(harness._extension_pairs(n))
+        assert len(pairs) == total
+        for rank, (u, k) in enumerate(pairs):
+            assert harness._induction_failures(rank, u, k) == [], (str(u), k)
+
+
+@pytest.mark.parametrize("rank, k, big, bad, pos", [
+    (0, 0, (0, 0), None, 0),       # letter reported at the first of two 0s
+    (1, 1, (0, 1), (0, 2), None),  # grown listing climbs by 2
+])
+def test_induction_kernel_alone_catches(monkeypatch, rank, k, big, bad, pos):
+    # every other identity still holds, so only the last-maximal-letter check
+    # resp. the area-sequence check can flag the pair; the objects (q_map)
+    # are not patched and find nothing
+    _insert_replacing(monkeypatch, big, bad, pos)
+    (failure,) = check_induction_step(1).failures
+    assert failure.rank == rank
+    assert failure.equation == "kernel agrees with q_map, p_map, a_map and zeta"
+    assert dict(failure.inputs) == {
+        "pred": "0", "k": str(k), "q": "0", "q_ext": ",".join(map(str, bad or big))
+    }
+
+
+def test_induction_kernel_catches_a_listing_that_is_no_insertion(monkeypatch):
+    # q(extend(U, 2)) for U = 0,0 (rank 2) comes out as 0,1,1 instead of
+    # 0,0,1, and the scan is made to accept it, so only "without the new
+    # letter it is q(U)" flags rank 2; 0,1,1 is the listing of rank 3, whose
+    # scan is now the one that is wrong
+    _insert_replacing(monkeypatch, (0, 0, 1), (0, 1, 1))
+    monkeypatch.setattr(
+        harness, "zeta_scan", lambda s: zeta_scan((0, 0, 1) if s == (0, 1, 1) else s)
+    )
+    failures = check_induction_step(2).failures
+    assert [f.rank for f in failures] == [2, 3]
+    assert {f.equation for f in failures} == {
+        "kernel agrees with q_map, p_map, a_map and zeta"
+    }
+
+
+def test_induction_shard_restarts_at_any_rank():
+    n = 4
+    total = catalan(n + 1)
+    for lo in range(total):
+        assert harness._induction_shard(n, lo, total) == (total - lo, [])
+
+
+# ------------------------------------------------------------- bijections
+
+def test_a_map_sends_order_ranks_to_dyck_ranks():
+    # why the zeta images of the bijections sweep need no second enumeration
+    for n in range(0, 10):
+        assert [a_map(u) for u in enumerate_uio(n)] == list(enumerate_dyck(n))
+
+
+def test_bijections_shard_restarts_at_any_rank():
+    n = 5
+    total = catalan(n)
+    count, failures, *images = harness._bijections_shard(n, 0, total)
+    assert (count, failures) == (total, [])
+    for lo in range(total):
+        assert harness._bijections_shard(n, lo, total) == (
+            total - lo, [], *(column[lo:] for column in images)
+        )
+
+
+def _bijections_failure(monkeypatch):
+    """The one failure of check_bijections(4), the same at jobs 1 and 2."""
+    monkeypatch.setattr(
+        harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+    )
+    lone = check_bijections(4, jobs=1)
+    two = check_bijections(4, jobs=2)
+    assert lone.instances_checked == two.instances_checked == catalan(4)
+    assert lone.failures == two.failures
+    (failure,) = lone.failures
+    return failure
+
+
+def _area(pred):
+    return area_sequence_from_word(a_map(parse_pred(pred))).entries
+
+
+def test_duplicated_zeta_image_is_reported(monkeypatch):
+    # rank 9 (pred 0,1,1,1) gets the zeta image of rank 3 (pred 0,0,0,3)
+    first, dup = _area("0,0,0,3"), _area("0,1,1,1")
+    monkeypatch.setattr(
+        harness, "zeta_scan", lambda s: zeta_scan(first if s == dup else s)
+    )
+    failure = _bijections_failure(monkeypatch)
+    assert failure.rank == 9
+    assert failure.equation == "zeta images pairwise distinct"
+    assert dict(failure.inputs) == {"image": "aababbab"}
+    assert (failure.lhs, failure.rhs) == ("rank 9", "already produced at rank 3")
+
+
+def test_duplicated_q_image_is_reported(monkeypatch):
+    # rank 10 (q = 0,1,2,1) gets the listing of rank 2 (q = 0,0,1,0)
+    _insert_replacing(monkeypatch, (0, 1, 2, 1), (0, 0, 1, 0))
+    failure = _bijections_failure(monkeypatch)
+    assert failure.rank == 10
+    assert failure.equation == "q images pairwise distinct"
+    assert dict(failure.inputs) == {"image": "0,0,1,0"}
+    assert (failure.lhs, failure.rhs) == ("rank 10", "already produced at rank 2")
+
+
+def test_q_listing_that_is_no_area_sequence_is_reported(monkeypatch):
+    # rank 5 (pred 0,0,1,2, q = 0,1,0,1) gets a listing that climbs by 2
+    _insert_replacing(monkeypatch, (0, 1, 0, 1), (0, 1, 0, 2))
+    failure = _bijections_failure(monkeypatch)
+    assert failure.rank == 5
+    assert failure.equation == "q(U) is a valid area sequence"
+    assert dict(failure.inputs) == {"pred": "0,0,1,2", "q": "0,1,0,2"}
+    assert failure.lhs == "0,1,0,2"
+    assert failure.rhs == "entry 4 is 2, exceeding entry 3 + 1 = 1"
+
+
+def test_a_inverse_mismatch_is_reported(monkeypatch):
+    # a_inverse sends a(U) for U = 0,0,2,2 (rank 7) to 0,0,2,3
+    word, wrong = a_map(parse_pred("0,0,2,2")), parse_pred("0,0,2,3")
+    monkeypatch.setattr(
+        harness, "a_inverse", lambda d: wrong if d == word else a_inverse(d)
+    )
+    failure = _bijections_failure(monkeypatch)
+    assert failure.rank == 7
+    assert failure.equation == "a_inverse(a(U)) == U"
+    assert dict(failure.inputs) == {"pred": "0,0,2,2", "a_word": "aabbaabb"}
+    assert (failure.lhs, failure.rhs) == ("0,0,2,3", "0,0,2,2")

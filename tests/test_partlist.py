@@ -78,6 +78,13 @@ def test_poset_json_round_trip_full_and_covering():
     assert poset_from_json(poset_to_json(p, covers=True)) == p
 
 
+def test_poset_json_covers_round_trip_every_order():
+    for n in range(0, 7):
+        for u in enumerate_uio(n):
+            p = poset_from_uio(u)
+            assert poset_from_json(poset_to_json(p, covers=True)) == p, str(u)
+
+
 def test_poset_json_covering_relations_are_minimal():
     chain = poset_of(PartListing((0, 1, 2)))
     import json as _json
@@ -98,6 +105,8 @@ def test_poset_json_rejects_garbage():
         poset_from_json("[1,2]")
     with pytest.raises(ValidationError, match="relation pair"):
         poset_from_json('{"n": 2, "relations": [[0, 1]]}')
+    with pytest.raises(ValidationError, match="relation pair"):
+        poset_from_json('{"n": 2, "relations": [[true, 2]]}')
 
 
 @pytest.mark.parametrize("n", ["true", "-1", "201", "100000"])
