@@ -10,7 +10,8 @@ as data rather than raising:
               s right steps from the end; and r == s
   bijections  a, q and zeta have pairwise-distinct images; q emits valid
               area sequences; a_inverse undoes a
-  grevlex     the exhaustive grevlex-minimum search agrees with q
+  grevlex     the grevlex-minimal listing isomorphic to U, found for all
+              orders in one pass over the listings, agrees with q
 
 All four sweeps run on integer tuples and share one walk (_walk): the
 orders come in lexicographic order of their pred vectors, consecutive
@@ -19,13 +20,13 @@ vectors share a prefix, and only the changed suffix is inserted again
 scan (zeta.zeta_scan) to q(U) and compares it with a(U)'s area sequence;
 the induction step compares the listings and scans of U and extend(U, k);
 bijections take the images of a, q and zeta from tuples; grevlex compares
-its search with the walk's listing.  The objects (a_map, p_map, q_map,
-zeta, ...) are the re-check: an instance the tuples flag is checked again
-on them, and a flag they do not confirm is reported as a disagreement of
-the kernel.  Each check has one code path, its shard function; tests that
-corrupt a map patch the names this module looks up (harness.zeta,
-harness.zeta_scan, harness._insert, harness.a_inverse) and so run the same
-code as the CLI.
+the walk's listings with partlist.grevlex_minima, which never inserts.  The
+objects (a_map, p_map, q_map, zeta, ...) are the re-check: an instance the
+tuples flag is checked again on them, and a flag they do not confirm is
+reported as a disagreement of the kernel.  Each check has one code path,
+its shard function; tests that corrupt a map patch the names this module
+looks up (harness.zeta, harness.zeta_scan, harness._insert,
+harness.a_inverse) and so run the same code as the CLI.
 
 Work shards by contiguous enumeration-rank ranges, so reports are
 deterministic for a fixed n regardless of worker count.
@@ -49,13 +50,13 @@ from .lattice import (
     final_maximal_peak,
     word_from_area_sequence,
 )
-from .partlist import _insert, grevlex_min_search, p_map, q_map
+from .partlist import _insert, grevlex_minima, p_map, q_map
 from .uio import UnitIntervalOrder, a_inverse, a_map, enumerate_uio, extend
 from .zeta import _peak_parameters, zeta, zeta_scan
 
 #: Per-check size ceilings keeping the full sweep under a minute on
 #: commodity hardware; raise via the max_n argument (or --max-n in the CLI).
-DEFAULT_CEILINGS = {"theorem": 13, "induction": 12, "bijections": 12, "grevlex": 5}
+DEFAULT_CEILINGS = {"theorem": 13, "induction": 12, "bijections": 12, "grevlex": 7}
 
 
 @dataclass(frozen=True)
@@ -448,12 +449,14 @@ def check_grevlex(n: int, max_n: Optional[int] = None) -> VerificationReport:
 
 
 def _grevlex_shard(n: int, lo: int, hi: int):
+    """The walk's listings against grevlex_minima of the orders of rank
+    lo..hi - 1, which one pass over the listings finds for all of them."""
     count = 0
     failures = []
-    orders = islice(enumerate_uio(n), lo, hi)
-    for rank, (u, listings, _) in enumerate(_walk(n, orders), start=lo):
+    orders = list(islice(enumerate_uio(n), lo, hi))
+    walk = zip(_walk(n, orders), grevlex_minima(orders))
+    for rank, ((u, listings, _), found) in enumerate(walk, start=lo):
         count += 1
-        found = grevlex_min_search(u, n_max_guard=n)
         if found.entries != listings[n]:
             failures.append(Failure(
                 rank, (("pred", str(u)),), "grevlex_min_search(U) == q(U)",

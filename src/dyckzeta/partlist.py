@@ -14,7 +14,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import or_
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import PreconditionError, ValidationError
 from .lattice import AreaSequence, DyckWord, word_from_area_sequence
@@ -331,6 +331,12 @@ def relabeled_poset(w: PartListing) -> Poset:
     return Poset(w.n, tuple(below))
 
 
+def _degrees(p: Poset) -> list[tuple[int, int]]:
+    """(|down-set|, |up-set|) of each element; isomorphisms preserve it."""
+    return [(column.count(True), row.count(True))
+            for column, row in zip(zip(*p.below), p.below)]
+
+
 def is_isomorphic(p1: Poset, p2: Poset) -> bool:
     """Brute-force isomorphism with degree-signature pruning; fine for n <= 9.
 
@@ -339,19 +345,7 @@ def is_isomorphic(p1: Poset, p2: Poset) -> bool:
     if p1.n != p2.n:
         return False
     n = p1.n
-    if p1.relation_count() != p2.relation_count():
-        return False
-
-    def signature(p: Poset) -> list[tuple[int, int]]:
-        return [
-            (
-                sum(1 for i in range(n) if p.below[i][j]),
-                sum(1 for k in range(n) if p.below[j][k]),
-            )
-            for j in range(n)
-        ]
-
-    sig1, sig2 = signature(p1), signature(p2)
+    sig1, sig2 = _degrees(p1), _degrees(p2)
     if sorted(sig1) != sorted(sig2):
         return False
     candidates = [
@@ -407,40 +401,75 @@ def grevlex_compare(w1: PartListing, w2: PartListing) -> int:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Listings of `parts` entries summing to `total`, lexicographically
+    descending: within one sum, that is ascending grevlex order."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for first in range(total + 1):
+    for first in range(total, -1, -1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
-def grevlex_min_search(u: UnitIntervalOrder, n_max_guard: int = 6) -> PartListing:
-    """Grevlex-minimal listing whose poset is isomorphic to u, by exhaustion.
+def _listing_invariant(e: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The sorted (|down-set|, |up-set|) pairs of poset_of(e), read off the
+    listing rule: i below j iff e_j - e_i >= 2, or = 1 with i < j."""
+    down = [0] * len(e)
+    up = [0] * len(e)
+    for j, ej in enumerate(e):
+        for i in range(j):
+            d = ej - e[i]
+            if d >= 1:              # i < j, so a gap of 1 suffices
+                down[j] += 1
+                up[i] += 1
+            elif d <= -2:
+                down[i] += 1
+                up[j] += 1
+    return tuple(sorted(zip(down, up)))
 
-    Deliberately independent of the insertion algorithm: listings are
-    enumerated by ascending sum and filtered through is_isomorphic, so this
-    can serve as an oracle against q_map.  Some listing for u has sum at
-    most n(n-1)/2 (the largest possible area-sequence sum), which bounds the
-    search.
+
+def grevlex_minima(orders: Sequence[UnitIntervalOrder]) -> list[PartListing]:
+    """For each order (all of one size n), the grevlex-minimal listing whose
+    poset is isomorphic to it, found in one walk over the listings.
+
+    The walk goes in ascending grevlex order, so an order's first isomorphic
+    listing is its minimum.  A listing's sorted (|down-set|, |up-set|) pairs
+    are looked up among the orders still waiting, and is_isomorphic
+    confirms every hit: the pairs only filter.  Nothing here inserts, so
+    this is an oracle for q_map.  Every order has a listing of sum at most
+    n(n-1)/2, the largest area-sequence sum, which bounds the walk.
     """
+    n = orders[0].n if orders else 0
+    targets = [poset_from_uio(u) for u in orders]
+    waiting: dict[tuple, list[int]] = {}
+    for idx, target in enumerate(targets):
+        waiting.setdefault(tuple(sorted(_degrees(target))), []).append(idx)
+    found: list = [None] * len(orders)
+    for total in range(n * (n - 1) // 2 + 1):
+        for entries in _compositions(total, n):
+            if not waiting:
+                return found
+            key = _listing_invariant(entries)
+            if key in waiting:
+                w = PartListing(entries)
+                poset = poset_of(w)
+                for idx in waiting.pop(key):
+                    if is_isomorphic(poset, targets[idx]):
+                        found[idx] = w
+                    else:
+                        waiting.setdefault(key, []).append(idx)
+    if waiting:
+        raise RuntimeError("unreachable: every unit interval order has a part listing")
+    return found
+
+
+def grevlex_min_search(u: UnitIntervalOrder, n_max_guard: int = 6) -> PartListing:
+    """Grevlex-minimal listing whose poset is isomorphic to u: grevlex_minima
+    of u alone, refused above n_max_guard, since one order may walk every
+    listing up to sum n(n-1)/2."""
     if u.n > n_max_guard:
         raise PreconditionError(
             f"exhaustive search refused for n = {u.n} > guard {n_max_guard}"
         )
-    n = u.n
-    target = poset_from_uio(u)
-    for total in range(n * (n - 1) // 2 + 1):
-        best = None
-        best_key = None
-        for entries in _compositions(total, n):
-            w = PartListing(entries)
-            key = grevlex_key(w)
-            if best_key is not None and key >= best_key:
-                continue
-            if is_isomorphic(poset_of(w), target):
-                best, best_key = w, key
-        if best is not None:
-            return best
-    raise RuntimeError("unreachable: every unit interval order has a part listing")
+    return grevlex_minima([u])[0]

@@ -232,7 +232,7 @@ def parse_intervals(text: str) -> IntervalConfiguration:
                 f"interval {pos} must be an object with exactly num and den"
             )
         num, den = item["num"], item["den"]
-        if not isinstance(num, int) or not isinstance(den, int):
+        if type(num) is not int or type(den) is not int:   # bool is an int subclass
             raise ValidationError(f"interval {pos}: num and den must be integers")
         if den == 0:
             raise ValidationError(f"interval {pos}: zero denominator")

@@ -9,7 +9,15 @@ from collections import defaultdict
 
 from hypothesis import strategies as st
 
-from dyckzeta import AreaSequence, UnitIntervalOrder
+from dyckzeta import (
+    AreaSequence,
+    PartListing,
+    UnitIntervalOrder,
+    grevlex_key,
+    is_isomorphic,
+    poset_from_uio,
+    poset_of,
+)
 
 
 def catalan_by_recurrence(up_to):
@@ -77,6 +85,38 @@ def strip_crossings(word):
             x += 1
             seqs[y - x + 1].append("d")
     return dict(seqs)
+
+
+def compositions(total, parts):
+    """Every tuple of `parts` non-negative entries summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def grevlex_min_brute_force(u):
+    """Grevlex-minimal listing whose poset is isomorphic to u, one order at
+    a time: for each sum in turn, every listing is tried with is_isomorphic
+    and the smallest grevlex_key kept.  Its own listing walk and its
+    comparison by key make it independent of how partlist.grevlex_minima
+    orders its walk."""
+    n = u.n
+    target = poset_from_uio(u)
+    for total in range(n * (n - 1) // 2 + 1):
+        best = None
+        for entries in compositions(total, n):
+            w = PartListing(entries)
+            if best is not None and grevlex_key(w) >= grevlex_key(best):
+                continue
+            if is_isomorphic(poset_of(w), target):
+                best = w
+        if best is not None:
+            return best
+    raise AssertionError(f"no listing for {u}")
 
 
 @st.composite

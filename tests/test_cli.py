@@ -63,6 +63,13 @@ def test_convert_intervals_to_pred(capsys):
     assert out.strip() == "0,0,1,1,3"
 
 
+def test_convert_rejects_boolean_interval_endpoints(capsys):
+    text = '[{"num": true, "den": true}, {"num": 3, "den": 1}]'
+    code, out, err = run(capsys, "convert", "--from", "intervals", "--to", "pred", text)
+    assert (code, out) == (2, "")
+    assert "num and den must be integers" in err
+
+
 def test_convert_rejects_intervals_as_target(capsys):
     code, _, err = run(capsys, "convert", "--from", "word", "--to", "intervals", "ab")
     assert code == 2

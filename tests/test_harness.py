@@ -61,7 +61,7 @@ def test_ceilings_guard_and_override():
     with pytest.raises(PreconditionError, match="capped"):
         check_bijections(13)
     with pytest.raises(PreconditionError, match="capped"):
-        check_grevlex(6)
+        check_grevlex(8)
     # max_n overrides in both directions
     with pytest.raises(PreconditionError, match="capped"):
         check_theorem(3, max_n=2)

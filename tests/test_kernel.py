@@ -21,6 +21,7 @@ from dyckzeta import (
     area_sequence_from_word,
     catalan,
     check_bijections,
+    check_grevlex,
     check_induction_step,
     check_theorem,
     enumerate_dyck,
@@ -123,6 +124,21 @@ def test_listing_that_is_no_area_sequence_is_reported(monkeypatch, n, pred, good
     assert failure.rank == catalan(n) - 1
     assert failure.equation == "kernel agrees with a_map, p_map and zeta"
     assert dict(failure.inputs) == {"pred": pred, "q": ",".join(map(str, bad))}
+
+
+def test_wrong_listing_fails_the_grevlex_check(monkeypatch):
+    # rank 5 (pred 0,0,1,2) gets q = 0,1,1,0 instead of its minimum 0,1,0,1
+    _insert_replacing(monkeypatch, (0, 1, 0, 1), (0, 1, 1, 0))
+    report = check_grevlex(4)
+    assert report.instances_checked == catalan(4)
+    (failure,) = report.failures
+    assert failure.to_json_dict() == {
+        "rank": 5,
+        "inputs": {"pred": "0,0,1,2"},
+        "equation": "grevlex_min_search(U) == q(U)",
+        "lhs": "0,1,0,1",
+        "rhs": "0,1,1,0",
+    }
 
 
 def test_shards_restart_the_prefix_stack_at_any_rank():

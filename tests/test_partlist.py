@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -28,8 +29,9 @@ from dyckzeta import (
     q_step,
     relabeled_poset,
 )
-from dyckzeta.partlist import POSET_JSON_MAX_N
-from helpers import pred_vectors
+from dyckzeta import partlist
+from dyckzeta.partlist import POSET_JSON_MAX_N, grevlex_minima
+from helpers import grevlex_min_brute_force, pred_vectors
 
 
 def relation_pairs(p):
@@ -308,6 +310,51 @@ def test_grevlex_min_matches_insertion_spot_checks_at_six():
     for pred in ("0,0,0,0,0,0", "0,1,1,2,2,3", "0,1,2,3,4,5"):
         u = parse_pred(pred)
         assert grevlex_min_search(u) == q_map(u)[0]
+
+
+def test_grevlex_minima_equal_the_brute_force_to_five():
+    for n in range(0, 6):
+        orders = list(enumerate_uio(n))
+        assert grevlex_minima(orders) == [grevlex_min_brute_force(u) for u in orders]
+
+
+def test_grevlex_minima_equal_q_map_at_six():
+    orders = list(enumerate_uio(6))
+    assert grevlex_minima(orders) == [q_map(u)[0] for u in orders]
+
+
+def test_grevlex_minima_rest_on_is_isomorphic_not_the_invariant(monkeypatch):
+    # a constant invariant makes every listing a candidate for every order
+    # (and takes is_isomorphic's degree pruning away too)
+    monkeypatch.setattr(partlist, "_listing_invariant", lambda e: ((0, 0),) * len(e))
+    monkeypatch.setattr(partlist, "_degrees", lambda p: [(0, 0)] * p.n)
+    for n in range(0, 5):
+        orders = list(enumerate_uio(n))
+        assert grevlex_minima(orders) == [grevlex_min_brute_force(u) for u in orders]
+
+
+def test_listing_invariant_counts_down_and_up_sets():
+    for n in range(0, 5):
+        for entries in product(range(4), repeat=n):
+            p = poset_of(PartListing(entries))
+            expected = sorted(
+                (sum(p.holds(i, j) for i in range(1, n + 1)),
+                 sum(p.holds(j, k) for k in range(1, n + 1)))
+                for j in range(1, n + 1)
+            )
+            assert partlist._listing_invariant(entries) == tuple(expected), entries
+
+
+def test_grevlex_minima_never_insert(monkeypatch):
+    orders = list(enumerate_uio(5))
+    expected = [q_map(u)[0] for u in orders]
+
+    def refuse(*args):
+        raise AssertionError("the grevlex oracle must not use the insertion")
+
+    for name in ("_insert", "_insert_all", "_insertion_point", "q_map", "p_map", "q_step"):
+        monkeypatch.setattr(partlist, name, refuse)
+    assert grevlex_minima(orders) == expected
 
 
 # --------------------------------------------- listing growth under extension

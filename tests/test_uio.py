@@ -67,6 +67,16 @@ def test_parse_intervals_json():
         parse_intervals('[{"num":1,"den":0}]')
 
 
+@pytest.mark.parametrize("text", [
+    '[{"num": true, "den": 1}]',
+    '[{"num": 1, "den": true}]',
+    '[{"num": false, "den": 1}, {"num": 3, "den": 1}]',
+])
+def test_parse_intervals_rejects_json_booleans(text):
+    with pytest.raises(ValidationError, match="num and den must be integers"):
+        parse_intervals(text)
+
+
 # ----------------------------------------------------------- construction
 
 def test_uio_from_intervals_worked_example():
