@@ -16,9 +16,9 @@ import sys
 from .errors import PreconditionError, ValidationError
 from . import harness
 from .lattice import (
+    _UP,
     AreaSequence,
     DyckWord,
-    Step,
     area_sequence_from_area_set,
     area_sequence_from_word,
     area_set_from_area_sequence,
@@ -28,7 +28,7 @@ from .lattice import (
     parse_word,
     word_from_area_sequence,
 )
-from .partlist import p_map, q_map
+from .partlist import _path_of_listing, q_map
 from .uio import (
     a_inverse,
     a_map,
@@ -37,7 +37,7 @@ from .uio import (
     parse_pred,
     uio_from_intervals,
 )
-from .zeta import zeta, zeta_inverse
+from .zeta import zeta
 
 JOBS_ENV_VAR = "DYCKZETA_JOBS"
 
@@ -96,7 +96,7 @@ def _each_value(value):
         yield value
         return
     for line in sys.stdin:
-        yield line.rstrip("\n")
+        yield line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
 
 
 def _cmd_convert(args) -> int:
@@ -111,21 +111,32 @@ def _cmd_convert(args) -> int:
 def _apply_named_map(name: str, value: str) -> str:
     if name == "a":
         return str(a_map(parse_pred(value)))
-    if name == "p":
-        return str(p_map(parse_pred(value)))
     if name == "q":
         listing, _ = q_map(parse_pred(value))
         return str(listing)
     if name == "zeta":
         return str(zeta(parse_word(value)))
-    if name == "unzeta":
-        return str(zeta_inverse(parse_word(value)))
     return str(a_inverse(parse_word(value)))
 
 
 def _cmd_map(args) -> int:
-    for value in _each_value(args.value):
-        print(_apply_named_map(args.name, value))
+    """Print the image of each value, one line each, in input order.
+
+    p, and unzeta = zeta_inverse = p o a^-1, read q(U) from one insertion
+    walk over the stream (harness._walk), so consecutive lines whose pred
+    vectors share a prefix, as sorted input does, re-insert only the rest.
+    """
+    values = _each_value(args.value)
+    if args.name == "p":
+        orders = map(parse_pred, values)
+    elif args.name == "unzeta":
+        orders = (a_inverse(parse_word(value)) for value in values)
+    else:
+        for value in values:
+            print(_apply_named_map(args.name, value))
+        return 0
+    for u, listings, _ in harness._walk(orders):
+        print(_path_of_listing(listings[u.n]))
     return 0
 
 
@@ -133,6 +144,10 @@ def _cmd_map(args) -> int:
 
 def _cmd_verify(args) -> int:
     check = args.check
+    if check == "grevlex" and args.jobs is not None and args.jobs > 1:
+        raise PreconditionError(
+            f"grevlex runs in one process; --jobs {args.jobs} is not supported"
+        )
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     if check == "theorem":
         report = harness.check_theorem(args.n, jobs=jobs, max_n=args.max_n)
@@ -175,7 +190,7 @@ def render_ascii(d: DyckWord) -> str:
         canvas[2 * (n - i) + 1][2 * i - 1] = "/"
     x = y = 0
     for step in d.steps:
-        if step is Step.UP:
+        if step is _UP:
             canvas[2 * (n - y) - 1][2 * x] = "|"
             y += 1
         else:
@@ -230,7 +245,7 @@ def render_svg(d: DyckWord, diagonals: bool = False) -> str:
     x = y = 0
     points.append("%s,%s" % px(x, y))
     for step in d.steps:
-        if step is Step.UP:
+        if step is _UP:
             y += 1
         else:
             x += 1
@@ -295,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=f"worker processes (default from ${JOBS_ENV_VAR}, else 1; "
-        "capped at the usable CPUs)",
+        "capped at the usable CPUs); grevlex runs in one process, refuses "
+        f"--jobs above 1 and ignores ${JOBS_ENV_VAR}",
     )
     verify.add_argument("--max-n", type=int, default=None, dest="max_n",
                         help="raise the default size ceiling")

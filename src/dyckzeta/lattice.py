@@ -27,6 +27,11 @@ class Step(Enum):
     RIGHT = "b"
 
 
+#: the members bound once for the per-step loops (here, in zeta and in
+#: cli's renderers): an Enum class attribute lookup costs as much as 14
+#: module-global lookups
+_UP, _RIGHT = Step.UP, Step.RIGHT
+
 _STEP_FROM_CHAR = {
     "a": Step.UP, "b": Step.RIGHT,
     "U": Step.UP, "R": Step.RIGHT,
@@ -51,9 +56,9 @@ class DyckWord:
         object.__setattr__(self, "steps", tuple(self.steps))
         ups = rights = 0
         for idx, step in enumerate(self.steps):
-            if step is Step.UP:
+            if step is _UP:
                 ups += 1
-            elif step is Step.RIGHT:
+            elif step is _RIGHT:
                 rights += 1
                 if rights > ups:
                     raise ValidationError(
@@ -71,7 +76,7 @@ class DyckWord:
         return len(self.steps) // 2
 
     def __str__(self) -> str:
-        return "".join(step.value for step in self.steps)
+        return "".join([step._value_ for step in self.steps])
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,10 +155,10 @@ def word_from_area_sequence(s: AreaSequence) -> DyckWord:
     x = 0
     for j, a in enumerate(s.entries, start=1):
         target = j - 1 - a
-        steps.extend([Step.RIGHT] * (target - x))
-        steps.append(Step.UP)
+        steps.extend([_RIGHT] * (target - x))
+        steps.append(_UP)
         x = target
-    steps.extend([Step.RIGHT] * (s.n - x))
+    steps.extend([_RIGHT] * (s.n - x))
     return DyckWord(tuple(steps))
 
 
@@ -162,7 +167,7 @@ def area_sequence_from_word(d: DyckWord) -> AreaSequence:
     entries: list[int] = []
     x = y = 0
     for step in d.steps:
-        if step is Step.UP:
+        if step is _UP:
             y += 1
             entries.append(y - 1 - x)
         else:
@@ -197,9 +202,9 @@ def peaks(d: DyckWord) -> tuple[Peak, ...]:
     found: list[Peak] = []
     x = y = 0
     for idx, step in enumerate(d.steps):
-        if step is Step.UP:
+        if step is _UP:
             y += 1
-            if idx + 1 < len(d.steps) and d.steps[idx + 1] is Step.RIGHT:
+            if idx + 1 < len(d.steps) and d.steps[idx + 1] is _RIGHT:
                 found.append(Peak(idx, (x, y), y - x))
         else:
             x += 1
@@ -233,7 +238,7 @@ def add_final_peak(d: DyckWord, t: int) -> DyckWord:
         raise PreconditionError(f"trailing-step count must be non-negative, got {t}")
     trailing = 0
     for step in reversed(d.steps):
-        if step is not Step.RIGHT:
+        if step is not _RIGHT:
             break
         trailing += 1
     if t > trailing:
@@ -242,7 +247,7 @@ def add_final_peak(d: DyckWord, t: int) -> DyckWord:
             f"path has only {trailing}"
         )
     cut = len(d.steps) - t
-    return DyckWord(d.steps[:cut] + (Step.UP,) + d.steps[cut:] + (Step.RIGHT,))
+    return DyckWord(d.steps[:cut] + (_UP,) + d.steps[cut:] + (_RIGHT,))
 
 
 def enumerate_dyck(n: int) -> Iterator[DyckWord]:
@@ -260,11 +265,11 @@ def enumerate_dyck(n: int) -> Iterator[DyckWord]:
             yield DyckWord(tuple(prefix))
             return
         if ups < n:
-            prefix.append(Step.UP)
+            prefix.append(_UP)
             yield from rec(prefix, ups + 1, rights)
             prefix.pop()
         if rights < ups:
-            prefix.append(Step.RIGHT)
+            prefix.append(_RIGHT)
             yield from rec(prefix, ups, rights + 1)
             prefix.pop()
 

@@ -299,7 +299,13 @@ def q_map(u: UnitIntervalOrder) -> tuple[PartListing, InsertionTrace]:
 
 def p_map(u: UnitIntervalOrder) -> DyckWord:
     """Path whose area sequence is the listing produced by q_map."""
-    return word_from_area_sequence(AreaSequence(_insert_all(u)[0]))
+    return _path_of_listing(_insert_all(u)[0])
+
+
+def _path_of_listing(listing: tuple[int, ...]) -> DyckWord:
+    """The path whose area sequence is a finished listing q(U); the listing
+    must pass AreaSequence and the path DyckWord."""
+    return word_from_area_sequence(AreaSequence(listing))
 
 
 def f_permutation(w: PartListing) -> tuple[int, ...]:

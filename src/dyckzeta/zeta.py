@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .lattice import DyckWord, Step
+from .lattice import _RIGHT, _UP, DyckWord
 from .partlist import p_map, q_map
 from .uio import UnitIntervalOrder, a_inverse, extend
 
@@ -85,7 +85,7 @@ def diagonal_decomposition(d: DyckWord) -> DiagonalDecomposition:
     buckets: list[list[str]] = [[]]
     x = y = 0
     for step in d.steps:
-        if step is Step.UP:
+        if step is _UP:
             y += 1
             if y - x == len(buckets):
                 buckets.append([])
@@ -100,7 +100,7 @@ def zeta(d: DyckWord) -> DyckWord:
     """Concatenate the diagonal buckets and reread b as UP, a as RIGHT."""
     decomposition = diagonal_decomposition(d)
     steps = tuple(
-        Step.UP if label == "b" else Step.RIGHT
+        _UP if label == "b" else _RIGHT
         for bucket in decomposition.per_diagonal
         for label in bucket
     )

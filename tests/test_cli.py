@@ -1,4 +1,8 @@
+import io
 import json
+import random
+
+import pytest
 
 from dyckzeta import (
     VerificationReport,
@@ -7,6 +11,11 @@ from dyckzeta import (
     enumerate_dyck,
     enumerate_uio,
     a_map,
+    harness,
+    p_map,
+    parse_pred,
+    parse_word,
+    zeta_inverse,
 )
 from dyckzeta import cli
 from dyckzeta.cli import main
@@ -159,6 +168,22 @@ def test_verify_ceiling_is_usage_error(capsys):
     assert "capped" in err
 
 
+def test_verify_grevlex_refuses_more_than_one_job(capsys):
+    code, out, err = run(capsys, "verify", "--check", "grevlex", "--n", "3",
+                         "--jobs", "2")
+    assert (code, out) == (2, "")
+    assert "grevlex runs in one process" in err
+
+
+def test_verify_grevlex_runs_with_one_job_and_ignores_the_env(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "--check", "grevlex", "--n", "3",
+                       "--jobs", "1")
+    assert code == 0 and "PASS" in out
+    monkeypatch.setenv(cli.JOBS_ENV_VAR, "2")
+    code, out, _ = run(capsys, "verify", "--check", "grevlex", "--n", "3")
+    assert code == 0 and "PASS" in out
+
+
 def test_verify_jobs_env_default(capsys, monkeypatch):
     monkeypatch.setenv(cli.JOBS_ENV_VAR, "2")
     code, out, _ = run(capsys, "verify", "--check", "theorem", "--n", "4")
@@ -240,8 +265,6 @@ def test_missing_required_flag_is_usage_error(capsys):
 # ------------------------------------------------------------------ pipes
 
 def test_map_streams_stdin_lines(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO("0,0,0\n0,1,2\n"))
     code, out, _ = run(capsys, "map", "--name", "p")
     assert code == 0
@@ -249,8 +272,6 @@ def test_map_streams_stdin_lines(capsys, monkeypatch):
 
 
 def test_enumerate_pipes_into_map(capsys, monkeypatch):
-    import io
-
     code, enumerated, _ = run(capsys, "enumerate", "--kind", "uio", "--n", "4")
     monkeypatch.setattr("sys.stdin", io.StringIO(enumerated))
     code, words, _ = run(capsys, "map", "--name", "a")
@@ -261,9 +282,74 @@ def test_enumerate_pipes_into_map(capsys, monkeypatch):
 
 
 def test_convert_streams_stdin_lines(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO("aabb\nabab\n"))
     code, out, _ = run(capsys, "convert", "--from", "word", "--to", "areaseq")
     assert code == 0
     assert out.strip().split("\n") == ["0,1", "0,0"]
+
+
+def map_stdin(capsys, monkeypatch, name, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    return run(capsys, "map", "--name", name)
+
+
+@pytest.mark.parametrize("name, kind, per_line", [
+    ("p", "uio", lambda line: p_map(parse_pred(line))),
+    ("unzeta", "dyck", lambda line: zeta_inverse(parse_word(line))),
+])
+def test_streamed_map_equals_the_per_line_map(capsys, monkeypatch, name, kind, per_line):
+    # p and unzeta share one insertion walk over the stream; in enumerate
+    # order and shuffled, every output line is the per-line map's
+    for n in range(8):
+        _, enumerated, _ = run(capsys, "enumerate", "--kind", kind, "--n", str(n))
+        lines = enumerated.splitlines()
+        shuffled = random.Random(n).sample(lines, len(lines))
+        for order in (lines, shuffled):
+            code, out, _ = map_stdin(capsys, monkeypatch, name, "".join(
+                line + "\n" for line in order))
+            assert code == 0
+            assert out == "".join(f"{per_line(line)}\n" for line in order)
+
+
+def test_streamed_map_over_mixed_sizes_stops_at_a_bad_line(capsys, monkeypatch):
+    # sizes up and down, a repeat, the empty order, a shorter line that
+    # changes a prefix a longer one then extends, then a line that is no
+    # order: every line before it is printed, then exit 2
+    good = ["0,0,1,1", "0,0,1", "0,0,1", "", "0,1,1,2,2", "0,1", "0,0", "0,0,1,1", "0"]
+    stream = good + ["0,2", "0,0"]
+    code, out, err = map_stdin(capsys, monkeypatch, "p", "\n".join(stream) + "\n")
+    assert code == 2
+    assert out == "".join(f"{p_map(parse_pred(line))}\n" for line in good)
+    assert err == "error: pred[2] = 2 outside 0..1\n"
+
+
+def test_streamed_map_checks_each_listing_as_an_area_sequence(capsys, monkeypatch):
+    # the walk's insertion turns q(0,1) = 0,1 into 0,2: the output line is
+    # refused by AreaSequence after the lines before it
+    real_insert = harness._insert
+
+    def insert(cur, lv, p):
+        grown, level, c, pos = real_insert(cur, lv, p)
+        return ((0, 2) if grown == (0, 1) else grown), level, c, pos
+
+    monkeypatch.setattr(harness, "_insert", insert)
+    code, out, err = map_stdin(capsys, monkeypatch, "p", "0,0\n0,1\n0,0\n")
+    assert (code, out) == (2, "abab\n")
+    assert err == "error: entry 2 is 2, exceeding entry 1 + 1 = 1\n"
+
+
+def test_map_over_words_strips_crlf(capsys, monkeypatch):
+    code, out, _ = map_stdin(capsys, monkeypatch, "zeta", "ab\r\naabb\r\n")
+    assert (code, out) == (0, "ab\nabab\n")
+
+
+def test_map_over_preds_strips_crlf(capsys, monkeypatch):
+    # the empty order's line is "\r\n" alone, which int() would not accept
+    code, out, _ = map_stdin(capsys, monkeypatch, "p", "\r\n0,0\r\n")
+    assert (code, out) == (0, "\nabab\n")
+
+
+def test_convert_strips_crlf(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("aabb\r\nabab\r\n"))
+    code, out, _ = run(capsys, "convert", "--from", "word", "--to", "areaseq")
+    assert (code, out) == (0, "0,1\n0,0\n")

@@ -12,9 +12,11 @@ harness looks up and check the exact record each fault yields.
 from itertools import product
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from dyckzeta import (
     AreaSequence,
+    UnitIntervalOrder,
     ValidationError,
     a_inverse,
     a_map,
@@ -33,7 +35,10 @@ from dyckzeta import (
     word_from_area_sequence,
     zeta,
 )
+from dyckzeta.partlist import _insert_all
 from dyckzeta.zeta import zeta_scan
+
+from helpers import pred_vectors
 
 
 def test_kernel_listings_equal_q_map(monkeypatch):
@@ -51,6 +56,25 @@ def test_kernel_listings_equal_q_map(monkeypatch):
         assert len(seen) == len(orders) == catalan(n)
         for u, listing in zip(orders, seen):
             assert listing == q_map(u)[0].entries, str(u)
+
+
+@given(st.lists(pred_vectors(max_n=8), max_size=12))
+@example([parse_pred(text) for text in (
+    "", "0,0,1", "0,0,1", "0", "0,1,1,2", "0,1", "0,0", "0,0,1,1", "0,0,2,2,2")])
+def test_walk_over_any_stream_equals_insert_all(orders):
+    # sizes 0..8 in any order, with repeats and shorter or empty vectors
+    # (in the example, 0,0 changes a prefix that 0,0,1,1 then extends past
+    # the shorter vector): every listing the walk holds for an order is the
+    # insertion run of that prefix
+    seen = []
+    for u, listings, pos in harness._walk(orders):
+        seen.append(u)
+        for i in range(u.n + 1):
+            prefix = UnitIntervalOrder(u.pred[:i])
+            assert listings[i] == _insert_all(prefix)[0], (str(u), i)
+        positions = _insert_all(u)[3]
+        assert pos == (positions[-1] if positions else None), str(u)
+    assert seen == orders
 
 
 def test_theorem_holds_on_the_objects():
