@@ -3,7 +3,8 @@
 Verbs: convert (between path/order encodings), map (apply a named
 bijection), verify (run a harness check), enumerate (stream objects one per
 line), render (draw a path).  Exit status: 0 success or verification passed,
-1 verification found failures, 2 usage or validation error.
+1 verification found failures, 2 usage or validation error, or
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -178,9 +179,20 @@ def _cmd_enumerate(args) -> int:
 
 # ----------------------------------------------------------------- render
 
+#: Largest path size render_ascii draws: its canvas is (2n + 1)^2
+#: characters, 160 801 at n = 200, so a short word cannot ask for a huge one.
+RENDER_ASCII_MAX_N = 200
+
+
 def render_ascii(d: DyckWord) -> str:
-    """Draw the path on an n x n grid, origin bottom left, diagonal marked."""
+    """Draw the path on an n x n grid, origin bottom left, diagonal marked;
+    n at most RENDER_ASCII_MAX_N, checked before the canvas is allocated."""
     n = d.n
+    if n > RENDER_ASCII_MAX_N:
+        raise PreconditionError(
+            f"ascii render is limited to n <= {RENDER_ASCII_MAX_N}, got n = {n}; "
+            "use --format svg"
+        )
     size = 2 * n + 1
     canvas = [[" "] * size for _ in range(size)]
     for y in range(n + 1):
@@ -347,6 +359,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValidationError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        # Ctrl-C; pool workers ignore it and are stopped by the harness
+        print("error: interrupted", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # downstream closed the pipe (enumerate | head ...); exit quietly

@@ -31,16 +31,23 @@ looks up (harness.zeta, harness.zeta_scan, harness._insert,
 harness.a_inverse) and so run the same code as the CLI.
 
 Work shards by contiguous enumeration-rank ranges, so reports are
-deterministic for a fixed n regardless of worker count.
+deterministic for a fixed n regardless of worker count.  A shard of ranks
+lo..hi - 1 starts its stream at its first instance, unranked by
+uio.unrank_uio (for induction pairs, the child of rank lo), and draws
+exactly hi - lo instances: no shard builds the orders before its own.
+Pool workers ignore SIGINT; on Ctrl-C the parent stops them and raises
+KeyboardInterrupt, which the CLI reports with exit status 2.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from multiprocessing import active_children
 from operator import attrgetter, sub
 from typing import Iterator, Optional
 
@@ -53,12 +60,19 @@ from .lattice import (
     word_from_area_sequence,
 )
 from .partlist import _insert, grevlex_minima, p_map, q_map
-from .uio import UnitIntervalOrder, a_inverse, a_map, enumerate_uio, extend
+from .uio import (
+    UnitIntervalOrder,
+    a_inverse,
+    a_map,
+    enumerate_uio,
+    extend,
+    unrank_uio,
+)
 from .zeta import _peak_parameters, zeta, zeta_scan
 
 #: Per-check size ceilings keeping the full sweep under a minute on
 #: commodity hardware; raise via the max_n argument (or --max-n in the CLI).
-DEFAULT_CEILINGS = {"theorem": 13, "induction": 12, "bijections": 12, "grevlex": 7}
+DEFAULT_CEILINGS = {"theorem": 14, "induction": 12, "bijections": 12, "grevlex": 7}
 
 
 @dataclass(frozen=True)
@@ -168,8 +182,7 @@ def _sweep(check, n, total, jobs, shard, images=()):
     if len(bounds) == 1:
         results = [shard(n, 0, total)]
     else:
-        with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
-            results = list(pool.map(shard, *zip(*((n, lo, hi) for lo, hi in bounds))))
+        results = _pool_map(shard, n, bounds)
     count = sum(r[0] for r in results)
     if count != total:
         raise RuntimeError(
@@ -177,8 +190,10 @@ def _sweep(check, n, total, jobs, shard, images=()):
         )
     failures = [f for r in results for f in r[1]]
     for column, (name, text) in enumerate(images, start=2):
+        if len(set(chain.from_iterable(r[column] for r in results))) == count:
+            continue            # distinct; ranks are looked up only for a duplicate
         first_seen: dict[bytes, int] = {}
-        for rank, img in enumerate(img for r in results for img in r[column]):
+        for rank, img in enumerate(chain.from_iterable(r[column] for r in results)):
             first = first_seen.setdefault(img, rank)
             if first != rank:
                 failures.append(Failure(
@@ -189,6 +204,29 @@ def _sweep(check, n, total, jobs, shard, images=()):
     return VerificationReport(
         check, n, count, tuple(failures), time.perf_counter() - start
     )
+
+
+def _pool_map(shard, n, bounds):
+    """shard(n, lo, hi) for each (lo, hi) in bounds, one worker process each.
+
+    Ctrl-C sends SIGINT to the whole process group.  The workers ignore it,
+    so none of them prints a traceback; the parent stops the workers it
+    started and re-raises KeyboardInterrupt, which the CLI reports.
+    """
+    before = set(active_children())
+    with ProcessPoolExecutor(
+        max_workers=len(bounds), initializer=_ignore_sigint
+    ) as pool:
+        try:
+            return list(pool.map(shard, *zip(*((n, lo, hi) for lo, hi in bounds))))
+        except KeyboardInterrupt:
+            for worker in set(active_children()) - before:
+                worker.terminate()
+            raise
+
+
+def _ignore_sigint():
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _walk(items, pred_of=attrgetter("pred")):
@@ -230,6 +268,12 @@ def _walk(items, pred_of=attrgetter("pred")):
         yield item, listings, at[n]
 
 
+def _orders(n: int, lo: int, hi: int) -> Iterator[UnitIntervalOrder]:
+    """The orders of rank lo..hi - 1: the stream starts at the order of rank
+    lo, so a shard draws exactly hi - lo of them."""
+    return islice(enumerate_uio(n, unrank_uio(n, lo)), hi - lo)
+
+
 def _is_area_sequence(s: tuple[int, ...]) -> bool:
     """AreaSequence's rule for a listing, whose entries are levels (>= 0)."""
     return s[0] == 0 and max(map(sub, s[1:], s), default=0) <= 1
@@ -260,8 +304,7 @@ def _theorem_shard(n: int, lo: int, hi: int):
     the objects."""
     count = 0
     failures = []
-    orders = islice(enumerate_uio(n), lo, hi)
-    for rank, (u, listings, _) in enumerate(_walk(orders), start=lo):
+    for rank, (u, listings, _) in enumerate(_walk(_orders(n, lo, hi)), start=lo):
         count += 1
         listing = listings[n]
         area = tuple(map(sub, range(n), u.pred))
@@ -309,10 +352,16 @@ def check_induction_step(
     return _sweep("induction", n, catalan(n + 1), jobs, _induction_shard)
 
 
-def _extension_pairs(n: int) -> Iterator[tuple[UnitIntervalOrder, int]]:
-    for u in enumerate_uio(n):
-        for k in range(u.pred[-1] if u.n else 0, n + 1):
+def _extension_pairs(n: int, lo: int = 0) -> Iterator[tuple[UnitIntervalOrder, int]]:
+    """The pairs (U, k) in the lexicographic order of pred + (k,), from the
+    pair of rank lo on: the one whose child extend(U, k) is
+    unrank_uio(n + 1, lo)."""
+    child = unrank_uio(n + 1, lo)
+    floor = child[n]
+    for u in enumerate_uio(n, child[:n]):
+        for k in range(max(floor, u.pred[-1] if n else 0), n + 1):
             yield u, k
+        floor = 0
 
 
 def _induction_shard(n: int, lo: int, hi: int):
@@ -329,7 +378,7 @@ def _induction_shard(n: int, lo: int, hi: int):
     count = 0
     failures = []
     u_prev = None
-    pairs = islice(_extension_pairs(n), lo, hi)
+    pairs = islice(_extension_pairs(n, lo), hi - lo)
     walk = _walk(pairs, lambda pair: pair[0].pred + (pair[1],))
     for rank, ((u, k), listings, pos) in enumerate(walk, start=lo):
         count += 1
@@ -431,8 +480,7 @@ def _bijections_shard(n: int, lo: int, hi: int):
     count = 0
     failures = []
     a_images, q_images, z_images = [], [], []
-    orders = islice(enumerate_uio(n), lo, hi)
-    for rank, (u, listings, _) in enumerate(_walk(orders), start=lo):
+    for rank, (u, listings, _) in enumerate(_walk(_orders(n, lo, hi)), start=lo):
         count += 1
         area = tuple(map(sub, range(n), u.pred))
         listing = listings[n]
@@ -470,7 +518,7 @@ def _grevlex_shard(n: int, lo: int, hi: int):
     lo..hi - 1, which one pass over the listings finds for all of them."""
     count = 0
     failures = []
-    orders = list(islice(enumerate_uio(n), lo, hi))
+    orders = list(_orders(n, lo, hi))
     walk = zip(_walk(orders), grevlex_minima(orders))
     for rank, ((u, listings, _), found) in enumerate(walk, start=lo):
         count += 1

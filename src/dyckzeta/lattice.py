@@ -53,22 +53,26 @@ class DyckWord:
     steps: tuple[Step, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        ups = rights = 0
-        for idx, step in enumerate(self.steps):
+        steps = self.steps
+        if type(steps) is not tuple:
+            steps = tuple(steps)
+            object.__setattr__(self, "steps", steps)
+        height = 0
+        for idx, step in enumerate(steps):
             if step is _UP:
-                ups += 1
-            elif step is _RIGHT:
-                rights += 1
-                if rights > ups:
-                    raise ValidationError(
-                        f"path passes below the diagonal at step index {idx}"
-                    )
+                height += 1
+            elif step is _RIGHT and height:
+                height -= 1
             else:
-                raise ValidationError(f"step index {idx} is not an UP/RIGHT step")
-        if ups != rights:
+                raise ValidationError(
+                    f"path passes below the diagonal at step index {idx}"
+                    if step is _RIGHT
+                    else f"step index {idx} is not an UP/RIGHT step"
+                )
+        if height:
             raise ValidationError(
-                f"unbalanced word: {ups} up steps vs {rights} right steps"
+                f"unbalanced word: {(len(steps) + height) // 2} up steps vs "
+                f"{(len(steps) - height) // 2} right steps"
             )
 
     @property
@@ -86,17 +90,19 @@ class AreaSequence:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        for j, a in enumerate(self.entries, start=1):
-            if a < 0:
-                raise ValidationError(f"entry {j} is negative: {a}")
-            if j == 1 and a != 0:
-                raise ValidationError(f"entry 1 must be 0, got {a}")
-            if j > 1 and a > self.entries[j - 2] + 1:
+        entries = self.entries
+        if type(entries) is not tuple:
+            entries = tuple(entries)
+            object.__setattr__(self, "entries", entries)
+        top = 0                 # the largest entry allowed here
+        for j, a in enumerate(entries, start=1):
+            if not 0 <= a <= top:
                 raise ValidationError(
-                    f"entry {j} is {a}, exceeding entry {j - 1} + 1 = "
-                    f"{self.entries[j - 2] + 1}"
+                    f"entry {j} is negative: {a}" if a < 0
+                    else f"entry 1 must be 0, got {a}" if j == 1
+                    else f"entry {j} is {a}, exceeding entry {j - 1} + 1 = {top}"
                 )
+            top = a + 1
 
     @property
     def n(self) -> int:
@@ -150,28 +156,32 @@ class Peak(NamedTuple):
 
 
 def word_from_area_sequence(s: AreaSequence) -> DyckWord:
-    """Path whose row-j UP step sits at x = j - 1 - a_j."""
+    """Path whose row-j UP step sits at x = j - 1 - a_j.
+
+    So a_{j-1} + 1 - a_j RIGHT steps come before row j's UP step (none
+    before row 1), and a_n + 1 after the last one."""
     steps: list[Step] = []
-    x = 0
-    for j, a in enumerate(s.entries, start=1):
-        target = j - 1 - a
-        steps.extend([_RIGHT] * (target - x))
+    prev = -1
+    for a in s.entries:
+        steps += (_RIGHT,) * (prev + 1 - a)
         steps.append(_UP)
-        x = target
-    steps.extend([_RIGHT] * (s.n - x))
+        prev = a
+    steps += (_RIGHT,) * (prev + 1)
     return DyckWord(tuple(steps))
 
 
 def area_sequence_from_word(d: DyckWord) -> AreaSequence:
-    """Per-row box count between the path and the diagonal, bottom row first."""
+    """Per-row box count between the path and the diagonal, bottom row first.
+
+    Row j's count is the height y - x at which its UP step starts."""
     entries: list[int] = []
-    x = y = 0
+    height = 0
     for step in d.steps:
         if step is _UP:
-            y += 1
-            entries.append(y - 1 - x)
+            entries.append(height)
+            height += 1
         else:
-            x += 1
+            height -= 1
     return AreaSequence(tuple(entries))
 
 
@@ -294,8 +304,17 @@ def parse_area_sequence(text: str) -> AreaSequence:
     return AreaSequence(_parse_int_vector(text))
 
 
+#: Largest ambient size parse_area_set accepts.  The size is one number in
+#: the text, while converting the set allocates a row per element, so
+#: "n=2000000:" alone took 175 MB to convert to an area sequence.
+AREA_SET_TEXT_MAX_N = 10_000
+
+
 def parse_area_set(text: str) -> AreaSet:
-    """Parse the "n=N:i,j;i,j;..." encoding emitted by str(AreaSet)."""
+    """Parse the "n=N:i,j;i,j;..." encoding emitted by str(AreaSet).
+
+    N must be at most AREA_SET_TEXT_MAX_N, checked before any box is read.
+    """
     head, sep, body = text.partition(":")
     if not sep or not head.startswith("n="):
         raise ValidationError(
@@ -305,6 +324,10 @@ def parse_area_set(text: str) -> AreaSet:
         n = int(head[2:])
     except ValueError:
         raise ValidationError(f"bad ambient size in {head!r}") from None
+    if n > AREA_SET_TEXT_MAX_N:
+        raise ValidationError(
+            f"area set size n = {n} exceeds {AREA_SET_TEXT_MAX_N}"
+        )
     boxes = set()
     if body:
         for token in body.split(";"):

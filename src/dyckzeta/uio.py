@@ -15,7 +15,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from operator import sub
+from typing import Iterable, Iterator, Optional
 
 from .errors import PreconditionError, ValidationError
 from .lattice import (
@@ -23,6 +24,7 @@ from .lattice import (
     DyckWord,
     _parse_int_vector,
     area_sequence_from_word,
+    catalan,
     word_from_area_sequence,
 )
 
@@ -40,17 +42,19 @@ class UnitIntervalOrder:
     pred: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pred", tuple(self.pred))
-        for j, p in enumerate(self.pred, start=1):
-            if not 0 <= p <= j - 1:
+        pred = self.pred
+        if type(pred) is not tuple:
+            pred = tuple(pred)
+            object.__setattr__(self, "pred", pred)
+        prev = 0
+        for top, p in enumerate(pred):
+            if not prev <= p <= top:
                 raise ValidationError(
-                    f"pred[{j}] = {p} outside 0..{j - 1}"
+                    f"pred[{top + 1}] = {p} outside 0..{top}" if not 0 <= p <= top
+                    else f"pred[{top + 1}] = {p} breaks weak monotonicity "
+                    f"(pred[{top}] = {prev})"
                 )
-            if j > 1 and p < self.pred[j - 2]:
-                raise ValidationError(
-                    f"pred[{j}] = {p} breaks weak monotonicity "
-                    f"(pred[{j - 1}] = {self.pred[j - 2]})"
-                )
+            prev = p
 
     @property
     def n(self) -> int:
@@ -163,16 +167,14 @@ def a_map(u: UnitIntervalOrder) -> DyckWord:
 
     Row-wise that is the area sequence a_j = j - 1 - pred[j].
     """
-    seq = AreaSequence(tuple(j - 1 - p for j, p in enumerate(u.pred, start=1)))
+    seq = AreaSequence(tuple(map(sub, range(u.n), u.pred)))
     return word_from_area_sequence(seq)
 
 
 def a_inverse(d: DyckWord) -> UnitIntervalOrder:
     """Inverse of a_map: pred[j] = j - 1 - a_j."""
     seq = area_sequence_from_word(d)
-    return UnitIntervalOrder(
-        tuple(j - 1 - a for j, a in enumerate(seq.entries, start=1))
-    )
+    return UnitIntervalOrder(tuple(map(sub, range(seq.n), seq.entries)))
 
 
 def extend(u: UnitIntervalOrder, k: int) -> UnitIntervalOrder:
@@ -190,26 +192,72 @@ def extend(u: UnitIntervalOrder, k: int) -> UnitIntervalOrder:
     return UnitIntervalOrder(u.pred + (k,))
 
 
-def enumerate_uio(n: int) -> Iterator[UnitIntervalOrder]:
+def enumerate_uio(
+    n: int, start: Optional[tuple[int, ...]] = None
+) -> Iterator[UnitIntervalOrder]:
     """Yield every unit interval order on {1..n} exactly once.
 
     Order is lexicographic, ascending, on pred vectors; verification shards
-    rely on this order being stable.
+    rely on this order being stable.  With start, a valid pred vector of
+    size n, the stream begins at that order and goes on in the same order,
+    so a shard that starts at unrank_uio(n, lo) draws only its own orders.
+    Each step is the lexicographic successor: the last entry below its
+    ceiling j - 1 goes up by one and every entry after it drops to the new
+    value, the smallest that keeps the vector weakly increasing.
     """
     if n < 0:
         raise PreconditionError(f"size must be non-negative, got {n}")
+    if start is None:
+        pred = [0] * n
+    else:
+        pred = list(UnitIntervalOrder(start).pred)
+        if len(pred) != n:
+            raise PreconditionError(
+                f"start vector has size {len(pred)}, expected {n}"
+            )
 
-    def rec(prefix: list[int]) -> Iterator[UnitIntervalOrder]:
-        j = len(prefix)
-        if j == n:
-            yield UnitIntervalOrder(tuple(prefix))
-            return
-        for p in range(prefix[-1] if prefix else 0, j + 1):
-            prefix.append(p)
-            yield from rec(prefix)
-            prefix.pop()
+    def stream() -> Iterator[UnitIntervalOrder]:
+        while True:
+            yield UnitIntervalOrder(tuple(pred))
+            j = n - 1
+            while j > 0 and pred[j] == j:
+                j -= 1
+            if j <= 0:
+                return
+            pred[j:] = [pred[j] + 1] * (n - j)
 
-    return rec([])
+    return stream()
+
+
+def unrank_uio(n: int, r: int) -> tuple[int, ...]:
+    """The pred vector of rank r in enumerate_uio(n) order.
+
+    Standard Catalan unranking by ballot numbers (Ruskey, Combinatorial
+    Generation; Knuth, TAOCP 7.2.1.6).  count[j][f] is the number of
+    weakly increasing tails pred[j..n-1] with every entry at least f and
+    pred[i] <= i: count[n][f] = 1 and count[j][f] is the sum of
+    count[j + 1][p] over p = f..j.  Entry by entry, each smaller value p is
+    skipped together with the count[j + 1][p] completions that start with
+    it.  The table is O(n^2) integers, built per call.
+    """
+    total = catalan(n)
+    if not 0 <= r < total:
+        raise PreconditionError(f"rank {r} outside 0..{total - 1} for n = {n}")
+    count = [[1] * (n + 1)]
+    for j in range(n - 1, -1, -1):
+        row = [0] * (j + 2)
+        for f in range(j, -1, -1):
+            row[f] = row[f + 1] + count[0][f]
+        count.insert(0, row)
+    pred = []
+    p = 0
+    for j in range(n):
+        tail = count[j + 1]
+        while r >= tail[p]:
+            r -= tail[p]
+            p += 1
+        pred.append(p)
+    return tuple(pred)
 
 
 def parse_pred(text: str) -> UnitIntervalOrder:

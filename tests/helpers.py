@@ -6,13 +6,16 @@ box membership, or by direct recurrences.
 """
 
 from collections import defaultdict
+from functools import lru_cache
 
 from hypothesis import strategies as st
 
 from dyckzeta import (
     AreaSequence,
     PartListing,
+    Step,
     UnitIntervalOrder,
+    ValidationError,
     grevlex_key,
     is_isomorphic,
     poset_from_uio,
@@ -117,6 +120,80 @@ def grevlex_min_brute_force(u):
         if best is not None:
             return best
     raise AssertionError(f"no listing for {u}")
+
+
+# ------------------------------------------------- reference validators
+# The constructors' checks as they were written before they became one
+# comparison chain per entry: each rule tested on its own, in the order
+# that picks the message.
+
+def reference_pred_check(pred):
+    """UnitIntervalOrder's rule: 0 <= pred[j] <= j - 1, weakly increasing."""
+    for j, p in enumerate(pred, start=1):
+        if not 0 <= p <= j - 1:
+            raise ValidationError(f"pred[{j}] = {p} outside 0..{j - 1}")
+        if j > 1 and p < pred[j - 2]:
+            raise ValidationError(
+                f"pred[{j}] = {p} breaks weak monotonicity "
+                f"(pred[{j - 1}] = {pred[j - 2]})"
+            )
+
+
+def reference_area_check(entries):
+    """AreaSequence's rule: a_1 = 0 and 0 <= a_j <= a_{j-1} + 1."""
+    for j, a in enumerate(entries, start=1):
+        if a < 0:
+            raise ValidationError(f"entry {j} is negative: {a}")
+        if j == 1 and a != 0:
+            raise ValidationError(f"entry 1 must be 0, got {a}")
+        if j > 1 and a > entries[j - 2] + 1:
+            raise ValidationError(
+                f"entry {j} is {a}, exceeding entry {j - 1} + 1 = "
+                f"{entries[j - 2] + 1}"
+            )
+
+
+def reference_steps_check(steps):
+    """DyckWord's rule: UP/RIGHT steps, never more RIGHTs than UPs so far,
+    as many of each in all."""
+    ups = rights = 0
+    for idx, step in enumerate(steps):
+        if step is Step.UP:
+            ups += 1
+        elif step is Step.RIGHT:
+            rights += 1
+            if rights > ups:
+                raise ValidationError(
+                    f"path passes below the diagonal at step index {idx}"
+                )
+        else:
+            raise ValidationError(f"step index {idx} is not an UP/RIGHT step")
+    if ups != rights:
+        raise ValidationError(
+            f"unbalanced word: {ups} up steps vs {rights} right steps"
+        )
+
+
+# ------------------------------------------------------------------ ranks
+
+@lru_cache(maxsize=None)
+def _tails(n, j, floor):
+    """Weakly increasing tails pred[j..n-1] with every entry >= floor and
+    pred[i] <= i, counted by recursion on the next entry."""
+    if j == n:
+        return 1
+    return sum(_tails(n, j + 1, p) for p in range(floor, j + 1))
+
+
+def rank_by_counting(pred):
+    """The rank of pred in enumerate_uio order: the vectors of its size that
+    are lexicographically smaller, counted by their first difference."""
+    n = len(pred)
+    rank, floor = 0, 0
+    for j, p in enumerate(pred):
+        rank += sum(_tails(n, j + 1, smaller) for smaller in range(floor, p))
+        floor = p
+    return rank
 
 
 @st.composite

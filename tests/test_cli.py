@@ -1,8 +1,15 @@
 import io
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
+
+import dyckzeta
 
 from dyckzeta import (
     VerificationReport,
@@ -19,6 +26,7 @@ from dyckzeta import (
 )
 from dyckzeta import cli
 from dyckzeta.cli import main
+from dyckzeta.lattice import AREA_SET_TEXT_MAX_N
 
 
 def run(capsys, *argv):
@@ -204,6 +212,31 @@ def test_verify_huge_jobs_env_is_capped_at_usable_cpus(capsys, monkeypatch):
     assert "PASS" in out
 
 
+def test_ctrl_c_in_a_pooled_verify_exits_2_without_tracebacks():
+    # SIGINT goes to the whole process group, as Ctrl-C in a terminal does;
+    # n = 13 runs for seconds, so the signal lands while the pool works
+    src = os.path.dirname(os.path.dirname(dyckzeta.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dyckzeta.cli", "verify", "--check", "theorem",
+         "--n", "13", "--jobs", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+    )
+    try:
+        time.sleep(1.0)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, out, err) == (2, "", "error: interrupted\n")
+    with pytest.raises(ProcessLookupError):     # no worker outlived the run
+        os.killpg(proc.pid, 0)
+
+
 # -------------------------------------------------------------- enumerate
 
 def test_enumerate_dyck_lines(capsys):
@@ -244,6 +277,31 @@ def test_render_svg(capsys):
     assert out.startswith("<svg")
     assert "polyline" in out
     assert out.count("stroke-dasharray") == 2  # main diagonal + one reading diagonal
+
+
+def test_render_ascii_is_bounded_before_the_canvas_is_drawn(capsys):
+    top = cli.RENDER_ASCII_MAX_N
+    code, out, _ = run(capsys, "render", "a" * top + "b" * top)
+    assert code == 0
+    assert len(out.split("\n")) == 2 * top + 2
+    code, out, err = run(capsys, "render", "a" * (top + 1) + "b" * (top + 1))
+    assert (code, out) == (2, "")
+    assert f"limited to n <= {top}, got n = {top + 1}" in err
+    code, out, _ = run(capsys, "render", "--format", "svg",
+                       "a" * (top + 1) + "b" * (top + 1))
+    assert code == 0 and out.startswith("<svg")
+
+
+def test_convert_bounds_the_area_set_size_before_allocating(capsys):
+    top = AREA_SET_TEXT_MAX_N
+    code, out, _ = run(capsys, "convert", "--from", "areaset", "--to", "areaseq",
+                       f"n={top}:")
+    assert code == 0
+    assert out == ",".join(["0"] * top) + "\n"
+    code, out, err = run(capsys, "convert", "--from", "areaset", "--to", "areaseq",
+                         f"n={top + 1}:")
+    assert (code, out) == (2, "")
+    assert f"area set size n = {top + 1} exceeds {top}" in err
 
 
 def test_render_rejects_bad_word(capsys):

@@ -12,6 +12,9 @@ from dyckzeta import (
     check_induction_step,
     check_theorem,
     enumerate_dyck,
+    enumerate_uio,
+    q_map,
+    unrank_uio,
     zeta,
 )
 from dyckzeta.zeta import zeta_scan
@@ -55,7 +58,7 @@ def test_grevlex_small_sizes_pass():
 
 def test_ceilings_guard_and_override():
     with pytest.raises(PreconditionError, match="capped"):
-        check_theorem(14)
+        check_theorem(15)
     with pytest.raises(PreconditionError, match="capped"):
         check_induction_step(13)
     with pytest.raises(PreconditionError, match="capped"):
@@ -225,3 +228,69 @@ def test_reports_are_deterministic():
     second = check_induction_step(4)
     assert first.failures == second.failures
     assert first.instances_checked == second.instances_checked
+
+
+# --------------------------------------------------------- instance streams
+
+def _counting(monkeypatch, name):
+    """Patch harness.<name> with a wrapper that records every item drawn."""
+    real = getattr(harness, name)
+    drawn = []
+
+    def counted(*args):
+        for item in real(*args):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(harness, name, counted)
+    return drawn
+
+
+def _windows(n, total):
+    """(lo, hi) for every lo: one item, a few, and, while that stays cheap
+    (n <= 5), the rest of the stream."""
+    for lo in range(total):
+        yield from {(lo, lo + 1), (lo, min(lo + 5, total)),
+                    (lo, total if n <= 5 else lo + 1)}
+
+
+def test_order_shards_draw_exactly_their_own_orders(monkeypatch):
+    # grevlex_minima is stubbed with q: the stream, not the oracle, is
+    # under test, and the stub keeps every shard free of failures
+    monkeypatch.setattr(
+        harness, "grevlex_minima", lambda orders: [q_map(u)[0] for u in orders]
+    )
+    drawn = _counting(monkeypatch, "enumerate_uio")
+    for n in range(1, 8):
+        orders = list(enumerate_uio(n))
+        for shard in (harness._theorem_shard, harness._bijections_shard,
+                      harness._grevlex_shard):
+            for lo, hi in _windows(n, len(orders)):
+                drawn.clear()
+                count, failures, *_ = shard(n, lo, hi)
+                assert (count, failures) == (hi - lo, [])
+                assert drawn == orders[lo:hi], (shard.__name__, n, lo, hi)
+
+
+def test_induction_shard_draws_exactly_its_own_pairs(monkeypatch):
+    pairs = _counting(monkeypatch, "_extension_pairs")
+    orders = _counting(monkeypatch, "enumerate_uio")
+    for n in range(1, 8):
+        every = list(harness._extension_pairs(n))
+        assert len(every) == catalan(n + 1)
+        for lo, hi in _windows(n, len(every)):
+            pairs.clear()
+            orders.clear()
+            assert harness._induction_shard(n, lo, hi) == (hi - lo, [])
+            assert pairs == every[lo:hi], (n, lo, hi)
+            assert orders == list(dict.fromkeys(u for u, _ in every[lo:hi]))
+            assert [u.pred + (k,) for u, k in pairs] == [
+                unrank_uio(n + 1, r) for r in range(lo, hi)
+            ]
+
+
+def test_extension_pairs_start_at_the_child_of_rank_lo():
+    for n in range(0, 6):
+        every = list(harness._extension_pairs(n))
+        for lo in range(len(every)):
+            assert list(harness._extension_pairs(n, lo)) == every[lo:]

@@ -19,8 +19,9 @@ from dyckzeta import (
     parse_pred,
     relation,
     uio_from_intervals,
+    unrank_uio,
 )
-from helpers import drawn_boxes, pred_vectors
+from helpers import drawn_boxes, pred_vectors, rank_by_counting
 
 # five unit intervals with lefts 0, 2/3, 7/6, 3/2, 7/3: the worked example
 # where 1 lies left of 3, 4, 5 and 2, 3 lie left of 5
@@ -239,6 +240,49 @@ def test_enumerate_uio_order_and_distinctness():
         vectors = [u.pred for u in enumerate_uio(n)]
         assert vectors == sorted(vectors)
         assert len(set(vectors)) == len(vectors) == catalan(n)
+
+
+def test_enumerate_uio_from_a_start_vector():
+    for n in range(0, 7):
+        orders = list(enumerate_uio(n))
+        for rank, u in enumerate(orders):
+            assert list(enumerate_uio(n, u.pred)) == orders[rank:]
+    assert [str(u) for u in enumerate_uio(3, [0, 1, 1])] == ["0,1,1", "0,1,2"]
+
+
+def test_enumerate_uio_rejects_a_bad_start_vector():
+    with pytest.raises(PreconditionError, match="size 2, expected 3"):
+        enumerate_uio(3, (0, 1))
+    with pytest.raises(ValidationError, match="weak monotonicity"):
+        enumerate_uio(3, (0, 1, 0))
+
+
+# ---------------------------------------------------------------- ranking
+
+def test_unrank_agrees_with_enumeration_order():
+    for n in range(0, 11):
+        vectors = [u.pred for u in enumerate_uio(n)]
+        assert [unrank_uio(n, r) for r in range(catalan(n))] == vectors
+
+
+@given(pred_vectors(max_n=14))
+def test_rank_and_unrank_round_trip(u):
+    rank = rank_by_counting(u.pred)
+    assert 0 <= rank < catalan(u.n)
+    assert unrank_uio(u.n, rank) == u.pred
+
+
+@given(st.integers(min_value=0, max_value=16).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, catalan(n) - 1))))
+def test_unrank_and_rank_round_trip(case):
+    n, r = case
+    assert rank_by_counting(unrank_uio(n, r)) == r
+
+
+@pytest.mark.parametrize("n, r", [(0, -1), (0, 1), (4, -1), (4, 14), (10, 16796)])
+def test_unrank_rejects_ranks_outside_the_catalan_range(n, r):
+    with pytest.raises(PreconditionError, match="rank"):
+        unrank_uio(n, r)
 
 
 def test_parse_pred_errors():
