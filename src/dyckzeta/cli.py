@@ -20,6 +20,8 @@ from .lattice import (
     _UP,
     AreaSequence,
     DyckWord,
+    _area_of_steps,
+    _word_of_area,
     area_sequence_from_area_set,
     area_sequence_from_word,
     area_set_from_area_sequence,
@@ -29,8 +31,9 @@ from .lattice import (
     parse_word,
     word_from_area_sequence,
 )
-from .partlist import _path_of_listing, q_map
 from .uio import (
+    UnitIntervalOrder,
+    _complement,
     a_inverse,
     a_map,
     enumerate_uio,
@@ -41,11 +44,6 @@ from .uio import (
 from .zeta import zeta
 
 JOBS_ENV_VAR = "DYCKZETA_JOBS"
-
-_CONVERT_SOURCES = ("word", "areaseq", "areaset", "pred", "intervals")
-#: interval realizations of an order are not canonical, so intervals is
-#: accepted as input only
-_CONVERT_TARGETS = ("word", "areaseq", "areaset", "pred")
 
 
 def _default_jobs() -> int:
@@ -58,36 +56,25 @@ def _default_jobs() -> int:
 
 # ------------------------------------------------------------- conversion
 
-def _to_area_sequence(kind: str, text: str) -> AreaSequence:
-    """Parse any source encoding down to the area-sequence hub.
+#: source encoding -> its parser down to the area-sequence hub; orders cross
+#: over by the area bijection a_j = j - 1 - pred[j], with no path between
+_TO_AREA = {
+    "word": lambda text: area_sequence_from_word(parse_word(text)),
+    "areaseq": parse_area_sequence,
+    "areaset": lambda text: area_sequence_from_area_set(parse_area_set(text)),
+    "pred": lambda text: AreaSequence(_complement(parse_pred(text).pred)),
+    "intervals": lambda text: AreaSequence(
+        _complement(uio_from_intervals(parse_intervals(text)).pred)),
+}
 
-    Order encodings (pred, intervals) cross over via the area bijection
-    a_map; the part-listing bijection stays available as `map --name p`.
-    """
-    if kind == "word":
-        return area_sequence_from_word(parse_word(text))
-    if kind == "areaseq":
-        return parse_area_sequence(text)
-    if kind == "areaset":
-        return area_sequence_from_area_set(parse_area_set(text))
-    if kind == "pred":
-        return area_sequence_from_word(a_map(parse_pred(text)))
-    if kind == "intervals":
-        u = uio_from_intervals(parse_intervals(text))
-        return area_sequence_from_word(a_map(u))
-    raise ValidationError(f"unknown encoding {kind!r}")
-
-
-def _from_area_sequence(kind: str, seq: AreaSequence) -> str:
-    if kind == "word":
-        return str(word_from_area_sequence(seq))
-    if kind == "areaseq":
-        return str(seq)
-    if kind == "areaset":
-        return str(area_set_from_area_sequence(seq))
-    if kind == "pred":
-        return str(a_inverse(word_from_area_sequence(seq)))
-    raise ValidationError(f"unknown encoding {kind!r}")
+#: target encoding -> its text from the hub; interval realizations of an
+#: order are not canonical, so intervals is a source only
+_FROM_AREA = {
+    "word": lambda seq: str(word_from_area_sequence(seq)),
+    "areaseq": str,
+    "areaset": lambda seq: str(area_set_from_area_sequence(seq)),
+    "pred": lambda seq: str(UnitIntervalOrder(_complement(seq.entries))),
+}
 
 
 def _each_value(value):
@@ -101,9 +88,9 @@ def _each_value(value):
 
 
 def _cmd_convert(args) -> int:
+    parse, render = _TO_AREA[args.src], _FROM_AREA[args.dst]
     for value in _each_value(args.value):
-        seq = _to_area_sequence(args.src, value)
-        print(_from_area_sequence(args.dst, seq))
+        print(render(parse(value)))
     return 0
 
 
@@ -112,9 +99,6 @@ def _cmd_convert(args) -> int:
 def _apply_named_map(name: str, value: str) -> str:
     if name == "a":
         return str(a_map(parse_pred(value)))
-    if name == "q":
-        listing, _ = q_map(parse_pred(value))
-        return str(listing)
     if name == "zeta":
         return str(zeta(parse_word(value)))
     return str(a_inverse(parse_word(value)))
@@ -123,21 +107,24 @@ def _apply_named_map(name: str, value: str) -> str:
 def _cmd_map(args) -> int:
     """Print the image of each value, one line each, in input order.
 
-    p, and unzeta = zeta_inverse = p o a^-1, read q(U) from one insertion
-    walk over the stream (harness._walk), so consecutive lines whose pred
-    vectors share a prefix, as sorted input does, re-insert only the rest.
+    q, p and unzeta = zeta_inverse = p o a^-1 (pred read off the word's
+    area sequence) print q(U), or its path, from one insertion walk over the
+    stream (harness._walk): consecutive lines whose pred vectors share a
+    prefix, as sorted input does, re-insert only the rest.
     """
     values = _each_value(args.value)
-    if args.name == "p":
-        orders = map(parse_pred, values)
+    if args.name in ("p", "q"):
+        preds = (parse_pred(value).pred for value in values)
     elif args.name == "unzeta":
-        orders = (a_inverse(parse_word(value)) for value in values)
+        preds = (_complement(_area_of_steps(parse_word(value).steps))
+                 for value in values)
     else:
         for value in values:
             print(_apply_named_map(args.name, value))
         return 0
-    for u, listings, _ in harness._walk(orders):
-        print(_path_of_listing(listings[u.n]))
+    image = AreaSequence if args.name == "q" else _word_of_area
+    for pred, listings, _ in harness._walk(preds, tuple):
+        print(image(listings[len(pred)]))
     return 0
 
 
@@ -289,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     convert = sub.add_parser("convert", help="losslessly convert encodings")
-    convert.add_argument("--from", dest="src", required=True, choices=_CONVERT_SOURCES)
-    convert.add_argument("--to", dest="dst", required=True, choices=_CONVERT_TARGETS)
+    convert.add_argument("--from", dest="src", required=True, choices=_TO_AREA)
+    convert.add_argument("--to", dest="dst", required=True, choices=_FROM_AREA)
     convert.add_argument("value", nargs="?", default=None,
                          help="object text; omit to stream stdin lines")
     convert.set_defaults(func=_cmd_convert)

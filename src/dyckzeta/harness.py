@@ -17,7 +17,7 @@ All four sweeps run on integer tuples and share one walk (_walk): the
 orders come in lexicographic order of their pred vectors, consecutive
 vectors share a prefix, and only the changed suffix is inserted again
 (partlist._insert) to get the listing q(U).  The walk takes vectors of any
-size in any order, so `dyckzeta map --name p|unzeta` streams its input
+size in any order, so `dyckzeta map --name p|q|unzeta` streams its input
 lines through it too.  The theorem applies Haglund's
 scan (zeta.zeta_scan) to q(U) and compares it with a(U)'s area sequence;
 the induction step compares the listings and scans of U and extend(U, k);
@@ -54,14 +54,15 @@ from typing import Iterator, Optional
 from .errors import PreconditionError, ValidationError
 from .lattice import (
     AreaSequence,
+    _word_of_area,
     add_final_peak,
     catalan,
     final_maximal_peak,
-    word_from_area_sequence,
 )
 from .partlist import _insert, grevlex_minima, p_map, q_map
 from .uio import (
     UnitIntervalOrder,
+    _complement,
     a_inverse,
     a_map,
     enumerate_uio,
@@ -307,7 +308,7 @@ def _theorem_shard(n: int, lo: int, hi: int):
     for rank, (u, listings, _) in enumerate(_walk(_orders(n, lo, hi)), start=lo):
         count += 1
         listing = listings[n]
-        area = tuple(map(sub, range(n), u.pred))
+        area = _complement(u.pred)
         if not _is_area_sequence(listing) or zeta_scan(listing) != area:
             failures.append(_theorem_failure(rank, u) or Failure(
                 rank, (("pred", str(u)), ("q", _csv(listing))),
@@ -466,7 +467,7 @@ def check_bijections(
 
 
 def _word_text(area: bytes) -> str:
-    return str(word_from_area_sequence(AreaSequence(area)))
+    return str(_word_of_area(area))
 
 
 def _bijections_shard(n: int, lo: int, hi: int):
@@ -482,7 +483,7 @@ def _bijections_shard(n: int, lo: int, hi: int):
     a_images, q_images, z_images = [], [], []
     for rank, (u, listings, _) in enumerate(_walk(_orders(n, lo, hi)), start=lo):
         count += 1
-        area = tuple(map(sub, range(n), u.pred))
+        area = _complement(u.pred)
         listing = listings[n]
         a_images.append(bytes(area))
         q_images.append(bytes(listing))

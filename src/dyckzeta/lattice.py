@@ -12,6 +12,7 @@ contributes exactly the boxes (j - a_j, j), ..., (j - 1, j).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
@@ -170,19 +171,29 @@ def word_from_area_sequence(s: AreaSequence) -> DyckWord:
     return DyckWord(tuple(steps))
 
 
-def area_sequence_from_word(d: DyckWord) -> AreaSequence:
-    """Per-row box count between the path and the diagonal, bottom row first.
+def _word_of_area(entries: tuple[int, ...]) -> DyckWord:
+    """The path of a plain area-sequence tuple; the tuple must pass
+    AreaSequence and the path DyckWord."""
+    return word_from_area_sequence(AreaSequence(entries))
 
-    Row j's count is the height y - x at which its UP step starts."""
+
+def area_sequence_from_word(d: DyckWord) -> AreaSequence:
+    """Per-row box count between the path and the diagonal, bottom row first."""
+    return AreaSequence(_area_of_steps(d.steps))
+
+
+def _area_of_steps(steps: tuple[Step, ...]) -> tuple[int, ...]:
+    """The area sequence of a valid step word, unchecked: row j's count is
+    the height y - x at which its UP step starts."""
     entries: list[int] = []
     height = 0
-    for step in d.steps:
+    for step in steps:
         if step is _UP:
             entries.append(height)
             height += 1
         else:
             height -= 1
-    return AreaSequence(tuple(entries))
+    return tuple(entries)
 
 
 def area_set_from_area_sequence(s: AreaSequence) -> AreaSet:
@@ -288,15 +299,13 @@ def enumerate_dyck(n: int) -> Iterator[DyckWord]:
 
 def parse_word(text: str) -> DyckWord:
     """Parse a step word over a/b (also accepted: U/R, 1/0)."""
-    steps = []
-    for pos, ch in enumerate(text):
-        step = _STEP_FROM_CHAR.get(ch)
-        if step is None:
-            raise ValidationError(
-                f"bad step letter {ch!r} at position {pos}; expected a/b, U/R or 1/0"
-            )
-        steps.append(step)
-    return DyckWord(tuple(steps))
+    steps = tuple(map(_STEP_FROM_CHAR.get, text))
+    if None in steps:
+        pos = steps.index(None)
+        raise ValidationError(
+            f"bad step letter {text[pos]!r} at position {pos}; expected a/b, U/R or 1/0"
+        )
+    return DyckWord(steps)
 
 
 def parse_area_sequence(text: str) -> AreaSequence:
@@ -340,13 +349,18 @@ def parse_area_set(text: str) -> AreaSet:
     return AreaSet(frozenset(boxes), n)
 
 
+_INTEGER = "-?[0-9]+"
+_INT_VECTOR = re.compile(f"{_INTEGER}(?:,{_INTEGER})*")
+
+
 def _parse_int_vector(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, each an optional "-" and ASCII digits (int()
+    alone would also take "+1", " 1", "1_0" and non-ASCII digits)."""
     if text == "":
         return ()
-    out = []
-    for pos, token in enumerate(text.split(","), start=1):
-        try:
-            out.append(int(token))
-        except ValueError:
-            raise ValidationError(f"entry {pos} is not an integer: {token!r}") from None
-    return tuple(out)
+    tokens = text.split(",")
+    if _INT_VECTOR.fullmatch(text) is None:
+        pos, token = next((pos, token) for pos, token in enumerate(tokens, start=1)
+                          if re.fullmatch(_INTEGER, token) is None)
+        raise ValidationError(f"entry {pos} is not an integer: {token!r}")
+    return tuple(map(int, tokens))

@@ -17,7 +17,7 @@ from operator import or_
 from typing import Iterator, Sequence
 
 from .errors import PreconditionError, ValidationError
-from .lattice import AreaSequence, DyckWord, word_from_area_sequence
+from .lattice import AreaSequence, DyckWord, _word_of_area
 from .uio import LevelProfile, UnitIntervalOrder
 
 
@@ -299,13 +299,7 @@ def q_map(u: UnitIntervalOrder) -> tuple[PartListing, InsertionTrace]:
 
 def p_map(u: UnitIntervalOrder) -> DyckWord:
     """Path whose area sequence is the listing produced by q_map."""
-    return _path_of_listing(_insert_all(u)[0])
-
-
-def _path_of_listing(listing: tuple[int, ...]) -> DyckWord:
-    """The path whose area sequence is a finished listing q(U); the listing
-    must pass AreaSequence and the path DyckWord."""
-    return word_from_area_sequence(AreaSequence(listing))
+    return _word_of_area(_insert_all(u)[0])
 
 
 def f_permutation(w: PartListing) -> tuple[int, ...]:

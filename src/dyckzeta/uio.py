@@ -20,12 +20,11 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import PreconditionError, ValidationError
 from .lattice import (
-    AreaSequence,
     DyckWord,
     _parse_int_vector,
+    _word_of_area,
     area_sequence_from_word,
     catalan,
-    word_from_area_sequence,
 )
 
 
@@ -162,19 +161,23 @@ def levels(u: UnitIntervalOrder) -> LevelProfile:
     return LevelProfile(tuple(lv))
 
 
+def _complement(v: tuple[int, ...]) -> tuple[int, ...]:
+    """j - 1 - v[j] per entry, unchecked: pred vector to area sequence under a,
+    and back under a_inverse (the map is its own inverse)."""
+    return tuple(map(sub, range(len(v)), v))
+
+
 def a_map(u: UnitIntervalOrder) -> DyckWord:
     """Path whose area set is the incomparable pairs {(x,y) : pred[y] < x < y}.
 
     Row-wise that is the area sequence a_j = j - 1 - pred[j].
     """
-    seq = AreaSequence(tuple(map(sub, range(u.n), u.pred)))
-    return word_from_area_sequence(seq)
+    return _word_of_area(_complement(u.pred))
 
 
 def a_inverse(d: DyckWord) -> UnitIntervalOrder:
     """Inverse of a_map: pred[j] = j - 1 - a_j."""
-    seq = area_sequence_from_word(d)
-    return UnitIntervalOrder(tuple(map(sub, range(seq.n), seq.entries)))
+    return UnitIntervalOrder(_complement(area_sequence_from_word(d).entries))
 
 
 def extend(u: UnitIntervalOrder, k: int) -> UnitIntervalOrder:

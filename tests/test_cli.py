@@ -6,13 +6,18 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import dyckzeta
 
 from dyckzeta import (
+    DyckWord,
+    IntervalConfiguration,
+    UnitIntervalOrder,
     VerificationReport,
+    a_inverse,
     area_sequence_from_word,
     area_set_from_area_sequence,
     enumerate_dyck,
@@ -22,6 +27,9 @@ from dyckzeta import (
     p_map,
     parse_pred,
     parse_word,
+    q_map,
+    uio_from_intervals,
+    zeta,
     zeta_inverse,
 )
 from dyckzeta import cli
@@ -108,12 +116,8 @@ def test_convert_round_trips_hub_level():
             }
             for src in kinds:
                 for dst in kinds:
-                    mid = cli._from_area_sequence(
-                        dst, cli._to_area_sequence(src, texts[src])
-                    )
-                    back = cli._from_area_sequence(
-                        src, cli._to_area_sequence(dst, mid)
-                    )
+                    mid = cli._FROM_AREA[dst](cli._TO_AREA[src](texts[src]))
+                    back = cli._FROM_AREA[src](cli._TO_AREA[dst](mid))
                     assert back == texts[src]
 
 
@@ -354,11 +358,15 @@ def map_stdin(capsys, monkeypatch, name, text):
 @pytest.mark.parametrize("name, kind, per_line", [
     ("p", "uio", lambda line: p_map(parse_pred(line))),
     ("unzeta", "dyck", lambda line: zeta_inverse(parse_word(line))),
+    ("q", "uio", lambda line: q_map(parse_pred(line))[0]),
+    ("a", "uio", lambda line: a_map(parse_pred(line))),
+    ("zeta", "dyck", lambda line: zeta(parse_word(line))),
+    ("a-inverse", "dyck", lambda line: a_inverse(parse_word(line))),
 ])
 def test_streamed_map_equals_the_per_line_map(capsys, monkeypatch, name, kind, per_line):
-    # p and unzeta share one insertion walk over the stream; in enumerate
-    # order and shuffled, every output line is the per-line map's
-    for n in range(8):
+    # p, q and unzeta share one insertion walk over the stream; in
+    # enumerate order and shuffled, every output line is the per-line map's
+    for n in range(9):
         _, enumerated, _ = run(capsys, "enumerate", "--kind", kind, "--n", str(n))
         lines = enumerated.splitlines()
         shuffled = random.Random(n).sample(lines, len(lines))
@@ -367,6 +375,96 @@ def test_streamed_map_equals_the_per_line_map(capsys, monkeypatch, name, kind, p
                 line + "\n" for line in order))
             assert code == 0
             assert out == "".join(f"{per_line(line)}\n" for line in order)
+
+
+def forbid(monkeypatch, target):
+    """Make a constructor's validation, or every package binding of a
+    function, fail the test when called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{target.__name__} called")
+
+    if isinstance(target, type):
+        monkeypatch.setattr(target, "__post_init__", refuse)
+        return
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dyckzeta":
+            for attr, value in list(vars(module).items()):
+                if value is target:
+                    monkeypatch.setattr(module, attr, refuse)
+
+
+def area_sequence_lines(n):
+    return "".join(f"{area_sequence_from_word(w)}\n" for w in enumerate_dyck(n))
+
+
+@pytest.mark.parametrize("argv, lines, target", [
+    (("map", "--name", "unzeta"), lambda n: "".join(f"{w}\n" for w in enumerate_dyck(n)),
+     UnitIntervalOrder),
+    (("map", "--name", "q"), lambda n: "".join(f"{u}\n" for u in enumerate_uio(n)), q_map),
+    (("convert", "--from", "pred", "--to", "areaseq"),
+     lambda n: "".join(f"{u}\n" for u in enumerate_uio(n)), DyckWord),
+    (("convert", "--from", "areaseq", "--to", "pred"), area_sequence_lines, DyckWord),
+], ids=["unzeta", "q", "pred-to-areaseq", "areaseq-to-pred"])
+def test_hub_paths_build_no_detour(capsys, monkeypatch, argv, lines, target):
+    # unzeta reads pred off the word, q reads the walk, and convert crosses
+    # between orders and area sequences without a path: the same output
+    # with the detour made to fail
+    text = lines(6)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    expected = run(capsys, *argv)
+    assert expected[0] == 0 and expected[1].count("\n") == text.count("\n")
+    forbid(monkeypatch, target)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, *argv) == expected
+
+
+def path_encodings(word):
+    """The texts of one path in every convert target, from the objects."""
+    seq = area_sequence_from_word(word)
+    return {"word": str(word), "areaseq": str(seq),
+            "areaset": str(area_set_from_area_sequence(seq)),
+            "pred": str(a_inverse(word))}
+
+
+def test_convert_streams_every_pair_in_any_order(capsys, monkeypatch):
+    # every source and target for every path with n <= 8 (intervals: random
+    # realizations), in enumerate order and shuffled, and a bad line exits 2
+    # after the lines before it
+    rng = random.Random(7)
+    cases = {src: [] for src in ("word", "areaseq", "areaset", "pred", "intervals")}
+    for n in range(9):
+        for word in enumerate_dyck(n):
+            texts = path_encodings(word)
+            for src in ("word", "areaseq", "areaset", "pred"):
+                cases[src].append((texts[src], texts))
+    for _ in range(400):
+        lefts = sorted(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                       for _ in range(rng.randint(0, 8)))
+        text = json.dumps([{"num": x.numerator, "den": x.denominator} for x in lefts])
+        word = a_map(uio_from_intervals(IntervalConfiguration(tuple(lefts))))
+        cases["intervals"].append((text, path_encodings(word)))
+    bad = {"word": "abba", "areaseq": "0,2", "areaset": "n=2:1,3",
+           "pred": "0,2", "intervals": "[1]"}
+    for src, pairs in cases.items():
+        for dst in ("word", "areaseq", "areaset", "pred"):
+            for order in (pairs, rng.sample(pairs, len(pairs))):
+                monkeypatch.setattr("sys.stdin", io.StringIO(
+                    "".join(f"{text}\n" for text, _ in order)))
+                code, out, _ = run(capsys, "convert", "--from", src, "--to", dst)
+                assert code == 0
+                assert out == "".join(f"{texts[dst]}\n" for _, texts in order)
+            head = pairs[:20]
+            monkeypatch.setattr("sys.stdin", io.StringIO("".join(
+                f"{text}\n" for text in [t for t, _ in head] + [bad[src], pairs[0][0]])))
+            code, out, err = run(capsys, "convert", "--from", src, "--to", dst)
+            assert (code, out) == (2, "".join(f"{texts[dst]}\n" for _, texts in head))
+            assert err.startswith("error: ")
+
+
+def test_map_refuses_a_token_int_would_take(capsys):
+    code, out, err = run(capsys, "map", "--name", "p", "0,1_0")
+    assert (code, out) == (2, "")
+    assert err == "error: entry 2 is not an integer: '1_0'\n"
 
 
 def test_streamed_map_over_mixed_sizes_stops_at_a_bad_line(capsys, monkeypatch):
@@ -383,7 +481,7 @@ def test_streamed_map_over_mixed_sizes_stops_at_a_bad_line(capsys, monkeypatch):
 
 def test_streamed_map_checks_each_listing_as_an_area_sequence(capsys, monkeypatch):
     # the walk's insertion turns q(0,1) = 0,1 into 0,2: the output line is
-    # refused by AreaSequence after the lines before it
+    # refused by AreaSequence after the lines before it, for p and for q
     real_insert = harness._insert
 
     def insert(cur, lv, p):
@@ -391,9 +489,10 @@ def test_streamed_map_checks_each_listing_as_an_area_sequence(capsys, monkeypatc
         return ((0, 2) if grown == (0, 1) else grown), level, c, pos
 
     monkeypatch.setattr(harness, "_insert", insert)
-    code, out, err = map_stdin(capsys, monkeypatch, "p", "0,0\n0,1\n0,0\n")
-    assert (code, out) == (2, "abab\n")
-    assert err == "error: entry 2 is 2, exceeding entry 1 + 1 = 1\n"
+    for name, first in (("p", "abab\n"), ("q", "0,0\n")):
+        code, out, err = map_stdin(capsys, monkeypatch, name, "0,0\n0,1\n0,0\n")
+        assert (code, out) == (2, first)
+        assert err == "error: entry 2 is 2, exceeding entry 1 + 1 = 1\n"
 
 
 def test_map_over_words_strips_crlf(capsys, monkeypatch):

@@ -49,6 +49,20 @@ def test_word_rejects_bad_letter():
         parse_word("abxb")
 
 
+@pytest.mark.parametrize("text, pos, letter", [
+    ("xab", 0, "'x'"),              # first
+    ("aUxbR", 2, "'x'"),            # in the middle
+    ("ab10A", 4, "'A'"),            # last
+    ("ab\u00e9c", 2, "'\u00e9'"),    # the first of two is named
+])
+def test_word_names_the_first_bad_letter(text, pos, letter):
+    with pytest.raises(ValidationError) as exc:
+        parse_word(text)
+    assert str(exc.value) == (
+        f"bad step letter {letter} at position {pos}; expected a/b, U/R or 1/0"
+    )
+
+
 def test_word_accepts_alternate_alphabets():
     assert str(parse_word("URUR")) == "abab"
     assert str(parse_word("1010")) == "abab"
@@ -61,6 +75,22 @@ def test_area_sequence_names_offending_index():
         AreaSequence((0, 1, 3))
     with pytest.raises(ValidationError, match="entry 2"):
         AreaSequence((0, -1))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0,1_0", "entry 2 is not an integer: '1_0'"),
+    ("\u0660,\u0661", "entry 1 is not an integer: '\u0660'"),
+    (" 0,+1", "entry 1 is not an integer: ' 0'"),
+    ("0,+1", "entry 2 is not an integer: '+1'"),
+    ("0,1\n", "entry 2 is not an integer: '1\\n'"),
+    ("0,,1", "entry 2 is not an integer: ''"),
+    ("-1", "entry 1 is negative: -1"),
+    ("0,-1", "entry 2 is negative: -1"),
+])
+def test_parse_area_sequence_takes_only_ascii_integer_tokens(text, message):
+    with pytest.raises(ValidationError) as exc:
+        parse_area_sequence(text)
+    assert str(exc.value) == message
 
 
 def test_area_set_rejects_out_of_range_box():

@@ -11,7 +11,9 @@ from dyckzeta import (
     ValidationError,
     a_inverse,
     a_map,
+    area_sequence_from_word,
     catalan,
+    enumerate_dyck,
     enumerate_uio,
     extend,
     levels,
@@ -21,6 +23,7 @@ from dyckzeta import (
     uio_from_intervals,
     unrank_uio,
 )
+from dyckzeta.uio import _complement
 from helpers import drawn_boxes, pred_vectors, rank_by_counting
 
 # five unit intervals with lefts 0, 2/3, 7/6, 3/2, 7/3: the worked example
@@ -191,6 +194,17 @@ def test_a_round_trip_random(u):
     assert a_inverse(a_map(u)) == u
 
 
+def test_complement_of_every_area_sequence_is_an_order():
+    # what lets convert and map --name unzeta read a pred vector off an
+    # area sequence with no further check
+    for n in range(0, 9):
+        for word in enumerate_dyck(n):
+            entries = area_sequence_from_word(word).entries
+            pred = _complement(entries)
+            assert UnitIntervalOrder(pred) == a_inverse(word)
+            assert _complement(pred) == entries
+
+
 # ----------------------------------------------------------------- extend
 
 def test_extend_worked_example():
@@ -289,3 +303,26 @@ def test_parse_pred_errors():
     with pytest.raises(ValidationError, match="entry 2"):
         parse_pred("0,x")
     assert parse_pred("").n == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    # int() takes each of these tokens; an entry is "-"? then ASCII digits
+    ("0,1_0", "entry 2 is not an integer: '1_0'"),
+    ("\u0660,\u0661", "entry 1 is not an integer: '\u0660'"),
+    (" 0,+1", "entry 1 is not an integer: ' 0'"),
+    ("0,+1", "entry 2 is not an integer: '+1'"),
+    ("0,1 ", "entry 2 is not an integer: '1 '"),
+    ("0,", "entry 2 is not an integer: ''"),
+    ("0,--1", "entry 2 is not an integer: '--1'"),
+    # a minus sign reaches the validator's range check
+    ("-1", "pred[1] = -1 outside 0..0"),
+    ("0,-1", "pred[2] = -1 outside 0..1"),
+])
+def test_parse_pred_takes_only_ascii_integer_tokens(text, message):
+    with pytest.raises(ValidationError) as exc:
+        parse_pred(text)
+    assert str(exc.value) == message
+
+
+def test_parse_pred_takes_leading_zeros_and_minus_zero():
+    assert parse_pred("00,-0,01").pred == (0, 0, 1)
