@@ -123,7 +123,7 @@ def _cmd_map(args) -> int:
             print(_apply_named_map(args.name, value))
         return 0
     image = AreaSequence if args.name == "q" else _word_of_area
-    for pred, listings, _ in harness._walk(preds, tuple):
+    for pred, listings in harness._walk(preds, tuple):
         print(image(listings[len(pred)]))
     return 0
 

@@ -13,27 +13,21 @@ as data rather than raising:
   grevlex     the grevlex-minimal listing isomorphic to U, found for all
               orders in one pass over the listings, agrees with q
 
-All four sweeps run on integer tuples and share one walk (_walk): the
-orders come in lexicographic order of their pred vectors, consecutive
-vectors share a prefix, and only the changed suffix is inserted again
-(partlist._insert) to get the listing q(U).  The walk takes vectors of any
-size in any order, so `dyckzeta map --name p|q|unzeta` streams its input
-lines through it too.  The theorem applies Haglund's
-scan (zeta.zeta_scan) to q(U) and compares it with a(U)'s area sequence;
-the induction step compares the listings and scans of U and extend(U, k);
-bijections take the images of a, q and zeta from tuples; grevlex compares
-the walk's listings with partlist.grevlex_minima, which never inserts.  The
-objects (a_map, p_map, q_map, zeta, ...) are the re-check: an instance the
-tuples flag is checked again on them, and a flag they do not confirm is
-reported as a disagreement of the kernel.  Each check has one code path,
-its shard function; tests that corrupt a map patch the names this module
-looks up (harness.zeta, harness.zeta_scan, harness._insert,
-harness.a_inverse) and so run the same code as the CLI.
+Every order of size n is extend(U, k) for exactly one pair (U, k) of size
+n - 1, so the theorem and induction sweeps share one kernel over extension
+pairs (_extension_sweep): bytes listings on a per-depth stack, one
+inserted letter per pair, zeta read by bytes.translate.  The bijections
+and grevlex sweeps, and `dyckzeta map --name p|q|unzeta`, read q(U) off a
+prefix-sharing insertion walk over integer tuples (_walk).  The objects
+(a_map, p_map, q_map, zeta, ...) are the re-check: an instance the kernel
+flags is checked again on them, and a flag they do not confirm is reported
+as a disagreement of the kernel.  Each check has one code path, its shard
+function, which the CLI runs too.
 
 Work shards by contiguous enumeration-rank ranges, so reports are
 deterministic for a fixed n regardless of worker count.  A shard of ranks
 lo..hi - 1 starts its stream at its first instance, unranked by
-uio.unrank_uio (for induction pairs, the child of rank lo), and draws
+uio.unrank_uio (for extension pairs, the child of rank lo), and draws
 exactly hi - lo instances: no shard builds the orders before its own.
 Pool workers ignore SIGINT; on Ctrl-C the parent stops them and raises
 KeyboardInterrupt, which the CLI reports with exit status 2.
@@ -44,6 +38,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -71,9 +66,10 @@ from .uio import (
 )
 from .zeta import _peak_parameters, zeta, zeta_scan
 
-#: Per-check size ceilings keeping the full sweep under a minute on
-#: commodity hardware; raise via the max_n argument (or --max-n in the CLI).
-DEFAULT_CEILINGS = {"theorem": 14, "induction": 12, "bijections": 12, "grevlex": 7}
+#: Per-check size ceilings keeping the full sweep under a minute at jobs=2 on
+#: a 2-CPU VM (Python 3.11: theorem 15 in 46 s, induction 13 in 18 s); raise
+#: via the max_n argument (or --max-n in the CLI).
+DEFAULT_CEILINGS = {"theorem": 15, "induction": 13, "bijections": 12, "grevlex": 7}
 
 
 @dataclass(frozen=True)
@@ -237,18 +233,16 @@ def _walk(items, pred_of=attrgetter("pred")):
     with repeats.  Each item re-inserts only the elements past the prefix
     its vector shares with the previous one, so a stream in lexicographic
     order (the preorder of the tree of rightmost extensions, which is how
-    enumerate_uio and the sweeps' shards deliver it) costs about 1.4
+    enumerate_uio and the order shards deliver it) costs about 1.4
     insertions per order at n = 10, against n for a lone q_map.  Yields
-    (item, listings, pos) with n = len(pred_of(item)): listings[i] is the
+    (item, listings) with n = len(pred_of(item)): listings[i] is the
     listing of elements 0..i-1 for i <= n (listings[n] is q(U); entries
-    past n are left over from longer vectors), and the last element's
-    letter landed at listings[n][pos] (pos is None for n = 0).  The same
-    listings list is updated for every item.
+    past n are left over from longer vectors).  The same listings list is
+    updated for every item.
     """
     prev = ()
     lv = []                         # lv[i]: level of element i
     listings = [()]
-    at = [None]                     # at[i + 1]: where element i's letter landed
     for item in items:
         pred = pred_of(item)
         n = len(pred)
@@ -262,11 +256,10 @@ def _walk(items, pred_of=attrgetter("pred")):
             grow = n + 1 - len(listings)
             listings += [()] * grow
             lv += [0] * grow
-            at += [None] * grow
         for i in range(d, n):
-            listings[i + 1], lv[i], _, at[i + 1] = _insert(listings[i], lv, pred[i])
+            listings[i + 1], lv[i], _, _ = _insert(listings[i], lv, pred[i])
         prev = pred
-        yield item, listings, at[n]
+        yield item, listings
 
 
 def _orders(n: int, lo: int, hi: int) -> Iterator[UnitIntervalOrder]:
@@ -291,52 +284,144 @@ def check_theorem(
 ) -> VerificationReport:
     """Assert a(U) == zeta(p(U)) for every order of size n.
 
-    The sweep runs on integer tuples (_theorem_shard); an order on which
-    the tuples disagree is re-checked on the objects a_map, p_map and zeta.
+    The sweep runs on bytes (_theorem_shard); an order on which they
+    disagree is re-checked on the objects a_map, p_map and zeta.
     """
     _ceiling("theorem", n, max_n)
     return _sweep("theorem", n, catalan(n), jobs, _theorem_shard)
 
 
 def _theorem_shard(n: int, lo: int, hi: int):
-    """The theorem on integer tuples, for the orders of rank lo..hi - 1:
-    q(U) from the walk must be an area sequence whose zeta_scan is a(U)'s
-    area sequence a_j = j - 1 - pred[j].  A disagreement is re-checked on
-    the objects."""
-    count = 0
-    failures = []
-    for rank, (u, listings, _) in enumerate(_walk(_orders(n, lo, hi)), start=lo):
-        count += 1
-        listing = listings[n]
-        area = _complement(u.pred)
-        if not _is_area_sequence(listing) or zeta_scan(listing) != area:
-            failures.append(_theorem_failure(rank, u) or Failure(
-                rank, (("pred", str(u)), ("q", _csv(listing))),
-                "kernel agrees with a_map, p_map and zeta",
-                _csv(zeta_scan(listing)), _csv(area),
-            ))
-    return count, failures
+    """The theorem for the orders of rank lo..hi - 1: the children of the
+    extension pairs of size n - 1 with the same ranks."""
+    return _extension_sweep(n - 1, lo, hi, edges=False)
 
 
 def _theorem_failure(rank, u) -> Optional[Failure]:
     """The Failure for a(U) != zeta(p(U)) on the objects, or None."""
-    left = a_map(u)
-    p_word = p_map(u)
+    left, p_word = a_map(u), p_map(u)
     right = zeta(p_word)
     if left == right:
         return None
-    listing, _ = q_map(u)
-    return Failure(
-        rank,
-        (
-            ("pred", str(u)),
-            ("q", str(listing)),
-            ("p_word", str(p_word)),
-        ),
-        "a(U) == zeta(p(U))",
-        str(left),
-        str(right),
-    )
+    inputs = (("pred", str(u)), ("q", str(q_map(u)[0])), ("p_word", str(p_word)))
+    return Failure(rank, inputs, "a(U) == zeta(p(U))", str(left), str(right))
+
+
+# -------------------------------------------------------- extension pairs
+
+def _extension_pairs(n: int, lo: int = 0) -> Iterator[tuple[UnitIntervalOrder, int]]:
+    """The pairs (U, k) in the lexicographic order of pred + (k,), from the
+    pair of rank lo on: the one whose child extend(U, k) is
+    unrank_uio(n + 1, lo)."""
+    child = unrank_uio(n + 1, lo)
+    floor = child[n]
+    for u in enumerate_uio(n, child[:n]):
+        for k in range(max(floor, u.pred[-1] if n else 0), n + 1):
+            yield u, k
+        floor = 0
+
+
+def _extension_sweep(m: int, lo: int, hi: int, edges: bool):
+    """The pairs (U, k) of size m and rank lo..hi - 1: the theorem on each
+    child extend(U, k) or, with edges, the induction identities on each
+    edge from U to it.  A flagged pair is re-checked on the objects.
+
+    A stack holds, per depth i, the listing of the child's elements
+    0..i - 1 (bytes), their levels and a's path up to row i's UP step: a
+    new parent inserts only its changed suffix, each pair its last letter.
+    zeta is read off a listing as a/b text by Haglund's scan, one
+    bytes.translate per diagonal i = 0..max + 1 keeping the letters i (a)
+    and i - 1 (b).
+    """
+    n = m + 1
+    # diagonal i keeps the letters i - 1 (read b; none for i = 0) and i (a)
+    keeps = [bytes(range(max(i - 1, 0), i + 1)) for i in range(n + 1)]
+    diagonals = [(bytes.maketrans(keep, b"ba"[-len(keep):]),
+                  bytes(range(n)).translate(None, keep)) for keep in keeps]
+    letters = [bytes((level,)) for level in range(n)]
+    pred = [-1] * n             # the child's vector; -1: nothing inserted yet
+    lv = [0] * n                # lv[i]: level of element i
+    listings = [b""] * (n + 1)  # listings[i]: the listing of elements 0..i - 1
+    fits = [True] * (n + 1)     # fits[i]: listings[i] is an area sequence
+    readings = [b""] * (n + 1)  # readings[i]: zeta of listings[i], if read
+    paths = [b""] * (n + 1)     # paths[i]: a's path up to row i's UP step
+    read_from = m - 1 if edges else m
+    failures = []
+    rank = lo - 1
+    u_prev = None
+    for rank, (u, k) in enumerate(islice(_extension_pairs(m, lo), hi - lo), start=lo):
+        d = m
+        if u is not u_prev:     # pairs of one U come for consecutive k
+            u_prev = u
+            d = 0
+            while d < m and u.pred[d] == pred[d]:
+                d += 1
+            pred[d:m] = u.pred[d:]
+        pred[m] = k
+        for i in range(d, n):
+            p = pred[i]
+            cur = listings[i]
+            pos = 0
+            if p:               # just after the C-th letter level - 1
+                level = lv[p - 1] + 1
+                c = p - bisect_left(lv, level - 1, 0, p)
+                for _ in range(c):
+                    pos = cur.index(level - 1, pos) + 1
+            else:
+                level = 0
+            while pos < i and cur[pos] == level:    # then past a run of level
+                pos += 1
+            lv[i] = level
+            grown = cur[:pos] + letters[level] + cur[pos:]
+            listings[i + 1] = grown
+            # grown is cur with a letter at pos: only the steps next to it are new
+            fits[i + 1] = (
+                (grown[pos - 1] + 1 >= grown[pos] if pos else grown[0] == 0)
+                and (pos == i or grown[pos + 1] <= grown[pos] + 1)
+            ) if fits[i] else _is_area_sequence(grown)
+            # a_i = i - pred[i]: pred[i] - pred[i - 1] RIGHT steps lead to row i
+            paths[i + 1] = paths[i] + b"b" * (p - pred[i - 1] if i else 0) + b"a"
+            if i >= read_from:  # levels rise with i, so level is the largest
+                readings[i + 1] = b"".join([
+                    grown.translate(*diagonal) for diagonal in diagonals[:level + 2]
+                ])
+        big = listings[n]
+        z = readings[n]
+        if not edges:
+            path = paths[n] + b"b" * (n - k)
+            if fits[n] and z == path:
+                continue
+            child = extend(u, k)
+            failures.append(_theorem_failure(rank, child) or Failure(
+                rank, (("pred", str(child)), ("q", _csv(big))),
+                "kernel agrees with a_map, p_map and zeta",
+                z.decode(), path.decode(),
+            ))
+            continue
+        small = listings[m]
+        r, s = _peak_parameters(small, big, pos, k)
+        # add_final_peak(zeta(q(U)), r): an UP step before the last r RIGHT
+        # steps, and one more RIGHT step at the end
+        head = readings[m].rstrip(b"b")
+        t = len(readings[m]) - len(head)
+        expected = head + b"b" * (t - r) + b"a" + b"b" * (r + 1)
+        if (
+            big[:pos] + big[pos + 1:] != small
+            or big[pos] != max(big)
+            or big[pos] in big[pos + 1:]
+            or not fits[n]
+            or r != s
+            or z != expected
+        ):
+            failures += _induction_failures(rank, u, k) or [Failure(
+                rank,
+                (("pred", str(u)), ("k", str(k)),
+                 ("q", _csv(small)), ("q_ext", _csv(big))),
+                "kernel agrees with q_map, p_map, a_map and zeta",
+                f"pos={pos} r={r} zeta={z.decode()}",
+                f"s={s} zeta(p(U))+r={expected.decode()}",
+            )]
+    return rank + 1 - lo, failures
 
 
 # -------------------------------------------------------------- induction
@@ -353,59 +438,9 @@ def check_induction_step(
     return _sweep("induction", n, catalan(n + 1), jobs, _induction_shard)
 
 
-def _extension_pairs(n: int, lo: int = 0) -> Iterator[tuple[UnitIntervalOrder, int]]:
-    """The pairs (U, k) in the lexicographic order of pred + (k,), from the
-    pair of rank lo on: the one whose child extend(U, k) is
-    unrank_uio(n + 1, lo)."""
-    child = unrank_uio(n + 1, lo)
-    floor = child[n]
-    for u in enumerate_uio(n, child[:n]):
-        for k in range(max(floor, u.pred[-1] if n else 0), n + 1):
-            yield u, k
-        floor = 0
-
-
 def _induction_shard(n: int, lo: int, hi: int):
-    """The induction step on integer tuples, for the pairs of rank lo..hi - 1.
-
-    The walk runs over the extended vectors pred + (k,), which come in
-    lexicographic order, giving small = q(U) and big = q(extend(U, k)) with
-    the new letter at pos.  Without it big is small; it is big's last
-    maximal letter; big is an area sequence; r == s; and big's scan is
-    small's with r appended, which is what add_final_peak does to an area
-    sequence (a(extend(U, k)) is a(U) with s appended by definition).  A
-    flagged pair is re-checked on the objects.
-    """
-    count = 0
-    failures = []
-    u_prev = None
-    pairs = islice(_extension_pairs(n, lo), hi - lo)
-    walk = _walk(pairs, lambda pair: pair[0].pred + (pair[1],))
-    for rank, ((u, k), listings, pos) in enumerate(walk, start=lo):
-        count += 1
-        small, big = listings[n], listings[n + 1]
-        if u is not u_prev:     # pairs of one U come for consecutive k
-            u_prev = u
-            scan = zeta_scan(small)
-        r, s = _peak_parameters(small, big, pos, k)
-        top = big[pos]
-        if (
-            big[:pos] + big[pos + 1:] != small
-            or top != max(big)
-            or top in big[pos + 1:]
-            or not _is_area_sequence(big)
-            or r != s
-            or zeta_scan(big) != scan + (r,)
-        ):
-            failures += _induction_failures(rank, u, k) or [Failure(
-                rank,
-                (("pred", str(u)), ("k", str(k)),
-                 ("q", _csv(small)), ("q_ext", _csv(big))),
-                "kernel agrees with q_map, p_map, a_map and zeta",
-                f"pos={pos} r={r} zeta={_csv(zeta_scan(big))}",
-                f"s={s} zeta(p(U))+r={_csv(scan + (r,))}",
-            )]
-    return count, failures
+    """The induction step for the pairs of rank lo..hi - 1."""
+    return _extension_sweep(n, lo, hi, edges=True)
 
 
 def _induction_failures(rank, u, k) -> list[Failure]:
@@ -481,7 +516,7 @@ def _bijections_shard(n: int, lo: int, hi: int):
     count = 0
     failures = []
     a_images, q_images, z_images = [], [], []
-    for rank, (u, listings, _) in enumerate(_walk(_orders(n, lo, hi)), start=lo):
+    for rank, (u, listings) in enumerate(_walk(_orders(n, lo, hi)), start=lo):
         count += 1
         area = _complement(u.pred)
         listing = listings[n]
@@ -521,7 +556,7 @@ def _grevlex_shard(n: int, lo: int, hi: int):
     failures = []
     orders = list(_orders(n, lo, hi))
     walk = zip(_walk(orders), grevlex_minima(orders))
-    for rank, ((u, listings, _), found) in enumerate(walk, start=lo):
+    for rank, ((u, listings), found) in enumerate(walk, start=lo):
         count += 1
         if found.entries != listings[n]:
             failures.append(Failure(

@@ -320,7 +320,8 @@ AREA_SET_TEXT_MAX_N = 10_000
 
 
 def parse_area_set(text: str) -> AreaSet:
-    """Parse the "n=N:i,j;i,j;..." encoding emitted by str(AreaSet).
+    """Parse the "n=N:i,j;i,j;..." encoding emitted by str(AreaSet); N and
+    the box entries follow _parse_int_vector: an optional "-", ASCII digits.
 
     N must be at most AREA_SET_TEXT_MAX_N, checked before any box is read.
     """
@@ -330,8 +331,8 @@ def parse_area_set(text: str) -> AreaSet:
             f"area set text must look like 'n=N:i,j;...', got {text!r}"
         )
     try:
-        n = int(head[2:])
-    except ValueError:
+        (n,) = _parse_int_vector(head[2:])
+    except (ValidationError, ValueError):
         raise ValidationError(f"bad ambient size in {head!r}") from None
     if n > AREA_SET_TEXT_MAX_N:
         raise ValidationError(
@@ -341,11 +342,10 @@ def parse_area_set(text: str) -> AreaSet:
     if body:
         for token in body.split(";"):
             try:
-                i_text, j_text = token.split(",")
-                box = (int(i_text), int(j_text))
-            except ValueError:
+                i, j = _parse_int_vector(token)
+            except (ValidationError, ValueError):
                 raise ValidationError(f"bad box token {token!r}") from None
-            boxes.add(box)
+            boxes.add((i, j))
     return AreaSet(frozenset(boxes), n)
 
 

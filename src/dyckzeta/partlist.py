@@ -217,21 +217,13 @@ def _insertion_point(entries: tuple[int, ...], level: int, c: int) -> int:
         raise PreconditionError(f"count must be non-negative, got {c}")
     if level == 0 and c != 0:
         raise PreconditionError("no letter below 0 exists, so c must be 0 at level 0")
-    if c == 0:
-        pos = 0
-    else:
-        seen = 0
-        pos = -1
-        for idx, x in enumerate(entries):
-            if x == level - 1:
-                seen += 1
-                if seen == c:
-                    pos = idx + 1
-                    break
-        if pos < 0:
-            raise PreconditionError(
-                f"need {c} occurrences of {level - 1}, found only {seen}"
-            )
+    pos = 0
+    try:
+        for _ in range(c):
+            pos = entries.index(level - 1, pos) + 1
+    except ValueError:
+        raise PreconditionError(f"need {c} occurrences of {level - 1}, "
+                                f"found only {entries.count(level - 1)}") from None
     while pos < len(entries) and entries[pos] == level:
         pos += 1
     return pos

@@ -20,8 +20,9 @@ gives an UP step and an entry equal to i - 1 a RIGHT step.  It reads the
 same labels without drawing the path: on diagonal i ends the UP step (a) of
 each row with a_j = i - 1, and for each row with a_j = i the RIGHT step (b)
 by which the path comes back down to diagonal i, in the same left-to-right
-order.  The theorem sweep in harness uses zeta_scan; zeta's diagonal
-reading stays the independent oracle it is tested against.
+order.  The sweeps in harness read zeta this way (the theorem and
+induction kernel with bytes.translate); zeta's diagonal reading stays the
+independent oracle they are tested against.
 
 zeta_inverse is p o a^-1 (p from partlist, a^-1 from uio): the paper's
 theorem a(U) = zeta(p(U)) leaves no separate inverse to compute.
@@ -158,5 +159,5 @@ def _peak_parameters(
     """added_peak_parameters from the listings of u (small) and of
     extend(u, k) (big); the new element's letter landed at big[pos]."""
     level = big[pos]
-    r = small.count(level) + big[pos + 1:].count(level - 1)
+    r = small.count(level) + (big[pos + 1:].count(level - 1) if level else 0)
     return r, len(small) - k

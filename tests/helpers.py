@@ -5,6 +5,9 @@ formulas: they re-derive expected values by drawing the path and testing
 box membership, or by direct recurrences.
 """
 
+import ast
+import inspect
+import textwrap
 from collections import defaultdict
 from functools import lru_cache
 
@@ -21,6 +24,7 @@ from dyckzeta import (
     poset_from_uio,
     poset_of,
 )
+from dyckzeta import harness
 
 
 def catalan_by_recurrence(up_to):
@@ -230,3 +234,62 @@ def pred_vectors(draw, max_n=12):
         floor = pred[-1] if pred else 0
         pred.append(draw(st.integers(min_value=floor, max_value=j)))
     return UnitIntervalOrder(tuple(pred))
+
+
+# ------------------------------------------------- rewriting the kernel
+
+_KERNEL = harness._extension_sweep
+
+
+def rewrite_kernel(monkeypatch, edits, **names):
+    """Swap harness._extension_sweep for a copy that runs more statements.
+
+    The theorem and induction kernel inlines its steps, so a test faults or
+    watches one by rewriting it: `edits` maps the target of an assignment
+    in the kernel, as source text such as "grown", to statements run right
+    after that assignment, which must occur exactly once.  Edits add up
+    over calls within one test.  `names` are set on harness for those
+    statements to call; monkeypatch undoes all of it.
+    """
+    edits = {**getattr(harness._extension_sweep, "edits", {}), **edits}
+    tree = ast.parse(textwrap.dedent(inspect.getsource(_KERNEL)))
+    sites = []
+    for node in ast.walk(tree):
+        for block in (getattr(node, "body", None), getattr(node, "orelse", None)):
+            for idx, stmt in enumerate(block if isinstance(block, list) else ()):
+                if isinstance(stmt, ast.Assign):
+                    target = ast.unparse(stmt.targets[0])
+                    if target in edits:
+                        sites.append((idx, target, block))
+    assert sorted(target for _, target, _ in sites) == sorted(edits), sites
+    for idx, target, block in sorted(sites, key=lambda site: -site[0]):
+        block[idx + 1:idx + 1] = ast.parse(edits[target]).body
+    for name, value in names.items():
+        monkeypatch.setattr(harness, name, value, raising=False)
+    scope = {}
+    code = compile(ast.fix_missing_locations(tree), "<rewritten kernel>", "exec")
+    exec(code, vars(harness), scope)
+    scope["_extension_sweep"].edits = edits
+    monkeypatch.setattr(harness, "_extension_sweep", scope["_extension_sweep"])
+
+
+def path_text(area):
+    """The kernel's a/b bytes for the path with area sequence `area`,
+    unchecked: a_{j-1} + 1 - a_j RIGHT steps before row j's UP step."""
+    text = []
+    prev = -1
+    for a in area:
+        text.append("b" * (prev + 1 - a) + "a")
+        prev = a
+    return ("".join(text) + "b" * (prev + 1)).encode()
+
+
+def read_zeta_by_scan(monkeypatch):
+    """Make the kernel read zeta through harness.zeta_scan, the name the
+    bijections sweep calls, so that a test patching it faults the theorem
+    and induction sweeps too."""
+    rewrite_kernel(
+        monkeypatch,
+        {"readings[i + 1]": "readings[i + 1] = _scan_text(grown)"},
+        _scan_text=lambda listing: path_text(harness.zeta_scan(tuple(listing))),
+    )

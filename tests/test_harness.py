@@ -19,6 +19,8 @@ from dyckzeta import (
 )
 from dyckzeta.zeta import zeta_scan
 
+from helpers import read_zeta_by_scan
+
 
 # ---------------------------------------------------------------- passing
 
@@ -58,9 +60,9 @@ def test_grevlex_small_sizes_pass():
 
 def test_ceilings_guard_and_override():
     with pytest.raises(PreconditionError, match="capped"):
-        check_theorem(15)
+        check_theorem(16)
     with pytest.raises(PreconditionError, match="capped"):
-        check_induction_step(13)
+        check_induction_step(14)
     with pytest.raises(PreconditionError, match="capped"):
         check_bijections(13)
     with pytest.raises(PreconditionError, match="capped"):
@@ -138,7 +140,8 @@ def test_one_usable_cpu_runs_inline_whatever_jobs(monkeypatch):
 
 def _corrupt_zeta(monkeypatch, bad, replacement):
     """Make the harness's zeta send the path bad to replacement, both on the
-    objects (zeta) and on area sequences (the kernel's zeta_scan)."""
+    objects (zeta) and on area sequences (zeta_scan, which the kernel is
+    made to read zeta through)."""
     bad_seq = area_sequence_from_word(bad).entries
     new_seq = area_sequence_from_word(replacement).entries
     monkeypatch.setattr(
@@ -147,6 +150,7 @@ def _corrupt_zeta(monkeypatch, bad, replacement):
     monkeypatch.setattr(
         harness, "zeta_scan", lambda seq: new_seq if seq == bad_seq else zeta_scan(seq)
     )
+    read_zeta_by_scan(monkeypatch)
 
 
 def test_corrupting_zeta_fails_theorem_and_matching_induction(monkeypatch):
@@ -263,13 +267,28 @@ def test_order_shards_draw_exactly_their_own_orders(monkeypatch):
     drawn = _counting(monkeypatch, "enumerate_uio")
     for n in range(1, 8):
         orders = list(enumerate_uio(n))
-        for shard in (harness._theorem_shard, harness._bijections_shard,
-                      harness._grevlex_shard):
+        for shard in (harness._bijections_shard, harness._grevlex_shard):
             for lo, hi in _windows(n, len(orders)):
                 drawn.clear()
                 count, failures, *_ = shard(n, lo, hi)
                 assert (count, failures) == (hi - lo, [])
                 assert drawn == orders[lo:hi], (shard.__name__, n, lo, hi)
+
+
+def test_theorem_shard_draws_exactly_the_pairs_of_its_orders(monkeypatch):
+    # the orders of rank lo..hi - 1 are the children of the pairs of size
+    # n - 1 with those ranks
+    pairs = _counting(monkeypatch, "_extension_pairs")
+    for n in range(1, 8):
+        every = list(harness._extension_pairs(n - 1))
+        assert len(every) == catalan(n)
+        for lo, hi in _windows(n, len(every)):
+            pairs.clear()
+            assert harness._theorem_shard(n, lo, hi) == (hi - lo, [])
+            assert pairs == every[lo:hi], (n, lo, hi)
+            assert [u.pred + (k,) for u, k in pairs] == [
+                unrank_uio(n, r) for r in range(lo, hi)
+            ]
 
 
 def test_induction_shard_draws_exactly_its_own_pairs(monkeypatch):

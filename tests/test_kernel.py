@@ -1,12 +1,17 @@
-"""The sweeps' tuple kernel against the object-level maps.
+"""The sweeps' kernels against the object-level maps.
 
-Every sweep reads q(U) from one prefix-sharing insertion walk
-(harness._walk) and applies zeta by Haglund's scan (zeta.zeta_scan).  Each
-piece is checked here against an independent object-level computation: the
-listing against q_map, the scan against zeta's diagonal reading, the
-induction kernel against the per-pair object body, and the bijection
-images against a_map's rank alignment.  Fault tests patch the names the
-harness looks up and check the exact record each fault yields.
+The theorem and induction sweeps share one kernel over extension pairs
+(harness._extension_sweep): bytes listings, the insertion inlined, zeta
+read by bytes.translate.  The bijections and grevlex sweeps read q(U) from
+a prefix-sharing insertion walk (harness._walk) and apply zeta by
+Haglund's scan (zeta.zeta_scan).  Each piece is checked here against an
+independent computation: the listings against q_map, the readings and
+scans against zeta's diagonal reading, the kernel's a-paths against
+a_map, the induction kernel against the per-pair object body, and the
+bijection images against a_map's rank alignment.  Fault tests patch the
+names the harness looks up, or rewrite the kernel, whose steps have no
+names (helpers.rewrite_kernel), and check the exact record each fault
+yields; three mutations of the kernel must each be flagged.
 """
 
 from itertools import product
@@ -38,7 +43,7 @@ from dyckzeta import (
 from dyckzeta.partlist import _insert_all
 from dyckzeta.zeta import zeta_scan
 
-from helpers import pred_vectors
+from helpers import path_text, pred_vectors, read_zeta_by_scan, rewrite_kernel
 
 
 def test_kernel_listings_equal_q_map(monkeypatch):
@@ -49,6 +54,7 @@ def test_kernel_listings_equal_q_map(monkeypatch):
         return zeta_scan(listing)
 
     monkeypatch.setattr(harness, "zeta_scan", scan)
+    read_zeta_by_scan(monkeypatch)
     for n in range(1, 10):
         seen.clear()
         assert check_theorem(n).passed
@@ -67,14 +73,36 @@ def test_walk_over_any_stream_equals_insert_all(orders):
     # the shorter vector): every listing the walk holds for an order is the
     # insertion run of that prefix
     seen = []
-    for u, listings, pos in harness._walk(orders):
+    for u, listings in harness._walk(orders):
         seen.append(u)
         for i in range(u.n + 1):
             prefix = UnitIntervalOrder(u.pred[:i])
             assert listings[i] == _insert_all(prefix)[0], (str(u), i)
-        positions = _insert_all(u)[3]
-        assert pos == (positions[-1] if positions else None), str(u)
     assert seen == orders
+
+
+def test_translate_reading_and_kernel_paths_equal_the_oracles(monkeypatch):
+    # the theorem kernel reads zeta once per order, off q(U), and builds
+    # a(U)'s path on its depth stack
+    readings, paths = [], []
+    rewrite_kernel(
+        monkeypatch,
+        {"readings[i + 1]": "_seen_reading(grown, readings[i + 1])",
+         "path": "_seen_path(path)"},
+        _seen_reading=lambda listing, reading: readings.append((listing, reading)),
+        _seen_path=paths.append,
+    )
+    for n in range(1, 10):
+        readings.clear()
+        paths.clear()
+        assert check_theorem(n).passed
+        orders = list(enumerate_uio(n))
+        assert len(readings) == len(paths) == len(orders)
+        for u, (listing, reading), path in zip(orders, readings, paths):
+            assert listing == bytes(q_map(u)[0].entries), str(u)
+            assert reading == path_text(zeta_scan(listing)), str(u)
+            assert reading.decode() == str(zeta(p_map(u))), str(u)
+            assert path.decode() == str(a_map(u)), str(u)
 
 
 def test_theorem_holds_on_the_objects():
@@ -113,6 +141,7 @@ def test_corrupted_scan_is_reported_as_kernel_disagreement(monkeypatch):
         return out[:-1] + (out[-1] + 1,) if listing == bad else out
 
     monkeypatch.setattr(harness, "zeta_scan", scan)
+    read_zeta_by_scan(monkeypatch)
     report = check_theorem(n)
     assert report.instances_checked == catalan(n)
     (failure,) = report.failures
@@ -124,7 +153,8 @@ def test_corrupted_scan_is_reported_as_kernel_disagreement(monkeypatch):
 
 def _insert_replacing(monkeypatch, good, bad=None, pos=None):
     """Make the harness's insertion return `bad` (or put the letter at `pos`)
-    wherever it would grow the listing `good`."""
+    wherever it would grow the listing `good`: harness._insert, which the
+    walk calls, and the kernel's inlined insertion."""
     real_insert = harness._insert
 
     def insert(cur, lv, p):
@@ -133,7 +163,13 @@ def _insert_replacing(monkeypatch, good, bad=None, pos=None):
             return (grown if bad is None else bad), level, c, (at if pos is None else pos)
         return grown, level, c, at
 
+    def grow(grown, at):
+        if tuple(grown) == good:
+            return (grown if bad is None else bytes(bad)), (at if pos is None else pos)
+        return grown, at
+
     monkeypatch.setattr(harness, "_insert", insert)
+    rewrite_kernel(monkeypatch, {"grown": "grown, pos = _grow(grown, pos)"}, _grow=grow)
 
 
 @pytest.mark.parametrize("n, pred, good, bad", [
@@ -143,6 +179,7 @@ def _insert_replacing(monkeypatch, good, bad=None, pos=None):
 def test_listing_that_is_no_area_sequence_is_reported(monkeypatch, n, pred, good, bad):
     # the scan of `bad` is a(U), so only the area-sequence check catches it
     _insert_replacing(monkeypatch, good, bad)
+    read_zeta_by_scan(monkeypatch)
     assert zeta_scan(bad) == zeta_scan(good)
     (failure,) = check_theorem(n).failures
     assert failure.rank == catalan(n) - 1
@@ -169,6 +206,41 @@ def test_shards_restart_the_prefix_stack_at_any_rank():
     n = 5
     for lo in range(catalan(n)):
         assert harness._theorem_shard(n, lo, catalan(n)) == (catalan(n) - lo, [])
+
+
+@pytest.mark.parametrize("edits", [
+    # the letter lands one place further right at depth 4, where it can
+    {"lv[i]": "pos += i == 4 and pos < i"},
+    # C_i one too small where it is at least 2
+    {"c": "c -= c > 1"},
+    # at depth 3, row 3's UP step comes before the RIGHT steps that should
+    # lead to it
+    {"paths[i + 1]": "if i == 3: paths[i + 1] = paths[i] + b'a' + b'b' * (p - pred[2])"},
+])
+def test_kernel_mutations_are_flagged(monkeypatch, edits):
+    # the incremental area-sequence rule must also agree with the full one
+    # on the listings a mutation spoils
+    fits = []
+    rewrite_kernel(
+        monkeypatch,
+        {**edits, "fits[i + 1]": "_seen_fit(fits[i], fits[i + 1], grown)"},
+        _seen_fit=lambda before, fit, grown: fits.append(
+            (fit, harness._is_area_sequence(grown) if before else fit)
+        ),
+    )
+    monkeypatch.setattr(
+        harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+    )
+    report = check_theorem(8)
+    assert report.instances_checked == catalan(8)
+    assert report.failures
+    assert check_theorem(8, jobs=2).failures == report.failures
+    for failure in report.failures:
+        # flagged for a reading other than a(U)'s path, or for the listing
+        assert failure.equation == "kernel agrees with a_map, p_map and zeta"
+        listing = tuple(map(int, dict(failure.inputs)["q"].split(",")))
+        assert failure.lhs != failure.rhs or not harness._is_area_sequence(listing)
+    assert all(fit == full for fit, full in fits)
 
 
 def test_two_shards_match_one(monkeypatch):
@@ -221,6 +293,7 @@ def test_induction_kernel_catches_a_listing_that_is_no_insertion(monkeypatch):
     monkeypatch.setattr(
         harness, "zeta_scan", lambda s: zeta_scan((0, 0, 1) if s == (0, 1, 1) else s)
     )
+    read_zeta_by_scan(monkeypatch)
     failures = check_induction_step(2).failures
     assert [f.rank for f in failures] == [2, 3]
     assert {f.equation for f in failures} == {

@@ -271,6 +271,22 @@ def test_parse_area_set_round_trip():
             assert parse_area_set(str(boxes)) == boxes
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n=+2:1,2", "bad ambient size in 'n=+2'"),
+    ("n=1_0:", "bad ambient size in 'n=1_0'"),
+    ("n=\u0662: 1 ,2", "bad ambient size in 'n=\u0662'"),
+    ("n=2: 1 ,2", "bad box token ' 1 ,2'"),
+    ("n=2:+1,2", "bad box token '+1,2'"),
+    ("n=2:1,\u0662", "bad box token '1,\u0662'"),
+    ("n=-1:", "ambient size must be non-negative, got -1"),
+    ("n=3:-1,2", "box (-1,2) violates 1 <= i < j <= n with n = 3"),
+])
+def test_parse_area_set_takes_only_ascii_integer_tokens(text, message):
+    with pytest.raises(ValidationError) as exc:
+        parse_area_set(text)
+    assert str(exc.value) == message
+
+
 def test_parse_area_set_rejects_garbage():
     with pytest.raises(ValidationError, match="n=N"):
         parse_area_set("1,2;1,3")
