@@ -301,6 +301,18 @@ def test_induction_kernel_catches_a_listing_that_is_no_insertion(monkeypatch):
     }
 
 
+def test_induction_kernel_checks_r_equals_s(monkeypatch):
+    # s one too large for k = 0 leaves the listings and readings right, so
+    # only r == s can flag those pairs
+    rewrite_kernel(monkeypatch, {"(r, s)": "s += k == 0"})
+    failures = check_induction_step(3).failures
+    pairs = list(harness._extension_pairs(3))
+    assert [f.rank for f in failures] == [r for r, (_, k) in enumerate(pairs) if k == 0]
+    for failure in failures:
+        assert failure.equation == "kernel agrees with q_map, p_map, a_map and zeta"
+        assert " r=3 " in failure.lhs and failure.rhs.startswith("s=4 ")
+
+
 def test_induction_shard_restarts_at_any_rank():
     n = 4
     total = catalan(n + 1)
