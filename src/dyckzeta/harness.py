@@ -334,6 +334,8 @@ def _extension_sweep(m: int, lo: int, hi: int, edges: bool):
     and i - 1 (b).
     """
     n = m + 1
+    if n > 255:                 # levels < n and the diagonals 0..n are bytes
+        raise PreconditionError(f"bytes listings hold orders of size <= 255, got {n}")
     # diagonal i keeps the letters i - 1 (read b; none for i = 0) and i (a)
     keeps = [bytes(range(max(i - 1, 0), i + 1)) for i in range(n + 1)]
     diagonals = [(bytes.maketrans(keep, b"ba"[-len(keep):]),

@@ -73,6 +73,15 @@ def test_ceilings_guard_and_override():
     assert check_theorem(3, max_n=3).passed
 
 
+def test_byte_kernel_refuses_sizes_past_255():
+    # raised by the first shard, before any pair is drawn
+    with pytest.raises(PreconditionError, match="size <= 255, got 256"):
+        check_theorem(256, max_n=256)
+    with pytest.raises(PreconditionError, match="size <= 255, got 256"):
+        check_induction_step(255, max_n=255)
+    assert harness._theorem_shard(255, 0, 1) == (1, [])
+
+
 def test_checks_reject_size_zero():
     with pytest.raises(PreconditionError, match="n >= 1"):
         check_theorem(0)
