@@ -347,7 +347,7 @@ def _extension_sweep(m: int, lo: int, hi: int, edges: bool):
     fits = [True] * (n + 1)     # fits[i]: listings[i] is an area sequence
     readings = [b""] * (n + 1)  # readings[i]: zeta of listings[i], if read
     paths = [b""] * (n + 1)     # paths[i]: a's path up to row i's UP step
-    read_from = m - 1 if edges else m
+    read_from = m - 1 if edges else m    # the induction step also reads q(U)
     failures = []
     rank = lo - 1
     u_prev = None
