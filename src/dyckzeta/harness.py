@@ -66,10 +66,12 @@ from .uio import (
 )
 from .zeta import _peak_parameters, zeta, zeta_scan
 
-#: Per-check size ceilings keeping the full sweep under a minute at jobs=2 on
-#: a 2-CPU VM (Python 3.11: theorem 15 in 46 s, induction 13 in 18 s); raise
-#: via the max_n argument (or --max-n in the CLI).
-DEFAULT_CEILINGS = {"theorem": 15, "induction": 13, "bijections": 12, "grevlex": 7}
+#: Per-check size ceilings keeping the full sweep under a minute on a 2-CPU VM
+#: (Python 3.11).  They are sized for jobs=2, while verify defaults to one
+#: job: theorem 15 took 46 s at jobs=2 and 89 s at jobs=1, induction 13 took
+#: 18 s.  grevlex always runs in one process (n = 8 in 17 s).  Raise via the
+#: max_n argument (or --max-n in the CLI).
+DEFAULT_CEILINGS = {"theorem": 15, "induction": 13, "bijections": 12, "grevlex": 8}
 
 
 @dataclass(frozen=True)

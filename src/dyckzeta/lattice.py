@@ -363,4 +363,14 @@ def _parse_int_vector(text: str) -> tuple[int, ...]:
         pos, token = next((pos, token) for pos, token in enumerate(tokens, start=1)
                           if re.fullmatch(_INTEGER, token) is None)
         raise ValidationError(f"entry {pos} is not an integer: {token!r}")
-    return tuple(map(int, tokens))
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:      # past int()'s digit limit, sys.get_int_max_str_digits()
+        for pos, token in enumerate(tokens, start=1):
+            try:
+                int(token)
+            except ValueError:
+                raise ValidationError(
+                    f"entry {pos} is too long to read: {len(token)} characters"
+                ) from None
+        raise

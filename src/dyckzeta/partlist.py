@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import or_
+from functools import cache
+from operator import add, or_
 from typing import Iterator, Sequence
 
 from .errors import PreconditionError, ValidationError
@@ -392,65 +393,123 @@ def grevlex_compare(w1: PartListing, w2: PartListing) -> int:
     return 0
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Listings of `parts` entries summing to `total`, lexicographically
-    descending: within one sum, that is ascending grevlex order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
+def _fillers(mask: int) -> int:
+    """How many more distinct values a listing needs before it is
+    normalized, given its set of values as a bit mask (bit v for value v).
+
+    A run of L missing values between two present ones needs L // 2 of
+    them; the run below the least value, which must reach 0, needs
+    (L + 1) // 2, the same rule with a present value -2 below it.
+    """
+    return sum(len(run) // 2 for run in f"{mask << 2 | 1:b}".split("1"))
+
+
+def _normalized_listings(n: int) -> Iterator[tuple[bytes, tuple[int, ...]]]:
+    """Every normalized listing of length n and sum at most n(n-1)/2, by
+    sum and within a sum lexicographically descending, as bytes, with its
+    key: the sorted codes 16 |down-set| + |up-set| of the elements of its
+    poset.
+
+    A listing is normalized when its least entry is 0 and its distinct
+    values, sorted, step by at most 2.  Every grevlex minimum is: the
+    listing rule only compares differences with 1 and 2, so subtracting
+    the least entry, or lowering every entry above a step of 3 or more
+    until that step is 2, keeps poset_of and lowers the sum.
+
+    A depth-first walk over prefixes.  The children of a prefix depend only
+    on its set of values, the number of entries left and their sum; they
+    are memoized, keeping only children that lead to a listing.  Codes are
+    kept per prefix: byte i of `codes` is the code of entry i, and byte w
+    of `own` the code an entry w appended next would get.  Appending v
+    adds later[v][x] to the code of each earlier entry x and earlier[v][w]
+    to `own` at each w.  The last two entries are placed together, the
+    last one forced by the sum.
+    """
+    if n > 16:
+        raise PreconditionError(
+            f"the listing walk keeps a code in a byte: n <= 16, got {n}")
+    if n < 2:
+        yield bytes(n), (0,) * n
         return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    top = 2 * n - 2                 # the largest entry of a normalized listing
+    # poset_of: x before v is below v iff v - x >= 1, above it iff x - v >= 2
+    later = [b"\x01" * v + b"\x00\x00" + b"\x10" * (254 - v) for v in range(top + 1)]
+    earlier = [bytes(16 if v < w else 1 if v >= w + 2 else 0 for w in range(top + 1))
+               for v in range(top + 1)]
+    last = 8 * (n - 2)
+    fillers = cache(_fillers)
+    both = cache(lambda v, w: bytes(map(add, later[v], later[w])))
+    memo: dict = {}
 
+    def children(mask: int, left: int, total: int) -> list:
+        key = (mask, left, total)
+        kids = memo.get(key)
+        if kids is None:
+            kids = []
+            # above the largest value plus 2 * left, a gap cannot be filled
+            for v in range(min(total, top, mask.bit_length() + 2 * left - 1), -1, -1):
+                m = mask | 1 << v
+                if fillers(m) >= left:
+                    continue
+                if left == 2:
+                    w = total - v
+                    if w <= top and fillers(m | 1 << w) == 0:
+                        between = later[w][v] + (earlier[v][w] << 8)
+                        kids.append((bytes((v, w)), v, w, both(v, w), between << last))
+                elif children(m, left - 1, total - v):
+                    kids.append((v, m, later[v], int.from_bytes(earlier[v], "little")))
+            memo[key] = kids
+        return kids
 
-def _listing_invariant(e: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The sorted (|down-set|, |up-set|) pairs of poset_of(e), read off the
-    listing rule: i below j iff e_j - e_i >= 2, or = 1 with i < j."""
-    down = [0] * len(e)
-    up = [0] * len(e)
-    for j, ej in enumerate(e):
-        for i in range(j):
-            d = ej - e[i]
-            if d >= 1:              # i < j, so a gap of 1 suffices
-                down[j] += 1
-                up[i] += 1
-            elif d <= -2:
-                down[i] += 1
-                up[j] += 1
-    return tuple(sorted(zip(down, up)))
+    stack = [(0, n, total, b"", 0, 0) for total in range(n * (n - 1) // 2, -1, -1)]
+    while stack:
+        mask, left, total, xs, codes, own = stack.pop()
+        own_code = own.to_bytes(top + 1, "little")
+        if left == 2:
+            for tail, v, w, step, between in children(mask, 2, total):
+                full = (codes + int.from_bytes(xs.translate(step), "little") + between
+                        + ((own_code[v] + (own_code[w] << 8)) << last))
+                yield xs + tail, tuple(sorted(full.to_bytes(n, "little")))
+            continue
+        shift = 8 * len(xs)
+        for v, m, step, grow in reversed(children(mask, left, total)):
+            stack.append((m, left - 1, total - v, xs + bytes((v,)),
+                          codes + int.from_bytes(xs.translate(step), "little")
+                          + (own_code[v] << shift),
+                          own + grow))
 
 
 def grevlex_minima(orders: Sequence[UnitIntervalOrder]) -> list[PartListing]:
     """For each order (all of one size n), the grevlex-minimal listing whose
     poset is isomorphic to it, found in one walk over the listings.
 
-    The walk goes in ascending grevlex order, so an order's first isomorphic
-    listing is its minimum.  A listing's sorted (|down-set|, |up-set|) pairs
-    are looked up among the orders still waiting, and is_isomorphic
-    confirms every hit: the pairs only filter.  Nothing here inserts, so
-    this is an oracle for q_map.  Every order has a listing of sum at most
-    n(n-1)/2, the largest area-sequence sum, which bounds the walk.
+    The walk (_normalized_listings) goes in ascending grevlex order over
+    the normalized listings, which hold every minimum, so an order's first
+    isomorphic listing is its minimum.  A listing's sorted (|down-set|,
+    |up-set|) pairs are looked up among the orders still waiting, and
+    is_isomorphic confirms every hit: the pairs only filter.  Nothing here
+    inserts, so this is an oracle for q_map.  Every order has a listing of
+    sum at most n(n-1)/2, the largest area-sequence sum, which bounds the
+    walk.
     """
     n = orders[0].n if orders else 0
     targets = [poset_from_uio(u) for u in orders]
     waiting: dict[tuple, list[int]] = {}
     for idx, target in enumerate(targets):
-        waiting.setdefault(tuple(sorted(_degrees(target))), []).append(idx)
+        key = tuple(sorted(16 * down + up for down, up in _degrees(target)))
+        waiting.setdefault(key, []).append(idx)
     found: list = [None] * len(orders)
-    for total in range(n * (n - 1) // 2 + 1):
-        for entries in _compositions(total, n):
-            if not waiting:
-                return found
-            key = _listing_invariant(entries)
-            if key in waiting:
-                w = PartListing(entries)
-                poset = poset_of(w)
-                for idx in waiting.pop(key):
-                    if is_isomorphic(poset, targets[idx]):
-                        found[idx] = w
-                    else:
-                        waiting.setdefault(key, []).append(idx)
+    for entries, key in _normalized_listings(n):
+        if not waiting:
+            return found
+        if key in waiting:
+            w = PartListing(entries)
+            poset = poset_of(w)
+            for idx in waiting.pop(key):
+                if is_isomorphic(poset, targets[idx]):
+                    found[idx] = w
+                else:
+                    waiting.setdefault(key, []).append(idx)
     if waiting:
         raise RuntimeError("unreachable: every unit interval order has a part listing")
     return found

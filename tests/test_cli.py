@@ -467,6 +467,12 @@ def test_map_refuses_a_token_int_would_take(capsys):
     assert err == "error: entry 2 is not an integer: '1_0'\n"
 
 
+def test_map_refuses_a_token_past_the_digit_limit(capsys):
+    code, out, err = run(capsys, "map", "--name", "p", "9" * 5000)
+    assert (code, out) == (2, "")
+    assert err == "error: entry 1 is too long to read: 5000 characters\n"
+
+
 def test_streamed_map_over_mixed_sizes_stops_at_a_bad_line(capsys, monkeypatch):
     # sizes up and down, a repeat, the empty order, a shorter line that
     # changes a prefix a longer one then extends, then a line that is no

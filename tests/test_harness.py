@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +60,16 @@ def test_grevlex_small_sizes_pass():
 
 # --------------------------------------------------------------- ceilings
 
+def test_readme_lists_the_default_ceilings():
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    sentence = re.search(
+        r"Each check refuses sizes above its default ceiling \(([^)]*)\)", readme)
+    assert sentence is not None
+    listed = {name: int(size)
+              for name, size in (item.split(" ") for item in sentence[1].split(", "))}
+    assert listed == harness.DEFAULT_CEILINGS
+
+
 def test_ceilings_guard_and_override():
     with pytest.raises(PreconditionError, match="capped"):
         check_theorem(16)
@@ -66,7 +78,7 @@ def test_ceilings_guard_and_override():
     with pytest.raises(PreconditionError, match="capped"):
         check_bijections(13)
     with pytest.raises(PreconditionError, match="capped"):
-        check_grevlex(8)
+        check_grevlex(9)
     # max_n overrides in both directions
     with pytest.raises(PreconditionError, match="capped"):
         check_theorem(3, max_n=2)

@@ -93,6 +93,12 @@ def test_parse_area_sequence_takes_only_ascii_integer_tokens(text, message):
     assert str(exc.value) == message
 
 
+def test_parse_area_sequence_refuses_a_token_past_the_digit_limit():
+    with pytest.raises(ValidationError) as exc:
+        parse_area_sequence("0," + "1" * 5000)
+    assert str(exc.value) == "entry 2 is too long to read: 5000 characters"
+
+
 def test_area_set_rejects_out_of_range_box():
     with pytest.raises(ValidationError, match=r"\(1,3\)"):
         AreaSet(frozenset({(1, 3)}), 2)

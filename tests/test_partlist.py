@@ -31,7 +31,7 @@ from dyckzeta import (
 )
 from dyckzeta import partlist
 from dyckzeta.partlist import POSET_JSON_MAX_N, grevlex_minima
-from helpers import grevlex_min_brute_force, pred_vectors
+from helpers import compositions, grevlex_min_brute_force, pred_vectors
 
 
 def relation_pairs(p):
@@ -324,9 +324,11 @@ def test_grevlex_minima_equal_q_map_at_six():
 
 
 def test_grevlex_minima_rest_on_is_isomorphic_not_the_invariant(monkeypatch):
-    # a constant invariant makes every listing a candidate for every order
+    # a constant key makes every listing a candidate for every order
     # (and takes is_isomorphic's degree pruning away too)
-    monkeypatch.setattr(partlist, "_listing_invariant", lambda e: ((0, 0),) * len(e))
+    walk = partlist._normalized_listings
+    monkeypatch.setattr(partlist, "_normalized_listings",
+                        lambda n: ((e, (0,) * n) for e, _ in walk(n)))
     monkeypatch.setattr(partlist, "_degrees", lambda p: [(0, 0)] * p.n)
     for n in range(0, 5):
         orders = list(enumerate_uio(n))
@@ -334,15 +336,73 @@ def test_grevlex_minima_rest_on_is_isomorphic_not_the_invariant(monkeypatch):
 
 
 def test_listing_invariant_counts_down_and_up_sets():
-    for n in range(0, 5):
-        for entries in product(range(4), repeat=n):
+    # the walk's key of each listing, against the poset's relation matrix
+    for n in range(0, 6):
+        for entries, key in partlist._normalized_listings(n):
             p = poset_of(PartListing(entries))
             expected = sorted(
                 (sum(p.holds(i, j) for i in range(1, n + 1)),
                  sum(p.holds(j, k) for k in range(1, n + 1)))
                 for j in range(1, n + 1)
             )
-            assert partlist._listing_invariant(entries) == tuple(expected), entries
+            assert key == tuple(16 * down + up for down, up in expected), entries
+
+
+def normalized(entries):
+    """Least entry 0, and the distinct values, sorted, step by at most 2."""
+    values = sorted(set(entries))
+    return not values or (values[0] == 0
+                          and all(b - a <= 2 for a, b in zip(values, values[1:])))
+
+
+def test_normalizing_moves_keep_the_poset():
+    def moves(entries):
+        low = min(entries)
+        if low:
+            yield tuple(x - low for x in entries)
+        values = sorted(set(entries))
+        for a, b in zip(values, values[1:]):
+            if b - a >= 3:
+                yield tuple(x - (b - a - 2) if x >= b else x for x in entries)
+
+    moved = 0
+    for n in range(1, 6):
+        for entries in product(range(6), repeat=n):
+            before = poset_of(PartListing(entries)).below
+            for after in moves(entries):
+                moved += 1
+                assert sum(after) < sum(entries), (entries, after)
+                assert poset_of(PartListing(after)).below == before, (entries, after)
+            assert normalized(entries) == (next(moves(entries), None) is None)
+    assert moved > 1000
+
+
+def test_walk_yields_the_normalized_compositions_in_grevlex_order():
+    for n in range(0, 7):
+        walk = [tuple(e) for e, _ in partlist._normalized_listings(n)]
+        by_sum = [
+            sorted((e for e in compositions(total, n) if normalized(e)), reverse=True)
+            for total in range(n * (n - 1) // 2 + 1)
+        ]
+        assert walk == [e for part in by_sum for e in part], n
+
+
+def test_walk_refuses_sizes_past_byte_codes():
+    with pytest.raises(PreconditionError, match="n <= 16"):
+        next(partlist._normalized_listings(17))
+
+
+def test_grevlex_minima_miss_a_minimum_the_walk_skips(monkeypatch):
+    orders = list(enumerate_uio(5))
+    expected = [grevlex_min_brute_force(u) for u in orders]
+    skipped = expected[20].entries
+    assert normalized(skipped) and sum(skipped) > 0
+    walk = partlist._normalized_listings
+    monkeypatch.setattr(partlist, "_normalized_listings",
+                        lambda n: ((e, k) for e, k in walk(n) if tuple(e) != skipped))
+    found = grevlex_minima(orders)
+    assert [i for i, (w, best) in enumerate(zip(found, expected)) if w != best] == [20]
+    assert grevlex_key(found[20]) > grevlex_key(expected[20])
 
 
 def test_grevlex_minima_never_insert(monkeypatch):
