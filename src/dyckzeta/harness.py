@@ -15,20 +15,23 @@ as data rather than raising:
 
 Every order of size n is extend(U, k) for exactly one pair (U, k) of size
 n - 1, so the theorem and induction sweeps share one kernel over extension
-pairs (_extension_sweep): bytes listings on a per-depth stack, one
-inserted letter per pair, zeta read by bytes.translate.  The bijections
-and grevlex sweeps, and `dyckzeta map --name p|q|unzeta`, read q(U) off a
-prefix-sharing insertion walk over integer tuples (_walk).  The objects
-(a_map, p_map, q_map, zeta, ...) are the re-check: an instance the kernel
-flags is checked again on them, and a flag they do not confirm is reported
-as a disagreement of the kernel.  Each check has one code path, its shard
-function, which the CLI runs too.
+pairs (_extension_sweep): a loop over the parents U, with their children
+in an inner loop, and bytes listings on a per-depth stack.  It reads zeta
+by bytes.translate, one diagonal per inserted letter, onto prefix readings
+that the stack keeps.  The bijections and grevlex sweeps, and
+`dyckzeta map --name p|q|unzeta`, read q(U) off a prefix-sharing insertion
+walk over integer tuples (_walk).  The objects (a_map, p_map, q_map, zeta,
+...) are the re-check: an instance the kernel flags is checked again on
+them, and a flag they do not confirm is reported as a disagreement of the
+kernel.  Each check has one code path, its shard function, which the CLI
+runs too.
 
 Work shards by contiguous enumeration-rank ranges, so reports are
 deterministic for a fixed n regardless of worker count.  A shard of ranks
 lo..hi - 1 starts its stream at its first instance, unranked by
 uio.unrank_uio (for extension pairs, the child of rank lo), and draws
-exactly hi - lo instances: no shard builds the orders before its own.
+exactly hi - lo instances (for extension pairs, the parents of its hi - lo
+pairs): no shard builds the orders before its own.
 Pool workers ignore SIGINT; on Ctrl-C the parent stops them and raises
 KeyboardInterrupt, which the CLI reports with exit status 2.
 """
@@ -54,7 +57,7 @@ from .lattice import (
     catalan,
     final_maximal_peak,
 )
-from .partlist import _insert, grevlex_minima, p_map, q_map
+from .partlist import _insert, _insert_all, grevlex_minima, p_map, q_map
 from .uio import (
     UnitIntervalOrder,
     _complement,
@@ -68,9 +71,9 @@ from .zeta import _peak_parameters, zeta, zeta_scan
 
 #: Per-check size ceilings keeping the full sweep under a minute on a 2-CPU VM
 #: (Python 3.11).  They are sized for jobs=2, while verify defaults to one
-#: job: theorem 15 took 46 s at jobs=2 and 89 s at jobs=1, induction 13 took
-#: 18 s.  grevlex always runs in one process (n = 8 in 17 s).  Raise via the
-#: max_n argument (or --max-n in the CLI).
+#: job: theorem 15 took 37 s at jobs=2 and 66 s at jobs=1, induction 13 took
+#: 16 s at jobs=2 and 27 s at jobs=1.  grevlex always runs in one process
+#: (n = 8 in 17 s).  Raise via the max_n argument (or --max-n in the CLI).
 DEFAULT_CEILINGS = {"theorem": 15, "induction": 13, "bijections": 12, "grevlex": 8}
 
 
@@ -301,6 +304,9 @@ def _theorem_shard(n: int, lo: int, hi: int):
 
 def _theorem_failure(rank, u) -> Optional[Failure]:
     """The Failure for a(U) != zeta(p(U)) on the objects, or None."""
+    bad = _area_failure(rank, u)
+    if bad is not None:
+        return bad
     left, p_word = a_map(u), p_map(u)
     right = zeta(p_word)
     if left == right:
@@ -309,17 +315,32 @@ def _theorem_failure(rank, u) -> Optional[Failure]:
     return Failure(rank, inputs, "a(U) == zeta(p(U))", str(left), str(right))
 
 
+def _area_failure(rank, u) -> Optional[Failure]:
+    """The Failure for a q(U) that is no area sequence on the objects, or
+    None.  p_map and q_map refuse such a listing, so the object re-checks
+    ask this first."""
+    listing = _insert_all(u)[0]
+    try:
+        AreaSequence(listing)
+    except ValidationError as exc:
+        return Failure(
+            rank, (("pred", str(u)), ("q", _csv(listing))),
+            "q(U) is a valid area sequence", _csv(listing), str(exc),
+        )
+    return None
+
+
 # -------------------------------------------------------- extension pairs
 
-def _extension_pairs(n: int, lo: int = 0) -> Iterator[tuple[UnitIntervalOrder, int]]:
-    """The pairs (U, k) in the lexicographic order of pred + (k,), from the
-    pair of rank lo on: the one whose child extend(U, k) is
-    unrank_uio(n + 1, lo)."""
+def _extension_pairs(n: int, lo: int = 0) -> Iterator[tuple[UnitIntervalOrder, range]]:
+    """Per order U of size n, in enumerate_uio order: (U, ks), the pairs
+    (U, k) for k in ks, in the lexicographic order of pred + (k,).  The
+    stream starts at the pair of rank lo, the one whose child extend(U, k)
+    is unrank_uio(n + 1, lo), so the first ks may start past U's first k."""
     child = unrank_uio(n + 1, lo)
     floor = child[n]
     for u in enumerate_uio(n, child[:n]):
-        for k in range(max(floor, u.pred[-1] if n else 0), n + 1):
-            yield u, k
+        yield u, range(max(floor, u.pred[-1] if n else 0), n + 1)
         floor = 0
 
 
@@ -328,104 +349,113 @@ def _extension_sweep(m: int, lo: int, hi: int, edges: bool):
     child extend(U, k) or, with edges, the induction identities on each
     edge from U to it.  A flagged pair is re-checked on the objects.
 
-    A stack holds, per depth i, the listing of the child's elements
-    0..i - 1 (bytes), their levels and a's path up to row i's UP step: a
-    new parent inserts only its changed suffix, each pair its last letter.
-    zeta is read off a listing as a/b text by Haglund's scan, one
-    bytes.translate per diagonal i = 0..max + 1 keeping the letters i (a)
-    and i - 1 (b).
+    The sweep loops over the parents U and, at depth m, over each parent's
+    children.  A stack holds, per depth i, the listing cur of elements
+    0..i - 1 (bytes) and what is known of it: a new parent re-inserts only
+    its changed suffix, each child only its last letter.  zeta is read off
+    a listing as a/b text by Haglund's scan, where diagonal j keeps the
+    letters j (read a) and j - 1 (read b).  Levels rise with the element
+    index, so the letter L inserted into cur is cur's largest letter top or
+    top + 1: the grown listing reads its diagonals 0..L - 1 as cur does, so
+    a step translates only diagonal L onto a prefix the stack keeps, and
+    diagonal L + 1 holds just the L's, read b.  Only readings of unchanged
+    input are reused; the reading does not assume what the induction step
+    checks.
     """
     n = m + 1
     if n > 255:                 # levels < n and the diagonals 0..n are bytes
         raise PreconditionError(f"bytes listings hold orders of size <= 255, got {n}")
-    # diagonal i keeps the letters i - 1 (read b; none for i = 0) and i (a)
-    keeps = [bytes(range(max(i - 1, 0), i + 1)) for i in range(n + 1)]
-    diagonals = [(bytes.maketrans(keep, b"ba"[-len(keep):]),
-                  bytes(range(n)).translate(None, keep)) for keep in keeps]
+    # diagonal j keeps the letters j - 1 (read b; none for j = 0) and j (a)
+    keeps = [bytes(range(max(j - 1, 0), j + 1)) for j in range(n + 1)]
+    tables = [bytes.maketrans(keep, b"ba"[-len(keep):]) for keep in keeps]
+    deletes = [bytes(range(n)).translate(None, keep) for keep in keeps]
     letters = [bytes((level,)) for level in range(n)]
-    pred = [-1] * n             # the child's vector; -1: nothing inserted yet
+    rights = [b"b" * j for j in range(n + 1)]
+    pred = [-1] * m             # the parent's vector; -1: nothing inserted yet
     lv = [0] * n                # lv[i]: level of element i
-    listings = [b""] * (n + 1)  # listings[i]: the listing of elements 0..i - 1
-    fits = [True] * (n + 1)     # fits[i]: listings[i] is an area sequence
-    readings = [b""] * (n + 1)  # readings[i]: zeta of listings[i], if read
-    paths = [b""] * (n + 1)     # paths[i]: a's path up to row i's UP step
-    read_from = m - 1 if edges else m    # the induction step also reads q(U)
+    # stack[i]: the listing cur of elements 0..i - 1, whether it is an area
+    # sequence, a's path up to row i's UP step, and the readings of cur's
+    # diagonals 0..top - 1 and 0..top, top being cur's largest letter
+    stack = [(b"", True, b"", b"", b"")] * (n + 1)
     failures = []
-    rank = lo - 1
-    u_prev = None
-    for rank, (u, k) in enumerate(islice(_extension_pairs(m, lo), hi - lo), start=lo):
-        d = m
-        if u is not u_prev:     # pairs of one U come for consecutive k
-            u_prev = u
-            d = 0
-            while d < m and u.pred[d] == pred[d]:
-                d += 1
-            pred[d:m] = u.pred[d:]
-        pred[m] = k
+    rank = lo
+    for u, ks in _extension_pairs(m, lo):
+        d = 0
+        while d < m and u.pred[d] == pred[d]:
+            d += 1
+        pred[d:m] = u.pred[d:]
         for i in range(d, n):
-            p = pred[i]
-            cur = listings[i]
-            pos = 0
-            if p:               # just after the C-th letter level - 1
-                level = lv[p - 1] + 1
-                c = p - bisect_left(lv, level - 1, 0, p)
-                for _ in range(c):
-                    pos = cur.index(level - 1, pos) + 1
-            else:
-                level = 0
-            while pos < i and cur[pos] == level:    # then past a run of level
-                pos += 1
-            lv[i] = level
-            grown = cur[:pos] + letters[level] + cur[pos:]
-            listings[i + 1] = grown
-            # grown is cur with a letter at pos: only the steps next to it are new
-            fits[i + 1] = (
-                (grown[pos - 1] + 1 >= grown[pos] if pos else grown[0] == 0)
-                and (pos == i or grown[pos + 1] <= grown[pos] + 1)
-            ) if fits[i] else _is_area_sequence(grown)
-            # a_i = i - pred[i]: pred[i] - pred[i - 1] RIGHT steps lead to row i
-            paths[i + 1] = paths[i] + b"b" * (p - pred[i - 1] if i else 0) + b"a"
-            if i >= read_from:  # levels rise with i, so level is the largest
-                readings[i + 1] = b"".join([
-                    grown.translate(*diagonal) for diagonal in diagonals[:level + 2]
-                ])
-        big = listings[n]
-        z = readings[n]
-        if not edges:
-            path = paths[n] + b"b" * (n - k)
-            if fits[n] and z == path:
-                continue
-            child = extend(u, k)
-            failures.append(_theorem_failure(rank, child) or Failure(
-                rank, (("pred", str(child)), ("q", _csv(big))),
-                "kernel agrees with a_map, p_map and zeta",
-                z.decode(), path.decode(),
-            ))
-            continue
-        small = listings[m]
-        r, s = _peak_parameters(small, big, pos, k)
-        # add_final_peak(zeta(q(U)), r): an UP step before the last r RIGHT
-        # steps, and one more RIGHT step at the end
-        head = readings[m].rstrip(b"b")
-        t = len(readings[m]) - len(head)
-        expected = head + b"b" * (t - r) + b"a" + b"b" * (r + 1)
-        if (
-            big[:pos] + big[pos + 1:] != small
-            or big[pos] != max(big)
-            or big[pos] in big[pos + 1:]
-            or not fits[n]
-            or r != s
-            or z != expected
-        ):
-            failures += _induction_failures(rank, u, k) or [Failure(
-                rank,
-                (("pred", str(u)), ("k", str(k)),
-                 ("q", _csv(small)), ("q_ext", _csv(big))),
-                "kernel agrees with q_map, p_map, a_map and zeta",
-                f"pos={pos} r={r} zeta={z.decode()}",
-                f"s={s} zeta(p(U))+r={expected.decode()}",
-            )]
-    return rank + 1 - lo, failures
+            cur, fit, path_i, below, through = stack[i]
+            top = lv[i - 1] if i else 0
+            last = pred[i - 1] if i else 0
+            # depth i < m inserts the parent's element i, depth m each child's
+            for p in (pred[i],) if i < m else ks[:hi - rank]:
+                pos = 0
+                if p:           # just after the C-th letter level - 1
+                    level = lv[p - 1] + 1
+                    c = p - bisect_left(lv, level - 1, 0, p)
+                    for _ in range(c):
+                        pos = cur.index(level - 1, pos) + 1
+                else:
+                    level = 0
+                while pos < i and cur[pos] == level:    # then past a run of level
+                    pos += 1
+                grown = cur[:pos] + letters[level] + cur[pos:]
+                # grown is cur with a letter at pos: only the steps next to it are new
+                grown_fit = (
+                    (grown[pos - 1] + 1 >= grown[pos] if pos else grown[0] == 0)
+                    and (pos == i or grown[pos + 1] <= grown[pos] + 1)
+                ) if fit else _is_area_sequence(grown)
+                # a_i = i - p: p - pred[i - 1] RIGHT steps lead to row i
+                row = path_i + rights[p - last] + b"a"
+                # level is top or top + 1: grown's diagonals 0..level - 1 are cur's
+                head = through if level > top else below
+                diagonal = head + grown.translate(tables[level], deletes[level])
+                if i < m:
+                    lv[i] = level
+                    stack[i + 1] = grown, grown_fit, row, head, diagonal
+                    continue
+                # the child extend(U, k), k = p: diagonal level + 1 holds only
+                # its letters level, read b
+                reading = diagonal + rights[grown.count(level)]
+                if not edges:
+                    path = row + rights[n - p]
+                    if not (grown_fit and reading == path):
+                        child = extend(u, p)
+                        failures.append(_theorem_failure(rank, child) or Failure(
+                            rank, (("pred", str(child)), ("q", _csv(grown))),
+                            "kernel agrees with a_map, p_map and zeta",
+                            reading.decode(), path.decode(),
+                        ))
+                else:
+                    r, s = _peak_parameters(cur, grown, pos, p)
+                    # zeta(q(U)) ends in diagonal top + 1, read b; then
+                    # add_final_peak(zeta(q(U)), r): an UP step before the
+                    # last r RIGHT steps, and one more RIGHT step at the end
+                    zeta_q = through + rights[cur.count(top)]
+                    kept = zeta_q.rstrip(b"b")
+                    t = len(zeta_q) - len(kept)
+                    expected = kept + b"b" * (t - r) + b"a" + b"b" * (r + 1)
+                    if (
+                        grown[:pos] + grown[pos + 1:] != cur
+                        or grown[pos] != max(grown)
+                        or grown[pos] in grown[pos + 1:]
+                        or not grown_fit
+                        or r != s
+                        or reading != expected
+                    ):
+                        failures += _induction_failures(rank, u, p) or [Failure(
+                            rank,
+                            (("pred", str(u)), ("k", str(p)),
+                             ("q", _csv(cur)), ("q_ext", _csv(grown))),
+                            "kernel agrees with q_map, p_map, a_map and zeta",
+                            f"pos={pos} r={r} zeta={reading.decode()}",
+                            f"s={s} zeta(p(U))+r={expected.decode()}",
+                        )]
+                rank += 1
+        if rank == hi:
+            break
+    return rank - lo, failures
 
 
 # -------------------------------------------------------------- induction
@@ -449,9 +479,12 @@ def _induction_shard(n: int, lo: int, hi: int):
 
 def _induction_failures(rank, u, k) -> list[Failure]:
     """The Failures of the pair (U, k) on the objects; empty if it holds."""
+    extended = extend(u, k)
+    bad = _area_failure(rank, u) or _area_failure(rank, extended)
+    if bad is not None:
+        return [bad]
     failures = []
     q_small, _ = q_map(u)
-    extended = extend(u, k)
     q_big, trace = q_map(extended)
     p_big = p_map(extended)
     pos = trace.positions[-1]

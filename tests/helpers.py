@@ -285,11 +285,17 @@ def path_text(area):
 
 
 def read_zeta_by_scan(monkeypatch):
-    """Make the kernel read zeta through harness.zeta_scan, the name the
-    bijections sweep calls, so that a test patching it faults the theorem
-    and induction sweeps too."""
+    """Make the kernel read each child's zeta through harness.zeta_scan,
+    the name the bijections sweep calls, so that a test patching it faults
+    the theorem and induction sweeps too.  (The induction step's zeta(q(U))
+    stays the parent's prefix reading.)"""
     rewrite_kernel(
         monkeypatch,
-        {"readings[i + 1]": "readings[i + 1] = _scan_text(grown)"},
+        {"reading": "reading = _scan_text(grown)"},
         _scan_text=lambda listing: path_text(harness.zeta_scan(tuple(listing))),
     )
+
+
+def extension_pairs(n, lo=0):
+    """The pairs (U, k) of harness._extension_pairs(n, lo), one by one."""
+    return [(u, k) for u, ks in harness._extension_pairs(n, lo) for k in ks]

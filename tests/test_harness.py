@@ -21,7 +21,7 @@ from dyckzeta import (
 )
 from dyckzeta.zeta import zeta_scan
 
-from helpers import read_zeta_by_scan
+from helpers import extension_pairs, read_zeta_by_scan
 
 
 # ---------------------------------------------------------------- passing
@@ -298,31 +298,36 @@ def test_order_shards_draw_exactly_their_own_orders(monkeypatch):
 
 def test_theorem_shard_draws_exactly_the_pairs_of_its_orders(monkeypatch):
     # the orders of rank lo..hi - 1 are the children of the pairs of size
-    # n - 1 with those ranks
-    pairs = _counting(monkeypatch, "_extension_pairs")
+    # n - 1 with those ranks; the shard draws the parents of those pairs
+    # and no other
+    parents = _counting(monkeypatch, "_extension_pairs")
     for n in range(1, 8):
-        every = list(harness._extension_pairs(n - 1))
+        every = extension_pairs(n - 1)
         assert len(every) == catalan(n)
         for lo, hi in _windows(n, len(every)):
-            pairs.clear()
+            parents.clear()
             assert harness._theorem_shard(n, lo, hi) == (hi - lo, [])
+            pairs = [(u, k) for u, ks in parents for k in ks][:hi - lo]
             assert pairs == every[lo:hi], (n, lo, hi)
+            assert [u for u, _ in parents] == list(dict.fromkeys(u for u, _ in pairs))
             assert [u.pred + (k,) for u, k in pairs] == [
                 unrank_uio(n, r) for r in range(lo, hi)
             ]
 
 
 def test_induction_shard_draws_exactly_its_own_pairs(monkeypatch):
-    pairs = _counting(monkeypatch, "_extension_pairs")
+    parents = _counting(monkeypatch, "_extension_pairs")
     orders = _counting(monkeypatch, "enumerate_uio")
     for n in range(1, 8):
-        every = list(harness._extension_pairs(n))
+        every = extension_pairs(n)
         assert len(every) == catalan(n + 1)
         for lo, hi in _windows(n, len(every)):
-            pairs.clear()
+            parents.clear()
             orders.clear()
             assert harness._induction_shard(n, lo, hi) == (hi - lo, [])
+            pairs = [(u, k) for u, ks in parents for k in ks][:hi - lo]
             assert pairs == every[lo:hi], (n, lo, hi)
+            assert [u for u, _ in parents] == orders
             assert orders == list(dict.fromkeys(u for u, _ in every[lo:hi]))
             assert [u.pred + (k,) for u, k in pairs] == [
                 unrank_uio(n + 1, r) for r in range(lo, hi)
@@ -331,6 +336,6 @@ def test_induction_shard_draws_exactly_its_own_pairs(monkeypatch):
 
 def test_extension_pairs_start_at_the_child_of_rank_lo():
     for n in range(0, 6):
-        every = list(harness._extension_pairs(n))
+        every = extension_pairs(n)
         for lo in range(len(every)):
-            assert list(harness._extension_pairs(n, lo)) == every[lo:]
+            assert extension_pairs(n, lo) == every[lo:]

@@ -2,16 +2,17 @@
 
 The theorem and induction sweeps share one kernel over extension pairs
 (harness._extension_sweep): bytes listings, the insertion inlined, zeta
-read by bytes.translate.  The bijections and grevlex sweeps read q(U) from
-a prefix-sharing insertion walk (harness._walk) and apply zeta by
-Haglund's scan (zeta.zeta_scan).  Each piece is checked here against an
-independent computation: the listings against q_map, the readings and
-scans against zeta's diagonal reading, the kernel's a-paths against
-a_map, the induction kernel against the per-pair object body, and the
-bijection images against a_map's rank alignment.  Fault tests patch the
-names the harness looks up, or rewrite the kernel, whose steps have no
-names (helpers.rewrite_kernel), and check the exact record each fault
-yields; three mutations of the kernel must each be flagged.
+read by bytes.translate onto the parent's prefix readings.  The
+bijections and grevlex sweeps read q(U) from a prefix-sharing insertion
+walk (harness._walk) and apply zeta by Haglund's scan (zeta.zeta_scan).
+Each piece is checked here against an independent computation: the
+listings against q_map, the readings and scans against zeta's diagonal
+reading, the kernel's a-paths against a_map, the induction kernel against
+the per-pair object body, and the bijection images against a_map's rank
+alignment.  Fault tests patch the names the harness looks up, or rewrite
+the kernel, whose steps have no names (helpers.rewrite_kernel), and check
+the exact record each fault yields; four mutations of the kernel must
+each be flagged.
 """
 
 from itertools import product
@@ -40,10 +41,17 @@ from dyckzeta import (
     word_from_area_sequence,
     zeta,
 )
+from dyckzeta import cli, partlist
 from dyckzeta.partlist import _insert_all
 from dyckzeta.zeta import zeta_scan
 
-from helpers import path_text, pred_vectors, read_zeta_by_scan, rewrite_kernel
+from helpers import (
+    extension_pairs,
+    path_text,
+    pred_vectors,
+    read_zeta_by_scan,
+    rewrite_kernel,
+)
 
 
 def test_kernel_listings_equal_q_map(monkeypatch):
@@ -82,12 +90,12 @@ def test_walk_over_any_stream_equals_insert_all(orders):
 
 
 def test_translate_reading_and_kernel_paths_equal_the_oracles(monkeypatch):
-    # the theorem kernel reads zeta once per order, off q(U), and builds
-    # a(U)'s path on its depth stack
+    # the theorem kernel reads zeta once per order, off q(U) and its
+    # parent's prefixes, and builds a(U)'s path on its depth stack
     readings, paths = [], []
     rewrite_kernel(
         monkeypatch,
-        {"readings[i + 1]": "_seen_reading(grown, readings[i + 1])",
+        {"reading": "_seen_reading(grown, reading)",
          "path": "_seen_path(path)"},
         _seen_reading=lambda listing, reading: readings.append((listing, reading)),
         _seen_path=paths.append,
@@ -103,6 +111,25 @@ def test_translate_reading_and_kernel_paths_equal_the_oracles(monkeypatch):
             assert reading == path_text(zeta_scan(listing)), str(u)
             assert reading.decode() == str(zeta(p_map(u))), str(u)
             assert path.decode() == str(a_map(u)), str(u)
+
+
+def test_induction_kernel_reads_zeta_of_q_off_the_prefixes(monkeypatch):
+    # the induction step takes zeta(q(U)) from the prefix readings that its
+    # children reuse, for every pair with n <= 8
+    seen = []
+    rewrite_kernel(
+        monkeypatch,
+        {"zeta_q": "_seen_zeta_q(u, cur, zeta_q)"},
+        _seen_zeta_q=lambda u, listing, reading: seen.append((u, listing, reading)),
+    )
+    for n in range(1, 9):
+        seen.clear()
+        assert check_induction_step(n).passed
+        assert len(seen) == catalan(n + 1)
+        for u, listing, reading in dict.fromkeys(seen):
+            assert listing == bytes(q_map(u)[0].entries), str(u)
+            assert reading == path_text(zeta_scan(listing)), str(u)
+            assert reading.decode() == str(zeta(p_map(u))), str(u)
 
 
 def test_theorem_holds_on_the_objects():
@@ -151,10 +178,11 @@ def test_corrupted_scan_is_reported_as_kernel_disagreement(monkeypatch):
     assert failure.lhs != failure.rhs
 
 
-def _insert_replacing(monkeypatch, good, bad=None, pos=None):
+def _insert_replacing(monkeypatch, good, bad=None, pos=None, objects=False):
     """Make the harness's insertion return `bad` (or put the letter at `pos`)
     wherever it would grow the listing `good`: harness._insert, which the
-    walk calls, and the kernel's inlined insertion."""
+    walk calls, and the kernel's inlined insertion; with `objects`, also
+    partlist._insert, which q_map and p_map call."""
     real_insert = harness._insert
 
     def insert(cur, lv, p):
@@ -169,6 +197,8 @@ def _insert_replacing(monkeypatch, good, bad=None, pos=None):
         return grown, at
 
     monkeypatch.setattr(harness, "_insert", insert)
+    if objects:
+        monkeypatch.setattr(partlist, "_insert", insert)
     rewrite_kernel(monkeypatch, {"grown": "grown, pos = _grow(grown, pos)"}, _grow=grow)
 
 
@@ -185,6 +215,34 @@ def test_listing_that_is_no_area_sequence_is_reported(monkeypatch, n, pred, good
     assert failure.rank == catalan(n) - 1
     assert failure.equation == "kernel agrees with a_map, p_map and zeta"
     assert dict(failure.inputs) == {"pred": pred, "q": ",".join(map(str, bad))}
+
+
+@pytest.mark.parametrize("check, n, pred, good, bad, rhs", [
+    (check_theorem, 1, "0", (0,), (1,), "entry 1 must be 0, got 1"),
+    (check_theorem, 2, "0,1", (0, 1), (0, 2), "entry 2 is 2, exceeding entry 1 + 1 = 1"),
+    (check_induction_step, 1, "0,1", (0, 1), (0, 2),
+     "entry 2 is 2, exceeding entry 1 + 1 = 1"),
+])
+def test_objects_whose_q_is_no_area_sequence_give_a_counterexample(
+    monkeypatch, check, n, pred, good, bad, rhs
+):
+    # the insertion goes wrong on the objects too, so q_map and p_map refuse
+    # the listing: the re-check reports that as a failure of the last order
+    # (the pair's child), not as an error of the run
+    _insert_replacing(monkeypatch, good, bad, objects=True)
+    with pytest.raises(ValidationError):
+        q_map(parse_pred(pred))
+    report = check(n)
+    (failure,) = report.failures
+    assert failure.to_json_dict() == {
+        "rank": report.instances_checked - 1,
+        "inputs": {"pred": pred, "q": ",".join(map(str, bad))},
+        "equation": "q(U) is a valid area sequence",
+        "lhs": ",".join(map(str, bad)),
+        "rhs": rhs,
+    }
+    name = "theorem" if check is check_theorem else "induction"
+    assert cli.main(["verify", "--check", name, "--n", str(n)]) == 1
 
 
 def test_wrong_listing_fails_the_grevlex_check(monkeypatch):
@@ -210,12 +268,15 @@ def test_shards_restart_the_prefix_stack_at_any_rank():
 
 @pytest.mark.parametrize("edits", [
     # the letter lands one place further right at depth 4, where it can
-    {"lv[i]": "pos += i == 4 and pos < i"},
+    {"grown": "pos += i == 4 and pos < i\ngrown = cur[:pos] + letters[level] + cur[pos:]"},
     # C_i one too small where it is at least 2
     {"c": "c -= c > 1"},
     # at depth 3, row 3's UP step comes before the RIGHT steps that should
     # lead to it
-    {"paths[i + 1]": "if i == 3: paths[i + 1] = paths[i] + b'a' + b'b' * (p - pred[2])"},
+    {"row": "if i == 3: row = path_i + b'a' + b'b' * (p - pred[2])"},
+    # a child whose letter equals its parent's largest letter reads the
+    # parent's prefix one diagonal too far
+    {"head": "if i == m: head = through"},
 ])
 def test_kernel_mutations_are_flagged(monkeypatch, edits):
     # the incremental area-sequence rule must also agree with the full one
@@ -223,7 +284,7 @@ def test_kernel_mutations_are_flagged(monkeypatch, edits):
     fits = []
     rewrite_kernel(
         monkeypatch,
-        {**edits, "fits[i + 1]": "_seen_fit(fits[i], fits[i + 1], grown)"},
+        {**edits, "grown_fit": "_seen_fit(fit, grown_fit, grown)"},
         _seen_fit=lambda before, fit, grown: fits.append(
             (fit, harness._is_area_sequence(grown) if before else fit)
         ),
@@ -261,7 +322,7 @@ def test_induction_kernel_agrees_with_the_objects():
     for n in range(1, 8):
         total = catalan(n + 1)
         assert harness._induction_shard(n, 0, total) == (total, [])
-        pairs = list(harness._extension_pairs(n))
+        pairs = extension_pairs(n)
         assert len(pairs) == total
         for rank, (u, k) in enumerate(pairs):
             assert harness._induction_failures(rank, u, k) == [], (str(u), k)
@@ -303,10 +364,10 @@ def test_induction_kernel_catches_a_listing_that_is_no_insertion(monkeypatch):
 
 def test_induction_kernel_checks_r_equals_s(monkeypatch):
     # s one too large for k = 0 leaves the listings and readings right, so
-    # only r == s can flag those pairs
-    rewrite_kernel(monkeypatch, {"(r, s)": "s += k == 0"})
+    # only r == s can flag those pairs (the kernel's child loop runs p over k)
+    rewrite_kernel(monkeypatch, {"(r, s)": "s += p == 0"})
     failures = check_induction_step(3).failures
-    pairs = list(harness._extension_pairs(3))
+    pairs = extension_pairs(3)
     assert [f.rank for f in failures] == [r for r, (_, k) in enumerate(pairs) if k == 0]
     for failure in failures:
         assert failure.equation == "kernel agrees with q_map, p_map, a_map and zeta"
