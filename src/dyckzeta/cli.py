@@ -21,7 +21,7 @@ from .lattice import (
     AreaSequence,
     DyckWord,
     _area_of_steps,
-    _word_of_area,
+    _text_of_area,
     area_sequence_from_area_set,
     area_sequence_from_word,
     area_set_from_area_sequence,
@@ -29,7 +29,6 @@ from .lattice import (
     parse_area_sequence,
     parse_area_set,
     parse_word,
-    word_from_area_sequence,
 )
 from .uio import (
     UnitIntervalOrder,
@@ -70,7 +69,7 @@ _TO_AREA = {
 #: target encoding -> its text from the hub; interval realizations of an
 #: order are not canonical, so intervals is a source only
 _FROM_AREA = {
-    "word": lambda seq: str(word_from_area_sequence(seq)),
+    "word": lambda seq: _text_of_area(seq.entries),
     "areaseq": str,
     "areaset": lambda seq: str(area_set_from_area_sequence(seq)),
     "pred": lambda seq: str(UnitIntervalOrder(_complement(seq.entries))),
@@ -87,10 +86,35 @@ def _each_value(value):
         yield line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
 
 
+#: Lines per write of a line stream.  Under python -u stdout writes through,
+#: and a print per line is two write(2) calls; at n = 10, blocks of 256 ran
+#: as fast as larger ones and kept the peak RSS of a print per line.
+LINE_BLOCK = 256
+
+
+def _write_lines(lines, from_stdin=False) -> None:
+    """Write each line and a newline to stdout, one write per LINE_BLOCK
+    lines, or per line if the lines come `from_stdin` and stdin is a
+    terminal, so that each typed line is answered.  Lines made before an
+    exception are written before it propagates."""
+    size = 1 if from_stdin and sys.stdin.isatty() else LINE_BLOCK
+    write = sys.stdout.write
+    block = []
+    try:
+        for line in lines:
+            block.append(line)
+            if len(block) == size:
+                text, block = "\n".join(block), []
+                write(text + "\n")
+    finally:
+        if block:
+            write("\n".join(block) + "\n")
+
+
 def _cmd_convert(args) -> int:
     parse, render = _TO_AREA[args.src], _FROM_AREA[args.dst]
-    for value in _each_value(args.value):
-        print(render(parse(value)))
+    lines = (render(parse(value)) for value in _each_value(args.value))
+    _write_lines(lines, args.value is None)
     return 0
 
 
@@ -110,22 +134,24 @@ def _cmd_map(args) -> int:
     q, p and unzeta = zeta_inverse = p o a^-1 (pred read off the word's
     area sequence) print q(U), or its path, from one insertion walk over the
     stream (harness._walk): consecutive lines whose pred vectors share a
-    prefix, as sorted input does, re-insert only the rest.
+    prefix, as sorted input does, re-insert only the rest.  Each q(U) is
+    checked as an area sequence, whose path is then a Dyck word.
     """
-    values = _each_value(args.value)
-    if args.name in ("p", "q"):
+    _write_lines(_images(args.name, _each_value(args.value)), args.value is None)
+    return 0
+
+
+def _images(name: str, values):
+    if name in ("p", "q"):
         preds = (parse_pred(value).pred for value in values)
-    elif args.name == "unzeta":
+    elif name == "unzeta":
         preds = (_complement(_area_of_steps(parse_word(value).steps))
                  for value in values)
     else:
-        for value in values:
-            print(_apply_named_map(args.name, value))
-        return 0
-    image = AreaSequence if args.name == "q" else _word_of_area
-    for pred, listings in harness._walk(preds, tuple):
-        print(image(listings[len(pred)]))
-    return 0
+        return (_apply_named_map(name, value) for value in values)
+    text = _FROM_AREA["areaseq" if name == "q" else "word"]
+    return (text(AreaSequence(listings[len(pred)]))
+            for pred, listings in harness._walk(preds, tuple))
 
 
 # ----------------------------------------------------------------- verify
@@ -155,12 +181,8 @@ def _cmd_verify(args) -> int:
 # -------------------------------------------------------------- enumerate
 
 def _cmd_enumerate(args) -> int:
-    if args.kind == "dyck":
-        for word in enumerate_dyck(args.n):
-            print(word)
-    else:
-        for u in enumerate_uio(args.n):
-            print(u)
+    objects = enumerate_dyck(args.n) if args.kind == "dyck" else enumerate_uio(args.n)
+    _write_lines(map(str, objects))
     return 0
 
 

@@ -52,7 +52,7 @@ from typing import Iterator, Optional
 from .errors import PreconditionError, ValidationError
 from .lattice import (
     AreaSequence,
-    _word_of_area,
+    _text_of_area,
     add_final_peak,
     catalan,
     final_maximal_peak,
@@ -316,12 +316,15 @@ def _theorem_failure(rank, u) -> Optional[Failure]:
 
 
 def _area_failure(rank, u) -> Optional[Failure]:
-    """The Failure for a q(U) that is no area sequence on the objects, or
-    None.  p_map and q_map refuse such a listing, so the object re-checks
-    ask this first."""
-    listing = _insert_all(u)[0]
+    """The Failure for a q(U) that the objects cannot build, or that is no
+    area sequence, or None.  p_map and q_map refuse such a listing, so the
+    object re-checks ask this first."""
     try:
+        listing = _insert_all(u)[0]
         AreaSequence(listing)
+    except PreconditionError as exc:    # an insertion finds no anchor
+        return Failure(rank, (("pred", str(u)),), "q(U) is defined", "no anchor",
+                       str(exc))
     except ValidationError as exc:
         return Failure(
             rank, (("pred", str(u)), ("q", _csv(listing))),
@@ -394,8 +397,11 @@ def _extension_sweep(m: int, lo: int, hi: int, edges: bool):
                 if p:           # just after the C-th letter level - 1
                     level = lv[p - 1] + 1
                     c = p - bisect_left(lv, level - 1, 0, p)
-                    for _ in range(c):
-                        pos = cur.index(level - 1, pos) + 1
+                    try:
+                        for _ in range(c):
+                            pos = cur.index(level - 1, pos) + 1
+                    except ValueError:      # cur lacks a letter level - 1
+                        break
                 else:
                     level = 0
                 while pos < i and cur[pos] == level:    # then past a run of level
@@ -453,9 +459,29 @@ def _extension_sweep(m: int, lo: int, hi: int, edges: bool):
                             f"s={s} zeta(p(U))+r={expected.decode()}",
                         )]
                 rank += 1
+            else:
+                continue
+            # the listing cur is corrupt, an insertion found no anchor in it:
+            # U's pairs left go to the objects, and no later parent reuses
+            # the stack past depth i
+            pred[i:] = [-1] * (m - i)
+            for k in (range(p, ks.stop) if i == m else ks)[:hi - rank]:
+                failures += _unanchored_failures(rank, u, k, edges, cur)
+                rank += 1
+            break
         if rank == hi:
             break
     return rank - lo, failures
+
+
+def _unanchored_failures(rank, u, k, edges, cur) -> list[Failure]:
+    """The Failures of the pair (U, k) on the objects, else a disagreement
+    of the kernel, which found no anchor for an insertion into cur."""
+    child = extend(u, k)
+    found = _induction_failures(rank, u, k) if edges else [_theorem_failure(rank, child)]
+    return [f for f in found if f] or [Failure(
+        rank, (("pred", str(u)), ("k", str(k))), "kernel finds every insertion's anchor",
+        f"no anchor in {_csv(cur)}", _csv(_insert_all(child)[0]))]
 
 
 # -------------------------------------------------------------- induction
@@ -534,12 +560,8 @@ def check_bijections(
 ) -> VerificationReport:
     """Distinct images for a, q and zeta; q valid; a_inverse undoes a."""
     _ceiling("bijections", n, max_n)
-    images = (("a", _word_text), ("q", _csv), ("zeta", _word_text))
+    images = (("a", _text_of_area), ("q", _csv), ("zeta", _text_of_area))
     return _sweep("bijections", n, catalan(n), jobs, _bijections_shard, images)
-
-
-def _word_text(area: bytes) -> str:
-    return str(_word_of_area(area))
 
 
 def _bijections_shard(n: int, lo: int, hi: int):

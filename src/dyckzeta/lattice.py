@@ -177,6 +177,20 @@ def _word_of_area(entries: tuple[int, ...]) -> DyckWord:
     return word_from_area_sequence(AreaSequence(entries))
 
 
+def _text_of_area(entries: tuple[int, ...]) -> str:
+    """The a/b text of word_from_area_sequence's path, with no DyckWord built.
+
+    For a valid area sequence it is a Dyck word by construction: a_j >= 0
+    puts row j's UP step at x = j - 1 - a_j, on or left of the diagonal, and
+    a_j <= a_{j-1} + 1 keeps each count of RIGHT steps non-negative."""
+    text = ""
+    prev = -1
+    for a in entries:
+        text += "b" * (prev + 1 - a) + "a"
+        prev = a
+    return text + "b" * (prev + 1)
+
+
 def area_sequence_from_word(d: DyckWord) -> AreaSequence:
     """Per-row box count between the path and the diagonal, bottom row first."""
     return AreaSequence(_area_of_steps(d.steps))

@@ -29,6 +29,7 @@ from dyckzeta import (
     parse_word,
     q_map,
     uio_from_intervals,
+    word_from_area_sequence,
     zeta,
     zeta_inverse,
 )
@@ -216,16 +217,21 @@ def test_verify_huge_jobs_env_is_capped_at_usable_cpus(capsys, monkeypatch):
     assert "PASS" in out
 
 
+def cli_process(*argv, env=(), **kwargs):
+    """`python -m dyckzeta.cli argv` as a process that imports this package."""
+    src = os.path.dirname(os.path.dirname(dyckzeta.__file__))
+    env = dict(os.environ, **dict(env), PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.Popen([sys.executable, "-m", "dyckzeta.cli", *argv],
+                            env=env, **kwargs)
+
+
 def test_ctrl_c_in_a_pooled_verify_exits_2_without_tracebacks():
     # SIGINT goes to the whole process group, as Ctrl-C in a terminal does;
     # n = 13 runs for seconds, so the signal lands while the pool works
-    src = os.path.dirname(os.path.dirname(dyckzeta.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "dyckzeta.cli", "verify", "--check", "theorem",
-         "--n", "13", "--jobs", "2"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    proc = cli_process(
+        "verify", "--check", "theorem", "--n", "13", "--jobs", "2",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True,
     )
     try:
@@ -397,17 +403,29 @@ def area_sequence_lines(n):
     return "".join(f"{area_sequence_from_word(w)}\n" for w in enumerate_dyck(n))
 
 
+def word_lines(n):
+    return "".join(f"{w}\n" for w in enumerate_dyck(n))
+
+
+def pred_lines(n):
+    return "".join(f"{u}\n" for u in enumerate_uio(n))
+
+
 @pytest.mark.parametrize("argv, lines, target", [
-    (("map", "--name", "unzeta"), lambda n: "".join(f"{w}\n" for w in enumerate_dyck(n)),
-     UnitIntervalOrder),
-    (("map", "--name", "q"), lambda n: "".join(f"{u}\n" for u in enumerate_uio(n)), q_map),
-    (("convert", "--from", "pred", "--to", "areaseq"),
-     lambda n: "".join(f"{u}\n" for u in enumerate_uio(n)), DyckWord),
+    (("map", "--name", "unzeta"), word_lines, UnitIntervalOrder),
+    (("map", "--name", "q"), pred_lines, q_map),
+    (("convert", "--from", "pred", "--to", "areaseq"), pred_lines, DyckWord),
     (("convert", "--from", "areaseq", "--to", "pred"), area_sequence_lines, DyckWord),
-], ids=["unzeta", "q", "pred-to-areaseq", "areaseq-to-pred"])
+    (("map", "--name", "p"), pred_lines, DyckWord),
+    (("map", "--name", "unzeta"), word_lines, word_from_area_sequence),
+    (("convert", "--from", "areaseq", "--to", "word"), area_sequence_lines,
+     word_from_area_sequence),
+], ids=["unzeta", "q", "pred-to-areaseq", "areaseq-to-pred", "p-text",
+        "unzeta-text", "areaseq-to-word-text"])
 def test_hub_paths_build_no_detour(capsys, monkeypatch, argv, lines, target):
-    # unzeta reads pred off the word, q reads the walk, and convert crosses
-    # between orders and area sequences without a path: the same output
+    # unzeta reads pred off the word, q reads the walk, convert crosses
+    # between orders and area sequences without a path, and paths are
+    # printed as the text of their checked area sequence: the same output
     # with the detour made to fail
     text = lines(6)
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -499,6 +517,93 @@ def test_streamed_map_checks_each_listing_as_an_area_sequence(capsys, monkeypatc
         code, out, err = map_stdin(capsys, monkeypatch, name, "0,0\n0,1\n0,0\n")
         assert (code, out) == (2, first)
         assert err == "error: entry 2 is 2, exceeding entry 1 + 1 = 1\n"
+
+
+# ---------------------------------------------------------- line streams
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class Terminal(io.StringIO):
+    """A stdin that says it is a terminal."""
+
+    def isatty(self):
+        return True
+
+
+def test_enumerate_writes_in_blocks_whatever_stdin_is(monkeypatch):
+    # enumerate reads no stdin, so a terminal there changes nothing
+    stdout = CountingStdout()
+    monkeypatch.setattr("sys.stdout", stdout)
+    monkeypatch.setattr("sys.stdin", Terminal())
+    assert main(["enumerate", "--kind", "uio", "--n", "8"]) == 0
+    assert stdout.getvalue() == pred_lines(8)
+    assert stdout.getvalue().count("\n") == 1430
+    assert stdout.writes <= -(-1430 // cli.LINE_BLOCK)
+
+
+@pytest.mark.parametrize("argv, text, out", [
+    (("map", "--name", "p"), "0,0\n0,1\n0,0,1\n", "abab\naabb\naabbab\n"),
+    (("convert", "--from", "word", "--to", "areaseq"), "aabb\nabab\n", "0,1\n0,0\n"),
+], ids=["map", "convert"])
+def test_lines_typed_at_a_terminal_are_answered_one_write_each(
+    monkeypatch, argv, text, out
+):
+    stdout = CountingStdout()
+    monkeypatch.setattr("sys.stdout", stdout)
+    monkeypatch.setattr("sys.stdin", Terminal(text))
+    assert main(list(argv)) == 0
+    assert stdout.getvalue() == out
+    assert stdout.writes == text.count("\n")
+
+
+def test_a_bad_line_past_the_first_block_exits_2_after_the_lines_before_it(
+    capsys, monkeypatch
+):
+    good = pred_lines(8)
+    assert good.count("\n") > cli.LINE_BLOCK
+    code, out, err = map_stdin(capsys, monkeypatch, "p", good + "0,2\n0,0\n")
+    assert (code, err) == (2, "error: pred[2] = 2 outside 0..1\n")
+    assert out == "".join(f"{p_map(parse_pred(line))}\n" for line in good.splitlines())
+
+
+#: stdout as the benchmark's child processes have it: no buffer, each write
+#: goes straight to the file descriptor
+UNBUFFERED = {"PYTHONUNBUFFERED": "1"}
+
+
+@pytest.mark.parametrize("kind, name", [("uio", "p"), ("dyck", "unzeta")])
+def test_a_pipe_of_unbuffered_processes_prints_the_in_process_output(
+    capsys, monkeypatch, kind, name
+):
+    enum = cli_process("enumerate", "--kind", kind, "--n", "7", env=UNBUFFERED,
+                       stdout=subprocess.PIPE)
+    mapper = cli_process("map", "--name", name, env=UNBUFFERED, stdin=enum.stdout,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    enum.stdout.close()
+    out, err = mapper.communicate(timeout=60)
+    assert (enum.wait(timeout=60), mapper.returncode, err) == (0, 0, b"")
+    _, enumerated, _ = run(capsys, "enumerate", "--kind", kind, "--n", "7")
+    assert out.decode() == map_stdin(capsys, monkeypatch, name, enumerated)[1]
+    assert out.count(b"\n") == 429
+
+
+def test_an_unbuffered_enumerate_into_a_closed_pipe_exits_0_quietly():
+    # read one line and close the pipe, as `| head -n 1` does; the 16 796
+    # lines at n = 10 outgrow the pipe, so later blocks meet a closed pipe
+    enum = cli_process("enumerate", "--kind", "uio", "--n", "10", env=UNBUFFERED,
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = enum.stdout.readline()
+    enum.stdout.close()
+    _, err = enum.communicate(timeout=60)
+    assert (enum.returncode, err, first) == (0, b"", b"0,0,0,0,0,0,0,0,0,0\n")
 
 
 def test_map_over_words_strips_crlf(capsys, monkeypatch):

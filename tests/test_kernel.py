@@ -245,6 +245,61 @@ def test_objects_whose_q_is_no_area_sequence_give_a_counterexample(
     assert cli.main(["verify", "--check", name, "--n", str(n)]) == 1
 
 
+def unanchored(rank, pred, rhs):
+    return {"rank": rank, "inputs": {"pred": pred}, "equation": "q(U) is defined",
+            "lhs": "no anchor", "rhs": rhs}
+
+
+@pytest.mark.parametrize("check, n, records", [
+    (check_induction_step, 2, [{
+        "rank": 4, "inputs": {"pred": "0,1", "q": "0,2"},
+        "equation": "q(U) is a valid area sequence", "lhs": "0,2",
+        "rhs": "entry 2 is 2, exceeding entry 1 + 1 = 1",
+    }]),
+    (check_theorem, 3, [
+        unanchored(4, "0,1,2", "need 1 occurrences of 1, found only 0"),
+    ]),
+    (check_theorem, 4, [
+        unanchored(11, "0,1,1,3", "need 2 occurrences of 1, found only 1"),
+        unanchored(12, "0,1,2,2", "need 1 occurrences of 1, found only 0"),
+        unanchored(13, "0,1,2,3", "need 1 occurrences of 1, found only 0"),
+    ]),
+])
+def test_listing_corrupted_at_a_parent_depth_is_reported_not_raised(
+    monkeypatch, check, n, records
+):
+    # partlist._insert and the kernel both send 0,1 to 0,2, so a later
+    # insertion, in a child or (theorem at n = 4) in the parent 0,1,2, finds
+    # no letter 1 to anchor on, in the kernel and in the objects'
+    # _insertion_point; those pairs end the sweep and are recorded as the
+    # objects' failures: the induction re-check first finds q(0,1) invalid
+    _insert_replacing(monkeypatch, (0, 1), (0, 2), objects=True)
+    report = check(n)
+    assert report.instances_checked == catalan(n + (check is check_induction_step))
+    assert [f.to_json_dict() for f in report.failures[-len(records):]] == records
+    name = "theorem" if check is check_theorem else "induction"
+    assert cli.main(["verify", "--check", name, "--n", str(n)]) == 1
+
+
+def test_unanchored_kernel_insertion_is_a_kernel_disagreement(monkeypatch):
+    # only the kernel sends 0,1 to 0,2, so the objects confirm nothing: the
+    # parents 0,1,2,2 and 0,1,2,3 find no anchor at depth 2, and the second
+    # re-inserts from there instead of reusing the stack the first left
+    _insert_replacing(monkeypatch, (0, 1), (0, 2))
+    failures = check_theorem(5).failures
+    assert [(f.rank, f.inputs, f.lhs, f.rhs) for f in failures[-5:]] == [
+        (rank, (("pred", pred), ("k", str(k))), "no anchor in 0,2", q)
+        for rank, pred, k, q in [
+            (37, "0,1,2,2", 2, "0,1,2,2,2"), (38, "0,1,2,2", 3, "0,1,2,3,2"),
+            (39, "0,1,2,2", 4, "0,1,2,2,3"), (40, "0,1,2,3", 3, "0,1,2,3,3"),
+            (41, "0,1,2,3", 4, "0,1,2,3,4"),
+        ]
+    ]
+    assert {f.equation for f in failures[-5:]} == {
+        "kernel finds every insertion's anchor"
+    }
+
+
 def test_wrong_listing_fails_the_grevlex_check(monkeypatch):
     # rank 5 (pred 0,0,1,2) gets q = 0,1,1,0 instead of its minimum 0,1,0,1
     _insert_replacing(monkeypatch, (0, 1, 0, 1), (0, 1, 1, 0))

@@ -22,6 +22,7 @@ from dyckzeta import (
     peaks,
     word_from_area_sequence,
 )
+from dyckzeta.lattice import _text_of_area
 from helpers import (
     area_sequences,
     box_sets,
@@ -170,6 +171,17 @@ def test_round_trips_exhaustive_small():
             boxes = area_set_from_area_sequence(seq)
             assert area_sequence_from_area_set(boxes) == seq
             assert boxes.boxes == frozenset(drawn_boxes(str(word)))
+
+
+def test_text_of_area_is_the_text_of_the_path_exhaustive_small():
+    # the CLI prints this text without building a DyckWord: for every path
+    # with n <= 9 it is the word's text, and it parses back to the word
+    assert _text_of_area(()) == ""
+    for n in range(0, 10):
+        for word in enumerate_dyck(n):
+            text = _text_of_area(area_sequence_from_word(word).entries)
+            assert text == str(word)
+            assert parse_word(text) == word
 
 
 @given(area_sequences())
