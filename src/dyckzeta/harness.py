@@ -14,17 +14,15 @@ as data rather than raising:
               orders in one pass over the listings, agrees with q
 
 Every order of size n is extend(U, k) for exactly one pair (U, k) of size
-n - 1, so the theorem and induction sweeps share one kernel over extension
-pairs (_extension_sweep): a loop over the parents U, with their children
-in an inner loop, and bytes listings on a per-depth stack.  It reads zeta
-by bytes.translate, one diagonal per inserted letter, onto prefix readings
-that the stack keeps.  The bijections and grevlex sweeps, and
-`dyckzeta map --name p|q|unzeta`, read q(U) off a prefix-sharing insertion
-walk over integer tuples (_walk).  The objects (a_map, p_map, q_map, zeta,
-...) are the re-check: an instance the kernel flags is checked again on
-them, and a flag they do not confirm is reported as a disagreement of the
-kernel.  Each check has one code path, its shard function, which the CLI
-runs too.
+n - 1.  The theorem, induction and bijections sweeps each consume one
+stream over these pairs (_extension_children), which yields per child its
+listing q, a's path and the zeta reading of q, as bytes.  The grevlex sweep
+and `dyckzeta map --name p|q|unzeta` read q(U) off a prefix-sharing
+insertion walk over integer tuples (_walk).  The objects (a_map, p_map,
+q_map, zeta, ...) are the re-check: an instance the stream flags is
+checked again on them, and a flag they do not confirm is reported as a
+disagreement of the kernel.  Each check has one code path, its shard
+function, which the CLI runs too.
 
 Work shards by contiguous enumeration-rank ranges, so reports are
 deterministic for a fixed n regardless of worker count.  A shard of ranks
@@ -52,7 +50,6 @@ from typing import Iterator, Optional
 from .errors import PreconditionError, ValidationError
 from .lattice import (
     AreaSequence,
-    _text_of_area,
     add_final_peak,
     catalan,
     final_maximal_peak,
@@ -60,20 +57,20 @@ from .lattice import (
 from .partlist import _insert, _insert_all, grevlex_minima, p_map, q_map
 from .uio import (
     UnitIntervalOrder,
-    _complement,
     a_inverse,
     a_map,
     enumerate_uio,
     extend,
     unrank_uio,
 )
-from .zeta import _peak_parameters, zeta, zeta_scan
+from .zeta import _peak_parameters, zeta
 
 #: Per-check size ceilings keeping the full sweep under a minute on a 2-CPU VM
 #: (Python 3.11).  They are sized for jobs=2, while verify defaults to one
 #: job: theorem 15 took 37 s at jobs=2 and 66 s at jobs=1, induction 13 took
-#: 16 s at jobs=2 and 27 s at jobs=1.  grevlex always runs in one process
-#: (n = 8 in 17 s).  Raise via the max_n argument (or --max-n in the CLI).
+#: 16 s at jobs=2 and 27 s at jobs=1, bijections 12 4.4-4.6 s at jobs=2 and
+#: 7.0-7.2 s at jobs=1.  grevlex always runs in one process (n = 8 in 17 s).
+#: Raise via the max_n argument (or --max-n in the CLI).
 DEFAULT_CEILINGS = {"theorem": 15, "induction": 13, "bijections": 12, "grevlex": 8}
 
 
@@ -267,12 +264,6 @@ def _walk(items, pred_of=attrgetter("pred")):
         yield item, listings
 
 
-def _orders(n: int, lo: int, hi: int) -> Iterator[UnitIntervalOrder]:
-    """The orders of rank lo..hi - 1: the stream starts at the order of rank
-    lo, so a shard draws exactly hi - lo of them."""
-    return islice(enumerate_uio(n, unrank_uio(n, lo)), hi - lo)
-
-
 def _is_area_sequence(s: tuple[int, ...]) -> bool:
     """AreaSequence's rule for a listing, whose entries are levels (>= 0)."""
     return s[0] == 0 and max(map(sub, s[1:], s), default=0) <= 1
@@ -299,7 +290,21 @@ def check_theorem(
 def _theorem_shard(n: int, lo: int, hi: int):
     """The theorem for the orders of rank lo..hi - 1: the children of the
     extension pairs of size n - 1 with the same ranks."""
-    return _extension_sweep(n - 1, lo, hi, edges=False)
+    failures = []
+    rank = lo - 1              # rank + 1 - lo: the children drawn
+    for rank, u, k, cur, grown, _, fit, path, reading, _, _ in _extension_children(
+        n - 1, lo, hi
+    ):
+        if fit and reading == path:
+            continue
+        child = extend(u, k)
+        failures.append(_theorem_failure(rank, child) or (
+            _unanchored(rank, u, k, cur) if grown is None else Failure(
+                rank, (("pred", str(child)), ("q", _csv(grown))),
+                "kernel agrees with a_map, p_map and zeta",
+                reading.decode(), path.decode(),
+            )))
+    return rank + 1 - lo, failures
 
 
 def _theorem_failure(rank, u) -> Optional[Failure]:
@@ -315,13 +320,13 @@ def _theorem_failure(rank, u) -> Optional[Failure]:
     return Failure(rank, inputs, "a(U) == zeta(p(U))", str(left), str(right))
 
 
-def _area_failure(rank, u) -> Optional[Failure]:
-    """The Failure for a q(U) that the objects cannot build, or that is no
-    area sequence, or None.  p_map and q_map refuse such a listing, so the
-    object re-checks ask this first."""
+def _area_failure(rank, u, listing=None) -> Optional[Failure]:
+    """The Failure for a q(U), `listing` or else the objects' own, that the
+    objects cannot build, or that is no area sequence, or None.  p_map and
+    q_map refuse such a listing, so the object re-checks ask this first."""
     try:
-        listing = _insert_all(u)[0]
-        AreaSequence(listing)
+        listing = _insert_all(u)[0] if listing is None else listing
+        AreaSequence(tuple(listing))
     except PreconditionError as exc:    # an insertion finds no anchor
         return Failure(rank, (("pred", str(u)),), "q(U) is defined", "no anchor",
                        str(exc))
@@ -347,14 +352,18 @@ def _extension_pairs(n: int, lo: int = 0) -> Iterator[tuple[UnitIntervalOrder, r
         floor = 0
 
 
-def _extension_sweep(m: int, lo: int, hi: int, edges: bool):
-    """The pairs (U, k) of size m and rank lo..hi - 1: the theorem on each
-    child extend(U, k) or, with edges, the induction identities on each
-    edge from U to it.  A flagged pair is re-checked on the objects.
+def _extension_children(m: int, lo: int, hi: int):
+    """Per child extend(U, k) of the pairs (U, k) of size m and rank
+    lo..hi - 1, in rank order: (rank, U, k, cur, grown, pos, fit, path,
+    reading, through, top).  The bytes cur and grown are q(U) and
+    q(extend(U, k)), its new letter at pos; fit says if grown is an area
+    sequence; path is a(extend(U, k)), reading zeta of grown, and through
+    the reading of cur's diagonals 0..top, top being cur's largest letter.
+    With no anchor in cur, grown, pos, path and reading are None, fit False.
 
-    The sweep loops over the parents U and, at depth m, over each parent's
-    children.  A stack holds, per depth i, the listing cur of elements
-    0..i - 1 (bytes) and what is known of it: a new parent re-inserts only
+    The descent loops over the parents U and, at depth m, over each
+    parent's children.  A stack holds, per depth i, the listing cur of
+    elements 0..i - 1 and what is known of it: a new parent re-inserts only
     its changed suffix, each child only its last letter.  zeta is read off
     a listing as a/b text by Haglund's scan, where diagonal j keeps the
     letters j (read a) and j - 1 (read b).  Levels rise with the element
@@ -378,9 +387,8 @@ def _extension_sweep(m: int, lo: int, hi: int, edges: bool):
     lv = [0] * n                # lv[i]: level of element i
     # stack[i]: the listing cur of elements 0..i - 1, whether it is an area
     # sequence, a's path up to row i's UP step, and the readings of cur's
-    # diagonals 0..top - 1 and 0..top, top being cur's largest letter
+    # diagonals 0..top - 1 and 0..top
     stack = [(b"", True, b"", b"", b"")] * (n + 1)
-    failures = []
     rank = lo
     for u, ks in _extension_pairs(m, lo):
         d = 0
@@ -424,64 +432,29 @@ def _extension_sweep(m: int, lo: int, hi: int, edges: bool):
                 # the child extend(U, k), k = p: diagonal level + 1 holds only
                 # its letters level, read b
                 reading = diagonal + rights[grown.count(level)]
-                if not edges:
-                    path = row + rights[n - p]
-                    if not (grown_fit and reading == path):
-                        child = extend(u, p)
-                        failures.append(_theorem_failure(rank, child) or Failure(
-                            rank, (("pred", str(child)), ("q", _csv(grown))),
-                            "kernel agrees with a_map, p_map and zeta",
-                            reading.decode(), path.decode(),
-                        ))
-                else:
-                    r, s = _peak_parameters(cur, grown, pos, p)
-                    # zeta(q(U)) ends in diagonal top + 1, read b; then
-                    # add_final_peak(zeta(q(U)), r): an UP step before the
-                    # last r RIGHT steps, and one more RIGHT step at the end
-                    zeta_q = through + rights[cur.count(top)]
-                    kept = zeta_q.rstrip(b"b")
-                    t = len(zeta_q) - len(kept)
-                    expected = kept + b"b" * (t - r) + b"a" + b"b" * (r + 1)
-                    if (
-                        grown[:pos] + grown[pos + 1:] != cur
-                        or grown[pos] != max(grown)
-                        or grown[pos] in grown[pos + 1:]
-                        or not grown_fit
-                        or r != s
-                        or reading != expected
-                    ):
-                        failures += _induction_failures(rank, u, p) or [Failure(
-                            rank,
-                            (("pred", str(u)), ("k", str(p)),
-                             ("q", _csv(cur)), ("q_ext", _csv(grown))),
-                            "kernel agrees with q_map, p_map, a_map and zeta",
-                            f"pos={pos} r={r} zeta={reading.decode()}",
-                            f"s={s} zeta(p(U))+r={expected.decode()}",
-                        )]
+                path = row + rights[n - p]
+                yield rank, u, p, cur, grown, pos, grown_fit, path, reading, through, top
                 rank += 1
             else:
                 continue
             # the listing cur is corrupt, an insertion found no anchor in it:
-            # U's pairs left go to the objects, and no later parent reuses
+            # U's children left have no listing, and no later parent reuses
             # the stack past depth i
             pred[i:] = [-1] * (m - i)
             for k in (range(p, ks.stop) if i == m else ks)[:hi - rank]:
-                failures += _unanchored_failures(rank, u, k, edges, cur)
+                yield rank, u, k, cur, None, None, False, None, None, through, top
                 rank += 1
             break
         if rank == hi:
             break
-    return rank - lo, failures
 
 
-def _unanchored_failures(rank, u, k, edges, cur) -> list[Failure]:
-    """The Failures of the pair (U, k) on the objects, else a disagreement
-    of the kernel, which found no anchor for an insertion into cur."""
-    child = extend(u, k)
-    found = _induction_failures(rank, u, k) if edges else [_theorem_failure(rank, child)]
-    return [f for f in found if f] or [Failure(
+def _unanchored(rank, u, k, cur) -> Failure:
+    """The kernel's disagreement for the pair (U, k), whose objects find
+    nothing wrong: it found no anchor for an insertion into cur."""
+    return Failure(
         rank, (("pred", str(u)), ("k", str(k))), "kernel finds every insertion's anchor",
-        f"no anchor in {_csv(cur)}", _csv(_insert_all(child)[0]))]
+        f"no anchor in {_csv(cur)}", _csv(_insert_all(extend(u, k))[0]))
 
 
 # -------------------------------------------------------------- induction
@@ -500,7 +473,39 @@ def check_induction_step(
 
 def _induction_shard(n: int, lo: int, hi: int):
     """The induction step for the pairs of rank lo..hi - 1."""
-    return _extension_sweep(n, lo, hi, edges=True)
+    failures = []
+    rank = lo - 1              # rank + 1 - lo: the children drawn
+    for rank, u, k, cur, grown, pos, fit, _, reading, through, top in _extension_children(
+        n, lo, hi
+    ):
+        if grown is None:
+            failures += _induction_failures(rank, u, k) or [_unanchored(rank, u, k, cur)]
+            continue
+        r, s = _peak_parameters(cur, grown, pos, k)
+        # zeta(q(U)) ends in diagonal top + 1, read b; then
+        # add_final_peak(zeta(q(U)), r): an UP step before the
+        # last r RIGHT steps, and one more RIGHT step at the end
+        zeta_q = through + b"b" * cur.count(top)
+        kept = zeta_q.rstrip(b"b")
+        t = len(zeta_q) - len(kept)
+        expected = kept + b"b" * (t - r) + b"a" + b"b" * (r + 1)
+        if (
+            grown[:pos] + grown[pos + 1:] != cur
+            or grown[pos] != max(grown)
+            or grown[pos] in grown[pos + 1:]
+            or not fit
+            or r != s
+            or reading != expected
+        ):
+            failures += _induction_failures(rank, u, k) or [Failure(
+                rank,
+                (("pred", str(u)), ("k", str(k)),
+                 ("q", _csv(cur)), ("q_ext", _csv(grown))),
+                "kernel agrees with q_map, p_map, a_map and zeta",
+                f"pos={pos} r={r} zeta={reading.decode()}",
+                f"s={s} zeta(p(U))+r={expected.decode()}",
+            )]
+    return rank + 1 - lo, failures
 
 
 def _induction_failures(rank, u, k) -> list[Failure]:
@@ -560,44 +565,38 @@ def check_bijections(
 ) -> VerificationReport:
     """Distinct images for a, q and zeta; q valid; a_inverse undoes a."""
     _ceiling("bijections", n, max_n)
-    images = (("a", _text_of_area), ("q", _csv), ("zeta", _text_of_area))
+    images = (("a", bytes.decode), ("q", _csv), ("zeta", bytes.decode))
     return _sweep("bijections", n, catalan(n), jobs, _bijections_shard, images)
 
 
 def _bijections_shard(n: int, lo: int, hi: int):
-    """Failures and the a, q and zeta images of the orders of rank lo..hi - 1.
-
-    Images are area sequences packed as bytes: a(U) is a_j = j - 1 - pred[j],
-    q(U) comes from the walk, and zeta's image is zeta_scan(a(U)), since
-    a_map sends enumerate_uio(n) order onto enumerate_dyck(n) order.  Each
-    q(U) must be an area sequence, and a_inverse must undo a_map.
-    """
-    count = 0
+    """Failures and the a, q and zeta images of the orders of rank lo..hi - 1:
+    the stream's path, listing q(U) and reading zeta(p(U)).  An order whose
+    insertion finds no anchor has no images; its rank, which equals no
+    image, holds their place."""
     failures = []
     a_images, q_images, z_images = [], [], []
-    for rank, (u, listings) in enumerate(_walk(_orders(n, lo, hi)), start=lo):
-        count += 1
-        area = _complement(u.pred)
-        listing = listings[n]
-        a_images.append(bytes(area))
-        q_images.append(bytes(listing))
-        z_images.append(bytes(zeta_scan(area)))
-        word = a_map(u)
+    rank = lo - 1              # rank + 1 - lo: the children drawn
+    for rank, u, k, cur, grown, _, fit, path, reading, _, _ in _extension_children(
+        n - 1, lo, hi
+    ):
+        child = extend(u, k)
+        word = a_map(child)
         back = a_inverse(word)
-        if back != u:
+        if back != child:
             failures.append(Failure(
-                rank, (("pred", str(u)), ("a_word", str(word))),
-                "a_inverse(a(U)) == U", str(back), str(u),
+                rank, (("pred", str(child)), ("a_word", str(word))),
+                "a_inverse(a(U)) == U", str(back), str(child),
             ))
-        if not _is_area_sequence(listing):
-            try:
-                AreaSequence(listing)
-            except ValidationError as exc:
-                failures.append(Failure(
-                    rank, (("pred", str(u)), ("q", _csv(listing))),
-                    "q(U) is a valid area sequence", _csv(listing), str(exc),
-                ))
-    return count, failures, a_images, q_images, z_images
+        if grown is None:
+            failures.append(_area_failure(rank, child) or _unanchored(rank, u, k, cur))
+            path = grown = reading = rank
+        elif not fit and (bad := _area_failure(rank, child, grown)):
+            failures.append(bad)
+        a_images.append(path)
+        q_images.append(grown)
+        z_images.append(reading)
+    return rank + 1 - lo, failures, a_images, q_images, z_images
 
 
 # ---------------------------------------------------------------- grevlex
@@ -613,7 +612,7 @@ def _grevlex_shard(n: int, lo: int, hi: int):
     lo..hi - 1, which one pass over the listings finds for all of them."""
     count = 0
     failures = []
-    orders = list(_orders(n, lo, hi))
+    orders = list(islice(enumerate_uio(n, unrank_uio(n, lo)), hi - lo))
     walk = zip(_walk(orders), grevlex_minima(orders))
     for rank, ((u, listings), found) in enumerate(walk, start=lo):
         count += 1

@@ -20,9 +20,9 @@ gives an UP step and an entry equal to i - 1 a RIGHT step.  It reads the
 same labels without drawing the path: on diagonal i ends the UP step (a) of
 each row with a_j = i - 1, and for each row with a_j = i the RIGHT step (b)
 by which the path comes back down to diagonal i, in the same left-to-right
-order.  The sweeps in harness read zeta this way (the theorem and
-induction kernel with bytes.translate); zeta's diagonal reading stays the
-independent oracle they are tested against.
+order.  The extension stream in harness reads zeta this way, with
+bytes.translate; zeta's diagonal reading stays the independent oracle it
+is tested against.
 
 zeta_inverse is p o a^-1 (p from partlist, a^-1 from uio): the paper's
 theorem a(U) = zeta(p(U)) leaves no separate inverse to compute.

@@ -25,6 +25,7 @@ from dyckzeta import (
     poset_of,
 )
 from dyckzeta import harness
+from dyckzeta.zeta import zeta_scan
 
 
 def catalan_by_recurrence(up_to):
@@ -236,22 +237,24 @@ def pred_vectors(draw, max_n=12):
     return UnitIntervalOrder(tuple(pred))
 
 
-# ------------------------------------------------- rewriting the kernel
+# ----------------------------------------- the extension stream in tests
 
-_KERNEL = harness._extension_sweep
+_KERNEL = harness._extension_children
 
 
 def rewrite_kernel(monkeypatch, edits, **names):
-    """Swap harness._extension_sweep for a copy that runs more statements.
+    """Swap harness._extension_children for a copy that runs more statements.
 
-    The theorem and induction kernel inlines its steps, so a test faults or
-    watches one by rewriting it: `edits` maps the target of an assignment
-    in the kernel, as source text such as "grown", to statements run right
-    after that assignment, which must occur exactly once.  Edits add up
-    over calls within one test.  `names` are set on harness for those
-    statements to call; monkeypatch undoes all of it.
+    The stream inlines the insertion, so a test faults or watches one of its
+    steps by rewriting it: `edits` maps the target of an assignment in the
+    stream, as source text such as "grown", to statements run right after
+    that assignment, which must occur exactly once.  Edits add up over
+    calls within one test; wrap_children comes after them.  `names` are set
+    on harness for those statements to call; monkeypatch undoes all of it.
     """
-    edits = {**getattr(harness._extension_sweep, "edits", {}), **edits}
+    current = harness._extension_children
+    assert current is _KERNEL or hasattr(current, "edits"), "rewrite before wrapping"
+    edits = {**getattr(current, "edits", {}), **edits}
     tree = ast.parse(textwrap.dedent(inspect.getsource(_KERNEL)))
     sites = []
     for node in ast.walk(tree):
@@ -269,8 +272,18 @@ def rewrite_kernel(monkeypatch, edits, **names):
     scope = {}
     code = compile(ast.fix_missing_locations(tree), "<rewritten kernel>", "exec")
     exec(code, vars(harness), scope)
-    scope["_extension_sweep"].edits = edits
-    monkeypatch.setattr(harness, "_extension_sweep", scope["_extension_sweep"])
+    scope["_extension_children"].edits = edits
+    monkeypatch.setattr(harness, "_extension_children", scope["_extension_children"])
+
+
+def wrap_children(monkeypatch, edit):
+    """Pass each child that harness._extension_children yields, the tuple
+    (rank, U, k, cur, grown, pos, fit, path, reading, through, top), through
+    edit, which may record it and returns the tuple the sweep gets."""
+    inner = harness._extension_children
+    monkeypatch.setattr(
+        harness, "_extension_children", lambda m, lo, hi: map(edit, inner(m, lo, hi))
+    )
 
 
 def path_text(area):
@@ -284,16 +297,18 @@ def path_text(area):
     return ("".join(text) + "b" * (prev + 1)).encode()
 
 
-def read_zeta_by_scan(monkeypatch):
-    """Make the kernel read each child's zeta through harness.zeta_scan,
-    the name the bijections sweep calls, so that a test patching it faults
-    the theorem and induction sweeps too.  (The induction step's zeta(q(U))
-    stays the parent's prefix reading.)"""
-    rewrite_kernel(
-        monkeypatch,
-        {"reading": "reading = _scan_text(grown)"},
-        _scan_text=lambda listing: path_text(harness.zeta_scan(tuple(listing))),
-    )
+def read_zeta_by_scan(monkeypatch, scan=zeta_scan):
+    """Give each child of the stream the reading of `scan` on its listing,
+    so that a test can fault zeta on area sequences.  (The induction step's
+    zeta(q(U)) stays the parent's prefix reading.)"""
+
+    def rescan(child):
+        grown = child[4]
+        if grown is None:
+            return child
+        return child[:8] + (path_text(scan(tuple(grown))),) + child[9:]
+
+    wrap_children(monkeypatch, rescan)
 
 
 def extension_pairs(n, lo=0):

@@ -91,6 +91,8 @@ def test_byte_kernel_refuses_sizes_past_255():
         check_theorem(256, max_n=256)
     with pytest.raises(PreconditionError, match="size <= 255, got 256"):
         check_induction_step(255, max_n=255)
+    with pytest.raises(PreconditionError, match="size <= 255, got 256"):
+        check_bijections(256, max_n=256)
     assert harness._theorem_shard(255, 0, 1) == (1, [])
 
 
@@ -161,17 +163,16 @@ def test_one_usable_cpu_runs_inline_whatever_jobs(monkeypatch):
 
 def _corrupt_zeta(monkeypatch, bad, replacement):
     """Make the harness's zeta send the path bad to replacement, both on the
-    objects (zeta) and on area sequences (zeta_scan, which the kernel is
-    made to read zeta through)."""
+    objects (zeta) and on area sequences (the scan that the stream is made
+    to read zeta by)."""
     bad_seq = area_sequence_from_word(bad).entries
     new_seq = area_sequence_from_word(replacement).entries
     monkeypatch.setattr(
         harness, "zeta", lambda word: replacement if word == bad else zeta(word)
     )
-    monkeypatch.setattr(
-        harness, "zeta_scan", lambda seq: new_seq if seq == bad_seq else zeta_scan(seq)
+    read_zeta_by_scan(
+        monkeypatch, lambda seq: new_seq if seq == bad_seq else zeta_scan(seq)
     )
-    read_zeta_by_scan(monkeypatch)
 
 
 def test_corrupting_zeta_fails_theorem_and_matching_induction(monkeypatch):
@@ -288,15 +289,13 @@ def test_order_shards_draw_exactly_their_own_orders(monkeypatch):
     drawn = _counting(monkeypatch, "enumerate_uio")
     for n in range(1, 8):
         orders = list(enumerate_uio(n))
-        for shard in (harness._bijections_shard, harness._grevlex_shard):
-            for lo, hi in _windows(n, len(orders)):
-                drawn.clear()
-                count, failures, *_ = shard(n, lo, hi)
-                assert (count, failures) == (hi - lo, [])
-                assert drawn == orders[lo:hi], (shard.__name__, n, lo, hi)
+        for lo, hi in _windows(n, len(orders)):
+            drawn.clear()
+            assert harness._grevlex_shard(n, lo, hi) == (hi - lo, [])
+            assert drawn == orders[lo:hi], (n, lo, hi)
 
 
-def test_theorem_shard_draws_exactly_the_pairs_of_its_orders(monkeypatch):
+def _assert_draws_the_pairs_of_its_orders(monkeypatch, shard):
     # the orders of rank lo..hi - 1 are the children of the pairs of size
     # n - 1 with those ranks; the shard draws the parents of those pairs
     # and no other
@@ -306,13 +305,22 @@ def test_theorem_shard_draws_exactly_the_pairs_of_its_orders(monkeypatch):
         assert len(every) == catalan(n)
         for lo, hi in _windows(n, len(every)):
             parents.clear()
-            assert harness._theorem_shard(n, lo, hi) == (hi - lo, [])
+            count, failures, *_ = shard(n, lo, hi)
+            assert (count, failures) == (hi - lo, [])
             pairs = [(u, k) for u, ks in parents for k in ks][:hi - lo]
             assert pairs == every[lo:hi], (n, lo, hi)
             assert [u for u, _ in parents] == list(dict.fromkeys(u for u, _ in pairs))
             assert [u.pred + (k,) for u, k in pairs] == [
                 unrank_uio(n, r) for r in range(lo, hi)
             ]
+
+
+def test_theorem_shard_draws_exactly_the_pairs_of_its_orders(monkeypatch):
+    _assert_draws_the_pairs_of_its_orders(monkeypatch, harness._theorem_shard)
+
+
+def test_bijections_shard_draws_exactly_the_pairs_of_its_orders(monkeypatch):
+    _assert_draws_the_pairs_of_its_orders(monkeypatch, harness._bijections_shard)
 
 
 def test_induction_shard_draws_exactly_its_own_pairs(monkeypatch):

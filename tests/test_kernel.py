@@ -1,18 +1,19 @@
 """The sweeps' kernels against the object-level maps.
 
-The theorem and induction sweeps share one kernel over extension pairs
-(harness._extension_sweep): bytes listings, the insertion inlined, zeta
-read by bytes.translate onto the parent's prefix readings.  The
-bijections and grevlex sweeps read q(U) from a prefix-sharing insertion
-walk (harness._walk) and apply zeta by Haglund's scan (zeta.zeta_scan).
-Each piece is checked here against an independent computation: the
-listings against q_map, the readings and scans against zeta's diagonal
-reading, the kernel's a-paths against a_map, the induction kernel against
-the per-pair object body, and the bijection images against a_map's rank
-alignment.  Fault tests patch the names the harness looks up, or rewrite
-the kernel, whose steps have no names (helpers.rewrite_kernel), and check
-the exact record each fault yields; four mutations of the kernel must
-each be flagged.
+The theorem, induction and bijections sweeps read one stream of extension
+pairs (harness._extension_children), which yields per child its bytes
+listing, inserted inline, a's path, and zeta read by bytes.translate onto
+the parent's prefix readings; each sweep is one consumer of it.  The
+grevlex sweep reads q(U) from a prefix-sharing insertion walk
+(harness._walk).  Each piece is checked here against an independent
+computation: the stream's listings against q_map, its paths against
+a_map, its readings against Haglund's scan (zeta.zeta_scan) and zeta's
+diagonal reading, the induction consumer against the per-pair object body,
+and the walk's listings against the insertion run.  Fault tests patch the
+names the harness looks up, wrap the stream to corrupt or watch what it
+yields (helpers.wrap_children), or rewrite the insertion, whose steps have
+no names (helpers.rewrite_kernel), and check the exact record each fault
+yields; four mutations of the insertion must each be flagged.
 """
 
 from itertools import product
@@ -34,16 +35,18 @@ from dyckzeta import (
     check_theorem,
     enumerate_dyck,
     enumerate_uio,
+    extend,
     harness,
     p_map,
     parse_pred,
     q_map,
+    unrank_uio,
     word_from_area_sequence,
     zeta,
 )
 from dyckzeta import cli, partlist
 from dyckzeta.partlist import _insert_all
-from dyckzeta.zeta import zeta_scan
+from dyckzeta.zeta import _peak_parameters, zeta_scan
 
 from helpers import (
     extension_pairs,
@@ -51,25 +54,34 @@ from helpers import (
     pred_vectors,
     read_zeta_by_scan,
     rewrite_kernel,
+    wrap_children,
 )
+
+
+def test_extension_children_equal_the_object_maps():
+    # the stream on its own: each child's listing is q, an area sequence,
+    # its path a, and its reading zeta of p
+    for n in range(1, 9):
+        children = list(harness._extension_children(n - 1, 0, catalan(n)))
+        assert len(children) == catalan(n)
+        for rank, u, k, _, grown, _, fit, path, reading, _, _ in children:
+            assert unrank_uio(n, rank) == u.pred + (k,)
+            child = extend(u, k)
+            assert fit and grown == bytes(q_map(child)[0].entries), str(child)
+            assert path.decode() == str(a_map(child)), str(child)
+            assert reading.decode() == str(zeta(p_map(child))), str(child)
 
 
 def test_kernel_listings_equal_q_map(monkeypatch):
     seen = []
-
-    def scan(listing):
-        seen.append(listing)
-        return zeta_scan(listing)
-
-    monkeypatch.setattr(harness, "zeta_scan", scan)
-    read_zeta_by_scan(monkeypatch)
+    wrap_children(monkeypatch, lambda child: seen.append(child[4]) or child)
     for n in range(1, 10):
         seen.clear()
         assert check_theorem(n).passed
         orders = list(enumerate_uio(n))
         assert len(seen) == len(orders) == catalan(n)
         for u, listing in zip(orders, seen):
-            assert listing == q_map(u)[0].entries, str(u)
+            assert listing == bytes(q_map(u)[0].entries), str(u)
 
 
 @given(st.lists(pred_vectors(max_n=8), max_size=12))
@@ -90,16 +102,16 @@ def test_walk_over_any_stream_equals_insert_all(orders):
 
 
 def test_translate_reading_and_kernel_paths_equal_the_oracles(monkeypatch):
-    # the theorem kernel reads zeta once per order, off q(U) and its
-    # parent's prefixes, and builds a(U)'s path on its depth stack
+    # the theorem sweep reads zeta once per order, off q(U) and its
+    # parent's prefixes, and a(U)'s path, built on the stream's depth stack
     readings, paths = [], []
-    rewrite_kernel(
-        monkeypatch,
-        {"reading": "_seen_reading(grown, reading)",
-         "path": "_seen_path(path)"},
-        _seen_reading=lambda listing, reading: readings.append((listing, reading)),
-        _seen_path=paths.append,
-    )
+
+    def seen(child):
+        readings.append((child[4], child[8]))
+        paths.append(child[7])
+        return child
+
+    wrap_children(monkeypatch, seen)
     for n in range(1, 10):
         readings.clear()
         paths.clear()
@@ -114,14 +126,17 @@ def test_translate_reading_and_kernel_paths_equal_the_oracles(monkeypatch):
 
 
 def test_induction_kernel_reads_zeta_of_q_off_the_prefixes(monkeypatch):
-    # the induction step takes zeta(q(U)) from the prefix readings that its
-    # children reuse, for every pair with n <= 8
+    # the induction step takes zeta(q(U)) from the prefix reading that its
+    # children reuse: diagonals 0..top, then diagonal top + 1, which holds
+    # only q(U)'s largest letters top, read b; for every pair with n <= 8
     seen = []
-    rewrite_kernel(
-        monkeypatch,
-        {"zeta_q": "_seen_zeta_q(u, cur, zeta_q)"},
-        _seen_zeta_q=lambda u, listing, reading: seen.append((u, listing, reading)),
-    )
+
+    def zeta_q(child):
+        _, u, _, cur, _, _, _, _, _, through, top = child
+        seen.append((u, cur, through + b"b" * cur.count(top)))
+        return child
+
+    wrap_children(monkeypatch, zeta_q)
     for n in range(1, 9):
         seen.clear()
         assert check_induction_step(n).passed
@@ -167,8 +182,7 @@ def test_corrupted_scan_is_reported_as_kernel_disagreement(monkeypatch):
         out = zeta_scan(listing)
         return out[:-1] + (out[-1] + 1,) if listing == bad else out
 
-    monkeypatch.setattr(harness, "zeta_scan", scan)
-    read_zeta_by_scan(monkeypatch)
+    read_zeta_by_scan(monkeypatch, scan)
     report = check_theorem(n)
     assert report.instances_checked == catalan(n)
     (failure,) = report.failures
@@ -264,20 +278,28 @@ def unanchored(rank, pred, rhs):
         unanchored(12, "0,1,2,2", "need 1 occurrences of 1, found only 0"),
         unanchored(13, "0,1,2,3", "need 1 occurrences of 1, found only 0"),
     ]),
+    (check_bijections, 4, [
+        unanchored(11, "0,1,1,3", "need 2 occurrences of 1, found only 1"),
+        unanchored(12, "0,1,2,2", "need 1 occurrences of 1, found only 0"),
+        unanchored(13, "0,1,2,3", "need 1 occurrences of 1, found only 0"),
+    ]),
 ])
 def test_listing_corrupted_at_a_parent_depth_is_reported_not_raised(
     monkeypatch, check, n, records
 ):
     # partlist._insert and the kernel both send 0,1 to 0,2, so a later
-    # insertion, in a child or (theorem at n = 4) in the parent 0,1,2, finds
-    # no letter 1 to anchor on, in the kernel and in the objects'
-    # _insertion_point; those pairs end the sweep and are recorded as the
-    # objects' failures: the induction re-check first finds q(0,1) invalid
+    # insertion, in a child or (theorem and bijections at n = 4) in the
+    # parent 0,1,2, finds no letter 1 to anchor on, in the kernel and in the
+    # objects' _insertion_point; those pairs end the sweep and are recorded
+    # as the objects' failures: the induction re-check first finds q(0,1)
+    # invalid.  An order without a listing has no images, so it adds no
+    # duplicate-image record
     _insert_replacing(monkeypatch, (0, 1), (0, 2), objects=True)
     report = check(n)
     assert report.instances_checked == catalan(n + (check is check_induction_step))
     assert [f.to_json_dict() for f in report.failures[-len(records):]] == records
-    name = "theorem" if check is check_theorem else "induction"
+    name = {check_theorem: "theorem", check_induction_step: "induction",
+            check_bijections: "bijections"}[check]
     assert cli.main(["verify", "--check", name, "--n", str(n)]) == 1
 
 
@@ -406,10 +428,7 @@ def test_induction_kernel_catches_a_listing_that_is_no_insertion(monkeypatch):
     # letter it is q(U)" flags rank 2; 0,1,1 is the listing of rank 3, whose
     # scan is now the one that is wrong
     _insert_replacing(monkeypatch, (0, 0, 1), (0, 1, 1))
-    monkeypatch.setattr(
-        harness, "zeta_scan", lambda s: zeta_scan((0, 0, 1) if s == (0, 1, 1) else s)
-    )
-    read_zeta_by_scan(monkeypatch)
+    read_zeta_by_scan(monkeypatch, lambda s: zeta_scan((0, 0, 1) if s == (0, 1, 1) else s))
     failures = check_induction_step(2).failures
     assert [f.rank for f in failures] == [2, 3]
     assert {f.equation for f in failures} == {
@@ -419,14 +438,23 @@ def test_induction_kernel_catches_a_listing_that_is_no_insertion(monkeypatch):
 
 def test_induction_kernel_checks_r_equals_s(monkeypatch):
     # s one too large for k = 0 leaves the listings and readings right, so
-    # only r == s can flag those pairs (the kernel's child loop runs p over k)
-    rewrite_kernel(monkeypatch, {"(r, s)": "s += p == 0"})
+    # only r == s can flag those pairs; the objects' re-check reads the same
+    # s, and reports r == s and the peak that a(U) gains after s steps
+    def peak_parameters(small, big, pos, k):
+        r, s = _peak_parameters(small, big, pos, k)
+        return r, s + (k == 0)
+
+    monkeypatch.setattr(harness, "_peak_parameters", peak_parameters)
     failures = check_induction_step(3).failures
     pairs = extension_pairs(3)
-    assert [f.rank for f in failures] == [r for r, (_, k) in enumerate(pairs) if k == 0]
-    for failure in failures:
-        assert failure.equation == "kernel agrees with q_map, p_map, a_map and zeta"
-        assert " r=3 " in failure.lhs and failure.rhs.startswith("s=4 ")
+    flagged = [r for r, (_, k) in enumerate(pairs) if k == 0]
+    assert [f.rank for f in failures] == [r for r in flagged for _ in range(2)]
+    assert [(f.equation, f.lhs, f.rhs) for f in failures if f.rank == flagged[0]] == [
+        ("a(extend(U,k)) == add_final_peak(a(U), s)", "aaaabbbb",
+         "unrealizable: cannot place a final peak before 4 trailing right steps: "
+         "path has only 3"),
+        ("r == s", "3", "4"),
+    ]
 
 
 def test_induction_shard_restarts_at_any_rank():
@@ -439,7 +467,8 @@ def test_induction_shard_restarts_at_any_rank():
 # ------------------------------------------------------------- bijections
 
 def test_a_map_sends_order_ranks_to_dyck_ranks():
-    # why the zeta images of the bijections sweep need no second enumeration
+    # the two enumerations line up: the order of rank r has the Dyck path
+    # of rank r as its a-path
     for n in range(0, 10):
         assert [a_map(u) for u in enumerate_uio(n)] == list(enumerate_dyck(n))
 
@@ -468,20 +497,16 @@ def _bijections_failure(monkeypatch):
     return failure
 
 
-def _area(pred):
-    return area_sequence_from_word(a_map(parse_pred(pred))).entries
-
-
 def test_duplicated_zeta_image_is_reported(monkeypatch):
-    # rank 9 (pred 0,1,1,1) gets the zeta image of rank 3 (pred 0,0,0,3)
-    first, dup = _area("0,0,0,3"), _area("0,1,1,1")
-    monkeypatch.setattr(
-        harness, "zeta_scan", lambda s: zeta_scan(first if s == dup else s)
-    )
+    # rank 9 (pred 0,1,1,1) gets the zeta image zeta(p(U)) of rank 3
+    # (pred 0,0,0,3)
+    first = str(zeta(p_map(parse_pred("0,0,0,3")))).encode()
+    wrap_children(monkeypatch, lambda child: (
+        child[:8] + (first,) + child[9:] if child[0] == 9 else child))
     failure = _bijections_failure(monkeypatch)
     assert failure.rank == 9
     assert failure.equation == "zeta images pairwise distinct"
-    assert dict(failure.inputs) == {"image": "aababbab"}
+    assert dict(failure.inputs) == {"image": "aaabbbab"}
     assert (failure.lhs, failure.rhs) == ("rank 9", "already produced at rank 3")
 
 
