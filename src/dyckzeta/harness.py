@@ -9,14 +9,17 @@ as data rather than raising:
               letter; both path maps grow by a final peak placed r resp.
               s right steps from the end; and r == s
   bijections  a, q and zeta have pairwise-distinct images; q emits valid
-              area sequences; a_inverse undoes a
+              area sequences; a_inverse undoes a, read off a's path
   grevlex     the grevlex-minimal listing isomorphic to U, found for all
               orders in one pass over the listings, agrees with q
 
 Every order of size n is extend(U, k) for exactly one pair (U, k) of size
 n - 1.  The theorem, induction and bijections sweeps each consume one
 stream over these pairs (_extension_children), which yields per child its
-listing q, a's path and the zeta reading of q, as bytes.  The grevlex sweep
+listing q, a's path and the zeta reading of q, as bytes.  The bijections
+sweep keeps no image: each shard marks every image as one bit of a bitmap
+per map, and only a bit met twice, in one shard or two, is traced back to
+its ranks.  The grevlex sweep
 and `dyckzeta map --name p|q|unzeta` read q(U) off a prefix-sharing
 insertion walk over integer tuples (_walk).  The objects (a_map, p_map,
 q_map, zeta, ...) are the re-check: an instance the stream flags is
@@ -39,10 +42,12 @@ from __future__ import annotations
 import os
 import signal
 import time
+import zlib
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, islice
+from functools import partial
+from itertools import accumulate, islice
 from multiprocessing import active_children
 from operator import attrgetter, sub
 from typing import Iterator, Optional
@@ -68,10 +73,11 @@ from .zeta import _peak_parameters, zeta
 #: Per-check size ceilings keeping the full sweep under a minute on a 2-CPU VM
 #: (Python 3.11).  They are sized for jobs=2, while verify defaults to one
 #: job: theorem 15 took 37 s at jobs=2 and 66 s at jobs=1, induction 13 took
-#: 16 s at jobs=2 and 27 s at jobs=1, bijections 12 4.4-4.6 s at jobs=2 and
-#: 7.0-7.2 s at jobs=1.  grevlex always runs in one process (n = 8 in 17 s).
-#: Raise via the max_n argument (or --max-n in the CLI).
-DEFAULT_CEILINGS = {"theorem": 15, "induction": 13, "bijections": 12, "grevlex": 8}
+#: 16 s at jobs=2 and 27 s at jobs=1, bijections 14 31-32 s at jobs=2 and
+#: 49-52 s at jobs=1 (its bitmaps cap it at BITMAP_MAX_N = 15).  grevlex
+#: always runs in one process (n = 8 in 17 s).  Raise via the max_n argument
+#: (or --max-n in the CLI).
+DEFAULT_CEILINGS = {"theorem": 15, "induction": 13, "bijections": 14, "grevlex": 8}
 
 
 @dataclass(frozen=True)
@@ -169,12 +175,12 @@ def _shard_bounds(total: int, jobs: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _sweep(check, n, total, jobs, shard, images=()):
+def _sweep(check, n, total, jobs, shard, merge=None):
     """Run shard(n, lo, hi) over contiguous rank ranges and report.
 
-    A shard returns its instance count, its failures and, per (name, text)
-    in `images`, the images of that map in rank order; the counts must add
-    up to `total`, and each map's images must be distinct across shards.
+    A shard returns its instance count and its failures, and the counts must
+    add up to `total`; merge(total, results), if given, returns the failures
+    that only the results of all shards together show.
     """
     start = time.perf_counter()
     bounds = _shard_bounds(total, jobs)
@@ -188,17 +194,8 @@ def _sweep(check, n, total, jobs, shard, images=()):
             f"{check} enumeration truncated: saw {count} of {total} instances"
         )
     failures = [f for r in results for f in r[1]]
-    for column, (name, text) in enumerate(images, start=2):
-        if len(set(chain.from_iterable(r[column] for r in results))) == count:
-            continue            # distinct; ranks are looked up only for a duplicate
-        first_seen: dict[bytes, int] = {}
-        for rank, img in enumerate(chain.from_iterable(r[column] for r in results)):
-            first = first_seen.setdefault(img, rank)
-            if first != rank:
-                failures.append(Failure(
-                    rank, (("image", text(img)),), f"{name} images pairwise distinct",
-                    f"rank {rank}", f"already produced at rank {first}",
-                ))
+    if merge is not None:
+        failures += merge(total, results)
     failures.sort(key=lambda f: f.rank)
     return VerificationReport(
         check, n, count, tuple(failures), time.perf_counter() - start
@@ -560,43 +557,147 @@ def _induction_failures(rank, u, k) -> list[Failure]:
 
 # ------------------------------------------------------------- bijections
 
+#: the largest size whose bitmaps, 2^(2n - 2) bits per map, are allocated
+BITMAP_MAX_N = 15
+#: a/b bytes as binary digits; int() refuses the x of any other byte
+_BITS = b"x" * ord("a") + b"10" + b"x" * (256 - ord("c"))
+
+
 def check_bijections(
     n: int, jobs: int = 1, max_n: Optional[int] = None
 ) -> VerificationReport:
-    """Distinct images for a, q and zeta; q valid; a_inverse undoes a."""
+    """Distinct images for a, q and zeta; q valid; a_inverse undoes a.
+
+    a_inverse is read off a's path on bytes (_pred_of_path), and a rank it
+    flags is re-checked on the objects.  Each shard marks each map's images
+    as bits of a bitmap, so n <= BITMAP_MAX_N = 15 (2^28 bits = 32 MB per
+    map and shard), checked before anything is allocated.
+    """
     _ceiling("bijections", n, max_n)
-    images = (("a", bytes.decode), ("q", _csv), ("zeta", bytes.decode))
-    return _sweep("bijections", n, catalan(n), jobs, _bijections_shard, images)
+    if n > BITMAP_MAX_N:
+        raise PreconditionError(f"bijections bitmaps hold sizes <= {BITMAP_MAX_N} "
+                                f"(2^{2 * BITMAP_MAX_N - 2} bits per map), got {n}")
+    return _sweep("bijections", n, catalan(n), jobs, _bijections_shard,
+                  partial(_repeated_images, n))
 
 
-def _bijections_shard(n: int, lo: int, hi: int):
-    """Failures and the a, q and zeta images of the orders of rank lo..hi - 1:
-    the stream's path, listing q(U) and reading zeta(p(U)).  An order whose
-    insertion finds no anchor has no images; its rank, which equals no
-    image, holds their place."""
-    failures = []
-    a_images, q_images, z_images = [], [], []
-    rank = lo - 1              # rank + 1 - lo: the children drawn
+def _pred_of_path(path: bytes, n: int) -> Optional[tuple[int, ...]]:
+    """a_inverse on a/b bytes: pred[j] is the number of b's before the j-th
+    a.  None unless the path has 2n steps, n of them a and n of them b."""
+    runs = path.split(b"a")
+    if len(runs) != n + 1 or path.count(b"b") != n or len(path) != 2 * n:
+        return None
+    return tuple(accumulate(map(len, runs[:-1])))
+
+
+def _image_key(image: bytes, n: int):
+    """The bit of a 2n-step a/b word from a to b: its middle 2n - 2 steps
+    read as binary, a = 1.  An image of any other shape is its own key."""
+    try:
+        key = int(image.translate(_BITS), 2) ^ (1 << (2 * n - 1))
+    except ValueError:          # a byte other than a or b, or none
+        return image
+    return image if key & ~((1 << (2 * n - 1)) - 2) else key >> 1
+
+
+def _bijection_images(n: int, lo: int, hi: int, failures: list):
+    """Per order of rank lo..hi - 1: (rank, (a, q, zeta image), q(U)), the
+    images as a/b bytes, q's the path of q(U); an image is None where q(U)
+    has no anchor, q's also where q(U) is no area sequence.  The order's
+    failures go to `failures`."""
+    rights = [b"b" * j for j in range(n + 1)]
     for rank, u, k, cur, grown, _, fit, path, reading, _, _ in _extension_children(
         n - 1, lo, hi
     ):
-        child = extend(u, k)
-        word = a_map(child)
-        back = a_inverse(word)
-        if back != child:
-            failures.append(Failure(
-                rank, (("pred", str(child)), ("a_word", str(word))),
-                "a_inverse(a(U)) == U", str(back), str(child),
-            ))
         if grown is None:
-            failures.append(_area_failure(rank, child) or _unanchored(rank, u, k, cur))
-            path = grown = reading = rank
-        elif not fit and (bad := _area_failure(rank, child, grown)):
+            child = extend(u, k)
+            failures += filter(None, (_a_failure(rank, child), _area_failure(
+                rank, child) or _unanchored(rank, u, k, cur)))
+            yield rank, (None, None, None), None
+            continue
+        if _pred_of_path(path, n) != u.pred + (k,):
+            failures.append(_a_failure(rank, extend(u, k), path))
+        if not fit and (bad := _area_failure(rank, extend(u, k), grown)):
             failures.append(bad)
-        a_images.append(path)
-        q_images.append(grown)
-        z_images.append(reading)
-    return rank + 1 - lo, failures, a_images, q_images, z_images
+            yield rank, (path, None, reading), grown
+            continue
+        # a_{j-1} + 1 - a_j RIGHT steps before row j's UP step, a_n + 1 after
+        yield rank, (path, b"a".join([b"", *[
+            rights[last + 1 - a] for last, a in zip(grown, grown[1:])
+        ], rights[grown[-1] + 1]]), reading), grown
+
+
+def _a_failure(rank, child, path=None) -> Optional[Failure]:
+    """The Failure for a_inverse(a(U)) != U on the objects; else, for a path
+    the stream gave, the kernel's disagreement; else None."""
+    word = a_map(child)
+    back = a_inverse(word)
+    if back != child:
+        return Failure(rank, (("pred", str(child)), ("a_word", str(word))),
+                       "a_inverse(a(U)) == U", str(back), str(child))
+    if path is not None:
+        pred = _pred_of_path(path, child.n)
+        return Failure(rank, (("pred", str(child)), ("a_path", path.decode())),
+                       "kernel agrees with a_map and a_inverse",
+                       "no order" if pred is None else _csv(pred), str(child))
+    return None
+
+
+def _bijections_shard(n: int, lo: int, hi: int):
+    """The orders of rank lo..hi - 1: (count, failures, bitmaps, repeats).
+    Each image's key (_image_key) is a bit of its map's bitmap, 2^(2n - 2)
+    bits, returned zlib-compressed; repeats holds (map, key) for each key
+    met twice and each image of another shape, compared only exactly."""
+    failures = []
+    bitmaps = [bytearray(((1 << (2 * n - 2)) + 7) // 8) for _ in range(3)]
+    repeats = set()
+    rank = lo - 1              # rank + 1 - lo: the orders drawn
+    for rank, images, _ in _bijection_images(n, lo, hi, failures):
+        for column, image in enumerate(images):
+            if image is None:
+                continue
+            key = _image_key(image, n)
+            if key.__class__ is not int:
+                repeats.add((column, key))
+                continue
+            bitmap, byte, bit = bitmaps[column], key >> 3, 1 << (key & 7)
+            if bitmap[byte] & bit:
+                repeats.add((column, key))
+            bitmap[byte] |= bit
+    return rank + 1 - lo, failures, [zlib.compress(b, 1) for b in bitmaps], repeats
+
+
+def _repeated_images(n, total, results) -> list[Failure]:
+    """A Failure per rank whose a, q or zeta image an earlier rank made.
+    The shards' repeats and the bits two shards share (an AND of their
+    bitmaps) are looked up in one more pass of the stream."""
+    wanted = set().union(*(r[3] for r in results))
+    for column in range(3):
+        seen = 0
+        for r in results:
+            marks = int.from_bytes(zlib.decompress(r[2][column]), "little")
+            shared = seen & marks
+            while shared:
+                key = shared.bit_length() - 1
+                wanted.add((column, key))
+                shared ^= 1 << key
+            seen |= marks
+    if not wanted:
+        return []
+    failures = []
+    first_seen = {}
+    for rank, images, grown in _bijection_images(n, 0, total, []):
+        for column, image in enumerate(images):
+            if image is None or (column, key := _image_key(image, n)) not in wanted:
+                continue
+            first = first_seen.setdefault((column, key), rank)
+            if first != rank:
+                failures.append(Failure(
+                    rank, (("image", _csv(grown) if column == 1 else image.decode()),),
+                    f"{('a', 'q', 'zeta')[column]} images pairwise distinct",
+                    f"rank {rank}", f"already produced at rank {first}",
+                ))
+    return failures
 
 
 # ---------------------------------------------------------------- grevlex

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dyckzeta import harness
+from dyckzeta import cli, harness
 from dyckzeta import (
     PreconditionError,
     area_sequence_from_word,
@@ -76,7 +76,7 @@ def test_ceilings_guard_and_override():
     with pytest.raises(PreconditionError, match="capped"):
         check_induction_step(14)
     with pytest.raises(PreconditionError, match="capped"):
-        check_bijections(13)
+        check_bijections(15)
     with pytest.raises(PreconditionError, match="capped"):
         check_grevlex(9)
     # max_n overrides in both directions
@@ -91,9 +91,19 @@ def test_byte_kernel_refuses_sizes_past_255():
         check_theorem(256, max_n=256)
     with pytest.raises(PreconditionError, match="size <= 255, got 256"):
         check_induction_step(255, max_n=255)
-    with pytest.raises(PreconditionError, match="size <= 255, got 256"):
+    with pytest.raises(PreconditionError, match="sizes <= 15 .*, got 256"):
         check_bijections(256, max_n=256)
     assert harness._theorem_shard(255, 0, 1) == (1, [])
+
+
+def test_bijections_refuses_bitmaps_past_their_bound(monkeypatch, capsys):
+    # refused before any shard runs or any bitmap is allocated
+    monkeypatch.setattr(harness, "_sweep", None)
+    with pytest.raises(PreconditionError, match=r"sizes <= 15 \(2\^28 bits per map\), got 16"):
+        check_bijections(16, max_n=16)
+    args = ["verify", "--check", "bijections", "--n", "16", "--max-n", "16"]
+    assert cli.main(args) == 2
+    assert "got 16" in capsys.readouterr().err
 
 
 def test_checks_reject_size_zero():

@@ -9,13 +9,15 @@ grevlex sweep reads q(U) from a prefix-sharing insertion walk
 computation: the stream's listings against q_map, its paths against
 a_map, its readings against Haglund's scan (zeta.zeta_scan) and zeta's
 diagonal reading, the induction consumer against the per-pair object body,
-and the walk's listings against the insertion run.  Fault tests patch the
-names the harness looks up, wrap the stream to corrupt or watch what it
-yields (helpers.wrap_children), or rewrite the insertion, whose steps have
-no names (helpers.rewrite_kernel), and check the exact record each fault
-yields; four mutations of the insertion must each be flagged.
+the bijections check's bytes inverse (harness._pred_of_path) against
+a_inverse, and the walk's listings against the insertion run.  Fault tests
+patch the names the harness looks up, wrap the stream to corrupt or watch
+what it yields (helpers.wrap_children), or rewrite the insertion, whose
+steps have no names (helpers.rewrite_kernel), and check the exact record
+each fault yields; four mutations of the insertion must each be flagged.
 """
 
+import zlib
 from itertools import product
 
 import pytest
@@ -473,15 +475,25 @@ def test_a_map_sends_order_ranks_to_dyck_ranks():
         assert [a_map(u) for u in enumerate_uio(n)] == list(enumerate_dyck(n))
 
 
+def _bitmaps(result):
+    return [int.from_bytes(zlib.decompress(b), "little") for b in result[2]]
+
+
 def test_bijections_shard_restarts_at_any_rank():
+    # the bitmaps of the shards (0, lo) and (lo, total) are disjoint and OR
+    # to those of (0, total)
     n = 5
     total = catalan(n)
-    count, failures, *images = harness._bijections_shard(n, 0, total)
-    assert (count, failures) == (total, [])
+    whole = harness._bijections_shard(n, 0, total)
+    assert (whole[0], whole[1], whole[3]) == (total, [], set())
+    assert [bitmap.bit_count() for bitmap in _bitmaps(whole)] == [total] * 3
     for lo in range(total):
-        assert harness._bijections_shard(n, lo, total) == (
-            total - lo, [], *(column[lo:] for column in images)
-        )
+        head = harness._bijections_shard(n, 0, lo)
+        tail = harness._bijections_shard(n, lo, total)
+        assert (tail[0], tail[1], tail[3]) == (total - lo, [], set())
+        for first, second, both in zip(_bitmaps(head), _bitmaps(tail), _bitmaps(whole)):
+            assert first & second == 0
+            assert first | second == both
 
 
 def _bijections_failure(monkeypatch):
@@ -531,9 +543,18 @@ def test_q_listing_that_is_no_area_sequence_is_reported(monkeypatch):
     assert failure.rhs == "entry 4 is 2, exceeding entry 3 + 1 = 1"
 
 
+def _read_pred_wrong(monkeypatch, path, wrong):
+    """Make the bytes inverse send `path` to `wrong`."""
+    inner = harness._pred_of_path
+    monkeypatch.setattr(harness, "_pred_of_path",
+                        lambda p, n: wrong if p == path else inner(p, n))
+
+
 def test_a_inverse_mismatch_is_reported(monkeypatch):
-    # a_inverse sends a(U) for U = 0,0,2,2 (rank 7) to 0,0,2,3
+    # the bytes inverse and a_inverse both send a(U) for U = 0,0,2,2
+    # (rank 7) to 0,0,2,3
     word, wrong = a_map(parse_pred("0,0,2,2")), parse_pred("0,0,2,3")
+    _read_pred_wrong(monkeypatch, str(word).encode(), wrong.pred)
     monkeypatch.setattr(
         harness, "a_inverse", lambda d: wrong if d == word else a_inverse(d)
     )
@@ -542,3 +563,72 @@ def test_a_inverse_mismatch_is_reported(monkeypatch):
     assert failure.equation == "a_inverse(a(U)) == U"
     assert dict(failure.inputs) == {"pred": "0,0,2,2", "a_word": "aabbaabb"}
     assert (failure.lhs, failure.rhs) == ("0,0,2,3", "0,0,2,2")
+
+
+def test_bytes_inverse_the_objects_do_not_confirm_is_a_kernel_disagreement(monkeypatch):
+    _read_pred_wrong(monkeypatch, b"aabbaabb", (0, 0, 2, 3))
+    failure = _bijections_failure(monkeypatch)
+    assert failure.rank == 7
+    assert failure.equation == "kernel agrees with a_map and a_inverse"
+    assert dict(failure.inputs) == {"pred": "0,0,2,2", "a_path": "aabbaabb"}
+    assert (failure.lhs, failure.rhs) == ("0,0,2,3", "0,0,2,2")
+
+
+def test_a_path_the_bytes_inverse_refuses_is_a_kernel_disagreement(monkeypatch):
+    # rank 7's path loses its last step: the bytes inverse refuses it, and
+    # the short image is compared outside the bitmap, where it repeats none
+    wrap_children(monkeypatch, lambda child: (
+        child[:7] + (child[7][:-1],) + child[8:] if child[0] == 7 else child))
+    failure = _bijections_failure(monkeypatch)
+    assert failure.rank == 7
+    assert failure.equation == "kernel agrees with a_map and a_inverse"
+    assert dict(failure.inputs) == {"pred": "0,0,2,2", "a_path": "aabbaab"}
+    assert (failure.lhs, failure.rhs) == ("no order", "0,0,2,2")
+
+
+def test_pred_of_path_inverts_every_path():
+    for n in range(0, 10):
+        for word in enumerate_dyck(n):
+            assert harness._pred_of_path(str(word).encode(), n) == a_inverse(word).pred
+    # a path of the wrong length, with another count of a's, or with a
+    # byte other than a and b is refused
+    for path, n in [(b"aabbab", 4), (b"aabbabb", 3), (b"aabbaabb", 3),
+                    (b"aaabab", 3), (b"abbbab", 3), (b"aabcab", 3), (b"", 1)]:
+        assert harness._pred_of_path(path, n) is None, path
+
+
+def _reading_at(ranks, reading):
+    return lambda child: child[:8] + (reading,) + child[9:] if child[0] in ranks else child
+
+
+def test_duplicated_zeta_image_within_one_shard_is_reported(monkeypatch):
+    # at jobs = 2 the shards hold ranks 0..6 and 7..13; rank 12 (pred
+    # 0,1,2,2) gets the zeta image of rank 10 (pred 0,1,1,2)
+    wrap_children(monkeypatch, _reading_at({12}, b"abaababb"))
+    failure = _bijections_failure(monkeypatch)
+    assert failure.rank == 12
+    assert failure.equation == "zeta images pairwise distinct"
+    assert dict(failure.inputs) == {"image": "abaababb"}
+    assert (failure.lhs, failure.rhs) == ("rank 12", "already produced at rank 10")
+
+
+def test_zeta_reading_of_another_shape_repeats_no_image(monkeypatch):
+    # rank 9 gets rank 3's reading aaabbbab with its first and last steps
+    # swapped: its middle steps are rank 3's, but it is no 2n-step word from
+    # a to b, so it is compared exactly and repeats nothing
+    monkeypatch.setattr(
+        harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+    )
+    wrap_children(monkeypatch, _reading_at({9}, b"baabbbaa"))
+    for jobs in (1, 2):
+        assert check_bijections(4, jobs=jobs).failures == ()
+
+
+def test_zeta_readings_of_another_shape_are_compared_exactly(monkeypatch):
+    # ranks 3 and 9 both get the reading one step short, aaabbba
+    wrap_children(monkeypatch, _reading_at({3, 9}, b"aaabbba"))
+    failure = _bijections_failure(monkeypatch)
+    assert failure.rank == 9
+    assert failure.equation == "zeta images pairwise distinct"
+    assert dict(failure.inputs) == {"image": "aaabbba"}
+    assert (failure.lhs, failure.rhs) == ("rank 9", "already produced at rank 3")
