@@ -20,12 +20,10 @@ from .lattice import (
     _UP,
     AreaSequence,
     DyckWord,
-    _area_of_steps,
     _text_of_area,
     area_sequence_from_area_set,
     area_sequence_from_word,
     area_set_from_area_sequence,
-    enumerate_dyck,
     parse_area_sequence,
     parse_area_set,
     parse_word,
@@ -131,11 +129,12 @@ def _apply_named_map(name: str, value: str) -> str:
 def _cmd_map(args) -> int:
     """Print the image of each value, one line each, in input order.
 
-    q, p and unzeta = zeta_inverse = p o a^-1 (pred read off the word's
-    area sequence) print q(U), or its path, from one insertion walk over the
-    stream (harness._walk): consecutive lines whose pred vectors share a
-    prefix, as sorted input does, re-insert only the rest.  Each q(U) is
-    checked as an area sequence, whose path is then a Dyck word.
+    q, p and unzeta = zeta_inverse = p o a^-1 print q(U), or its path, from
+    one insertion walk over the stream (harness._walk): consecutive lines
+    whose pred vectors share a prefix, as sorted input does, re-insert only
+    the rest.  unzeta reads the pred vector a^-1(word) off the line's bytes
+    (_pred_of_word), with no path object.  Each q(U) is checked as an area
+    sequence, whose path is then a Dyck word.
     """
     _write_lines(_images(args.name, _each_value(args.value)), args.value is None)
     return 0
@@ -145,13 +144,29 @@ def _images(name: str, values):
     if name in ("p", "q"):
         preds = (parse_pred(value).pred for value in values)
     elif name == "unzeta":
-        preds = (_complement(_area_of_steps(parse_word(value).steps))
-                 for value in values)
+        preds = map(_pred_of_word, values)
     else:
         return (_apply_named_map(name, value) for value in values)
     text = _FROM_AREA["areaseq" if name == "q" else "word"]
     return (text(AreaSequence(listings[len(pred)]))
             for pred, listings in harness._walk(preds, tuple))
+
+
+#: the step letters U/R and 1/0 as a/b; harness._dyck_pred refuses any
+#: other byte
+_AB = bytes.maketrans(b"UR10", b"abab")
+
+
+def _pred_of_word(line: str) -> tuple[int, ...]:
+    """a^-1(word) of a step word, read off its a/b bytes by the order rule
+    (harness._dyck_pred); a line it refuses raises parse_word's error.
+    Each character is one byte ("?" if not ASCII), so the length is kept."""
+    pred = harness._dyck_pred(line.encode("ascii", "replace").translate(_AB),
+                              len(line) // 2)
+    if pred is None:
+        parse_word(line)
+        raise RuntimeError(f"parse_word accepts {line!r}, a line the order rule refuses")
+    return pred
 
 
 # ----------------------------------------------------------------- verify
@@ -181,8 +196,13 @@ def _cmd_verify(args) -> int:
 # -------------------------------------------------------------- enumerate
 
 def _cmd_enumerate(args) -> int:
-    objects = enumerate_dyck(args.n) if args.kind == "dyck" else enumerate_uio(args.n)
-    _write_lines(map(str, objects))
+    """Print every order of size n, or every Dyck path as a(U) of the order
+    U of the same rank: in rank order, that is enumerate_dyck's order."""
+    orders = enumerate_uio(args.n)
+    if args.kind == "dyck":
+        _write_lines(_text_of_area(_complement(u.pred)) for u in orders)
+    else:
+        _write_lines(map(str, orders))
     return 0
 
 

@@ -8,8 +8,9 @@ as data rather than raising:
               every pair (U, k): the listing grows by one final-maximal
               letter; both path maps grow by a final peak placed r resp.
               s right steps from the end; and r == s
-  bijections  a, q and zeta have pairwise-distinct images; q emits valid
-              area sequences; a_inverse undoes a, read off a's path
+  bijections  a, q and zeta have pairwise-distinct images, each a Dyck
+              path of size n; q emits valid area sequences; a_inverse
+              undoes a, read off a's path
   grevlex     the grevlex-minimal listing isomorphic to U, found for all
               orders in one pass over the listings, agrees with q
 
@@ -55,6 +56,7 @@ from typing import Iterator, Optional
 from .errors import PreconditionError, ValidationError
 from .lattice import (
     AreaSequence,
+    _csv,
     add_final_peak,
     catalan,
     final_maximal_peak,
@@ -264,10 +266,6 @@ def _walk(items, pred_of=attrgetter("pred")):
 def _is_area_sequence(s: tuple[int, ...]) -> bool:
     """AreaSequence's rule for a listing, whose entries are levels (>= 0)."""
     return s[0] == 0 and max(map(sub, s[1:], s), default=0) <= 1
-
-
-def _csv(s) -> str:
-    return ",".join(map(str, s))
 
 
 # ---------------------------------------------------------------- theorem
@@ -559,19 +557,24 @@ def _induction_failures(rank, u, k) -> list[Failure]:
 
 #: the largest size whose bitmaps, 2^(2n - 2) bits per map, are allocated
 BITMAP_MAX_N = 15
-#: a/b bytes as binary digits; int() refuses the x of any other byte
-_BITS = b"x" * ord("a") + b"10" + b"x" * (256 - ord("c"))
+#: a/b bytes as binary digits
+_BITS = bytes.maketrans(b"ab", b"10")
+#: bytes of each shard's bitmap that the parent decompresses at a time
+BITMAP_WINDOW = 1 << 16
 
 
 def check_bijections(
     n: int, jobs: int = 1, max_n: Optional[int] = None
 ) -> VerificationReport:
-    """Distinct images for a, q and zeta; q valid; a_inverse undoes a.
+    """Distinct images for a, q and zeta; each image a Dyck path of size n;
+    a_inverse undoes a.
 
     a_inverse is read off a's path on bytes (_pred_of_path), and a rank it
     flags is re-checked on the objects.  Each shard marks each map's images
     as bits of a bitmap, so n <= BITMAP_MAX_N = 15 (2^28 bits = 32 MB per
-    map and shard), checked before anything is allocated.
+    map and shard), checked before anything is allocated.  Only an image
+    that is a Dyck path of size n is marked, so a passing report has C_n
+    distinct Dyck paths of size n per map: each map is onto them.
     """
     _ceiling("bijections", n, max_n)
     if n > BITMAP_MAX_N:
@@ -587,24 +590,35 @@ def _pred_of_path(path: bytes, n: int) -> Optional[tuple[int, ...]]:
     runs = path.split(b"a")
     if len(runs) != n + 1 or path.count(b"b") != n or len(path) != 2 * n:
         return None
-    return tuple(accumulate(map(len, runs[:-1])))
+    runs.pop()
+    return tuple(accumulate(map(len, runs)))
 
 
-def _image_key(image: bytes, n: int):
-    """The bit of a 2n-step a/b word from a to b: its middle 2n - 2 steps
-    read as binary, a = 1.  An image of any other shape is its own key."""
-    try:
-        key = int(image.translate(_BITS), 2) ^ (1 << (2 * n - 1))
-    except ValueError:          # a byte other than a or b, or none
-        return image
-    return image if key & ~((1 << (2 * n - 1)) - 2) else key >> 1
+def _dyck_pred(path: bytes, n: int) -> Optional[tuple[int, ...]]:
+    """_pred_of_path(path, n) if path is a Dyck path of size n, else None.
+
+    Between two a's the b count peaks just before the next a, so the path
+    stays on or above the diagonal iff pred[j] <= j for every j; the total
+    b count n closes it on the diagonal."""
+    pred = _pred_of_path(path, n)
+    if pred is not None:
+        for j, p in enumerate(pred):
+            if p > j:
+                return None
+    return pred
+
+
+def _image_key(image: bytes, n: int) -> int:
+    """The bit of a Dyck path of size n >= 1: its middle 2n - 2 steps read
+    as binary, a = 1 (the first step is a, the last b)."""
+    return int(image.translate(_BITS), 2) >> 1 ^ 1 << (2 * n - 2)
 
 
 def _bijection_images(n: int, lo: int, hi: int, failures: list):
     """Per order of rank lo..hi - 1: (rank, (a, q, zeta image), q(U)), the
-    images as a/b bytes, q's the path of q(U); an image is None where q(U)
-    has no anchor, q's also where q(U) is no area sequence.  The order's
-    failures go to `failures`."""
+    images as a/b bytes, q's the path of q(U).  An image is None where it
+    is no Dyck path of size n, so where q(U) has no anchor and q's where
+    q(U) is no area sequence.  The order's failures go to `failures`."""
     rights = [b"b" * j for j in range(n + 1)]
     for rank, u, k, cur, grown, _, fit, path, reading, _, _ in _extension_children(
         n - 1, lo, hi
@@ -617,14 +631,24 @@ def _bijection_images(n: int, lo: int, hi: int, failures: list):
             continue
         if _pred_of_path(path, n) != u.pred + (k,):
             failures.append(_a_failure(rank, extend(u, k), path))
-        if not fit and (bad := _area_failure(rank, extend(u, k), grown)):
+            if _dyck_pred(path, n) is None:
+                path = None
+        if fit or not (bad := _area_failure(rank, extend(u, k), grown)):
+            # a_{j-1} + 1 - a_j RIGHT steps before row j's UP step, a_n + 1 after
+            q_path = b"a".join([b"", *[
+                rights[last + 1 - a] for last, a in zip(grown, grown[1:])
+            ], rights[grown[-1] + 1]])
+        else:
             failures.append(bad)
-            yield rank, (path, None, reading), grown
-            continue
-        # a_{j-1} + 1 - a_j RIGHT steps before row j's UP step, a_n + 1 after
-        yield rank, (path, b"a".join([b"", *[
-            rights[last + 1 - a] for last, a in zip(grown, grown[1:])
-        ], rights[grown[-1] + 1]]), reading), grown
+            q_path = None
+        # the theorem makes the reading a's path; any reading must be a path
+        if reading != path and _dyck_pred(reading, n) is None:
+            failures.append(Failure(
+                rank, (("pred", str(extend(u, k))), ("q", _csv(grown))),
+                "zeta(p(U)) is a Dyck path", reading.decode(),
+                f"no Dyck path of size {n}"))
+            reading = None
+        yield rank, (path, q_path, reading), grown
 
 
 def _a_failure(rank, child, path=None) -> Optional[Failure]:
@@ -647,7 +671,7 @@ def _bijections_shard(n: int, lo: int, hi: int):
     """The orders of rank lo..hi - 1: (count, failures, bitmaps, repeats).
     Each image's key (_image_key) is a bit of its map's bitmap, 2^(2n - 2)
     bits, returned zlib-compressed; repeats holds (map, key) for each key
-    met twice and each image of another shape, compared only exactly."""
+    met twice."""
     failures = []
     bitmaps = [bytearray(((1 << (2 * n - 2)) + 7) // 8) for _ in range(3)]
     repeats = set()
@@ -657,9 +681,6 @@ def _bijections_shard(n: int, lo: int, hi: int):
             if image is None:
                 continue
             key = _image_key(image, n)
-            if key.__class__ is not int:
-                repeats.add((column, key))
-                continue
             bitmap, byte, bit = bitmaps[column], key >> 3, 1 << (key & 7)
             if bitmap[byte] & bit:
                 repeats.add((column, key))
@@ -667,21 +688,32 @@ def _bijections_shard(n: int, lo: int, hi: int):
     return rank + 1 - lo, failures, [zlib.compress(b, 1) for b in bitmaps], repeats
 
 
+def _windows(data: bytes):
+    """The bytes zlib-compressed as `data`, BITMAP_WINDOW bytes at a time."""
+    stream = zlib.decompressobj()
+    while window := stream.decompress(data, BITMAP_WINDOW):
+        yield window
+        data = stream.unconsumed_tail
+
+
 def _repeated_images(n, total, results) -> list[Failure]:
     """A Failure per rank whose a, q or zeta image an earlier rank made.
     The shards' repeats and the bits two shards share (an AND of their
-    bitmaps) are looked up in one more pass of the stream."""
+    bitmaps, window by window) are looked up in one more pass of the
+    stream."""
     wanted = set().union(*(r[3] for r in results))
     for column in range(3):
-        seen = 0
-        for r in results:
-            marks = int.from_bytes(zlib.decompress(r[2][column]), "little")
-            shared = seen & marks
-            while shared:
-                key = shared.bit_length() - 1
-                wanted.add((column, key))
-                shared ^= 1 << key
-            seen |= marks
+        streams = zip(*(_windows(r[2][column]) for r in results))
+        for start, windows in enumerate(streams):
+            seen = 0
+            for window in windows:
+                marks = int.from_bytes(window, "little")
+                shared = seen & marks
+                while shared:
+                    key = shared.bit_length() - 1
+                    wanted.add((column, start * 8 * BITMAP_WINDOW + key))
+                    shared ^= 1 << key
+                seen |= marks
     if not wanted:
         return []
     failures = []

@@ -110,7 +110,7 @@ class AreaSequence:
         return len(self.entries)
 
     def __str__(self) -> str:
-        return ",".join(str(a) for a in self.entries)
+        return _csv(self.entries)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,6 +148,12 @@ class AreaSet:
         return f"n={self.n}:{pairs}"
 
 
+def _csv(entries) -> str:
+    """The comma-separated text of a vector of ints: how orders, area
+    sequences and listings print."""
+    return ",".join(map(str, entries))
+
+
 class Peak(NamedTuple):
     """An UP step immediately followed by a RIGHT step."""
 
@@ -183,31 +189,27 @@ def _text_of_area(entries: tuple[int, ...]) -> str:
     For a valid area sequence it is a Dyck word by construction: a_j >= 0
     puts row j's UP step at x = j - 1 - a_j, on or left of the diagonal, and
     a_j <= a_{j-1} + 1 keeps each count of RIGHT steps non-negative."""
-    text = ""
-    prev = -1
+    runs = []               # the RIGHT steps before each UP step, then after
+    right = 0               # a_{j-1} + 1, with a_0 = -1
     for a in entries:
-        text += "b" * (prev + 1 - a) + "a"
-        prev = a
-    return text + "b" * (prev + 1)
+        runs.append("b" * (right - a))
+        right = a + 1
+    runs.append("b" * right)
+    return "a".join(runs)
 
 
 def area_sequence_from_word(d: DyckWord) -> AreaSequence:
-    """Per-row box count between the path and the diagonal, bottom row first."""
-    return AreaSequence(_area_of_steps(d.steps))
-
-
-def _area_of_steps(steps: tuple[Step, ...]) -> tuple[int, ...]:
-    """The area sequence of a valid step word, unchecked: row j's count is
-    the height y - x at which its UP step starts."""
+    """Per-row box count between the path and the diagonal, bottom row
+    first: row j's count is the height y - x at which its UP step starts."""
     entries: list[int] = []
     height = 0
-    for step in steps:
+    for step in d.steps:
         if step is _UP:
             entries.append(height)
             height += 1
         else:
             height -= 1
-    return tuple(entries)
+    return AreaSequence(tuple(entries))
 
 
 def area_set_from_area_sequence(s: AreaSequence) -> AreaSet:

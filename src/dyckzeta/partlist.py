@@ -18,7 +18,7 @@ from operator import add, or_
 from typing import Iterator, Sequence
 
 from .errors import PreconditionError, ValidationError
-from .lattice import AreaSequence, DyckWord, _word_of_area
+from .lattice import AreaSequence, DyckWord, _csv, _word_of_area
 from .uio import LevelProfile, UnitIntervalOrder
 
 
@@ -39,7 +39,7 @@ class PartListing:
         return len(self.entries)
 
     def __str__(self) -> str:
-        return ",".join(str(w) for w in self.entries)
+        return _csv(self.entries)
 
 
 @dataclass(frozen=True, slots=True)

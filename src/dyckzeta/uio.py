@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import PreconditionError, ValidationError
 from .lattice import (
     DyckWord,
+    _csv,
     _parse_int_vector,
     _word_of_area,
     area_sequence_from_word,
@@ -60,7 +61,7 @@ class UnitIntervalOrder:
         return len(self.pred)
 
     def __str__(self) -> str:
-        return ",".join(str(p) for p in self.pred)
+        return _csv(self.pred)
 
 
 @dataclass(frozen=True, slots=True)

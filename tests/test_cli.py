@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -256,6 +257,10 @@ def test_enumerate_dyck_lines(capsys):
     assert lines == sorted(lines)
     assert len(lines) == 5
     assert lines[0] == "aaabbb"
+    # a(U) in rank order is enumerate_dyck's list
+    for n in range(10):
+        assert run(capsys, "enumerate", "--kind", "dyck", "--n", str(n)) == (
+            0, word_lines(n), "")
 
 
 def test_enumerate_uio_lines(capsys):
@@ -420,13 +425,16 @@ def pred_lines(n):
     (("map", "--name", "unzeta"), word_lines, word_from_area_sequence),
     (("convert", "--from", "areaseq", "--to", "word"), area_sequence_lines,
      word_from_area_sequence),
+    (("map", "--name", "unzeta"), word_lines, DyckWord),
+    (("enumerate", "--kind", "dyck", "--n", "6"), word_lines, DyckWord),
 ], ids=["unzeta", "q", "pred-to-areaseq", "areaseq-to-pred", "p-text",
-        "unzeta-text", "areaseq-to-word-text"])
+        "unzeta-text", "areaseq-to-word-text", "unzeta-word", "dyck-enumerate"])
 def test_hub_paths_build_no_detour(capsys, monkeypatch, argv, lines, target):
-    # unzeta reads pred off the word, q reads the walk, convert crosses
-    # between orders and area sequences without a path, and paths are
-    # printed as the text of their checked area sequence: the same output
-    # with the detour made to fail
+    # unzeta reads pred off the word's bytes, q reads the walk, convert
+    # crosses between orders and area sequences without a path, paths are
+    # printed as the text of their checked area sequence, and enumerate
+    # prints a(U) as such a text: the same output with the detour made to
+    # fail
     text = lines(6)
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     expected = run(capsys, *argv)
@@ -477,6 +485,57 @@ def test_convert_streams_every_pair_in_any_order(capsys, monkeypatch):
             code, out, err = run(capsys, "convert", "--from", src, "--to", dst)
             assert (code, out) == (2, "".join(f"{texts[dst]}\n" for _, texts in head))
             assert err.startswith("error: ")
+
+
+#: every kind of step letter, and a character that is none
+UNZETA_LETTERS = "abUR10x"
+
+
+def per_line_unzeta(line):
+    """(exit status, stdout, stderr) of unzeta on one line, by the objects."""
+    try:
+        return 0, f"{zeta_inverse(parse_word(line))}\n", ""
+    except dyckzeta.ValidationError as exc:
+        return 2, "", f"error: {exc}\n"
+
+
+def test_unzeta_answers_every_short_line_as_the_objects_do(capsys, monkeypatch):
+    # every line of length <= 6 over UNZETA_LETTERS (137 257 lines, about a
+    # second), of length 7 and 8 over a, b and x, and lines with a
+    # non-ASCII letter or a lone surrogate
+    lines = [*("".join(t) for k in range(7) for t in product(UNZETA_LETTERS, repeat=k)),
+             *("".join(t) for k in (7, 8) for t in product("abx", repeat=k)),
+             "é", "aébb", "ａｂ", "ab\udc80b", "\udc80"]
+    expected = {line: per_line_unzeta(line) for line in lines}
+    # C_m * 9^m paths of size m <= 3 over six step letters, C_4 over a and b
+    assert sum(code == 0 for code, _, _ in expected.values()) == 3817 + 14
+    # a main() call per line from argv, for the lines of length <= 3 and
+    # the odd characters
+    for line in lines:
+        if len(line) <= 3 or not line.isascii():
+            assert run(capsys, "map", "--name", "unzeta", line) == expected[line], line
+    # every line through the code each of those runs
+    for line in lines:
+        try:
+            got = 0, f"{next(cli._images('unzeta', [line]))}\n", ""
+        except dyckzeta.ValidationError as exc:
+            got = 2, "", f"error: {exc}\n"
+        assert got == expected[line], line
+    # and the lines that are paths as one stream
+    paths = [line for line in lines if expected[line][0] == 0]
+    stream = "".join(line + "\n" for line in paths)
+    assert map_stdin(capsys, monkeypatch, "unzeta", stream) == (
+        0, "".join(expected[line][1] for line in paths), "")
+
+
+def test_unzeta_fails_loudly_where_the_order_rule_and_the_parser_disagree(
+    capsys, monkeypatch
+):
+    # a line the bytes rule refuses but parse_word accepts is never printed
+    monkeypatch.setattr(harness, "_dyck_pred", lambda path, n: None)
+    with pytest.raises(RuntimeError, match="parse_word accepts 'ab'"):
+        run(capsys, "map", "--name", "unzeta", "ab")
+    assert capsys.readouterr().out == ""
 
 
 def test_map_refuses_a_token_int_would_take(capsys):

@@ -496,17 +496,31 @@ def test_bijections_shard_restarts_at_any_rank():
             assert first | second == both
 
 
-def _bijections_failure(monkeypatch):
-    """The one failure of check_bijections(4), the same at jobs 1 and 2."""
+def _bijections_failures(monkeypatch):
+    """The failures of check_bijections(4), the same at jobs 1 and 2, and
+    at jobs 2 with the parent's AND one byte at a time (8 windows)."""
     monkeypatch.setattr(
         harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
     )
     lone = check_bijections(4, jobs=1)
     two = check_bijections(4, jobs=2)
+    monkeypatch.setattr(harness, "BITMAP_WINDOW", 1)
+    windowed = check_bijections(4, jobs=2)
     assert lone.instances_checked == two.instances_checked == catalan(4)
-    assert lone.failures == two.failures
-    (failure,) = lone.failures
+    assert lone.failures == two.failures == windowed.failures
+    return lone.failures
+
+
+def _bijections_failure(monkeypatch):
+    """The one failure of check_bijections(4), the same at jobs 1 and 2."""
+    (failure,) = _bijections_failures(monkeypatch)
     return failure
+
+
+def _no_path(rank, pred, q, reading):
+    """The record of a zeta reading that is no Dyck path of size 4."""
+    return harness.Failure(rank, (("pred", pred), ("q", q)), "zeta(p(U)) is a Dyck path",
+                           reading, "no Dyck path of size 4")
 
 
 def test_duplicated_zeta_image_is_reported(monkeypatch):
@@ -523,9 +537,11 @@ def test_duplicated_zeta_image_is_reported(monkeypatch):
 
 
 def test_duplicated_q_image_is_reported(monkeypatch):
-    # rank 10 (q = 0,1,2,1) gets the listing of rank 2 (q = 0,0,1,0)
+    # rank 10 (q = 0,1,2,1) gets the listing of rank 2 (q = 0,0,1,0); the
+    # reading, which reuses the parent's prefix readings, is then no path
     _insert_replacing(monkeypatch, (0, 1, 2, 1), (0, 0, 1, 0))
-    failure = _bijections_failure(monkeypatch)
+    no_path, failure = _bijections_failures(monkeypatch)
+    assert no_path == _no_path(10, "0,1,1,2", "0,0,1,0", "abaab")
     assert failure.rank == 10
     assert failure.equation == "q images pairwise distinct"
     assert dict(failure.inputs) == {"image": "0,0,1,0"}
@@ -533,9 +549,11 @@ def test_duplicated_q_image_is_reported(monkeypatch):
 
 
 def test_q_listing_that_is_no_area_sequence_is_reported(monkeypatch):
-    # rank 5 (pred 0,0,1,2, q = 0,1,0,1) gets a listing that climbs by 2
+    # rank 5 (pred 0,0,1,2, q = 0,1,0,1) gets a listing that climbs by 2,
+    # and its reading is then no path
     _insert_replacing(monkeypatch, (0, 1, 0, 1), (0, 1, 0, 2))
-    failure = _bijections_failure(monkeypatch)
+    failure, no_path = _bijections_failures(monkeypatch)
+    assert no_path == _no_path(5, "0,0,1,2", "0,1,0,2", "aababb")
     assert failure.rank == 5
     assert failure.equation == "q(U) is a valid area sequence"
     assert dict(failure.inputs) == {"pred": "0,0,1,2", "q": "0,1,0,2"}
@@ -576,7 +594,7 @@ def test_bytes_inverse_the_objects_do_not_confirm_is_a_kernel_disagreement(monke
 
 def test_a_path_the_bytes_inverse_refuses_is_a_kernel_disagreement(monkeypatch):
     # rank 7's path loses its last step: the bytes inverse refuses it, and
-    # the short image is compared outside the bitmap, where it repeats none
+    # the short image, no path, is not marked
     wrap_children(monkeypatch, lambda child: (
         child[:7] + (child[7][:-1],) + child[8:] if child[0] == 7 else child))
     failure = _bijections_failure(monkeypatch)
@@ -613,22 +631,19 @@ def test_duplicated_zeta_image_within_one_shard_is_reported(monkeypatch):
 
 
 def test_zeta_reading_of_another_shape_repeats_no_image(monkeypatch):
-    # rank 9 gets rank 3's reading aaabbbab with its first and last steps
-    # swapped: its middle steps are rank 3's, but it is no 2n-step word from
-    # a to b, so it is compared exactly and repeats nothing
-    monkeypatch.setattr(
-        harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
-    )
+    # rank 9 (pred 0,1,1,1) gets rank 3's reading aaabbbab with its first
+    # and last steps swapped: its middle steps are rank 3's, but it is no
+    # path, so it is reported as such and not marked
     wrap_children(monkeypatch, _reading_at({9}, b"baabbbaa"))
-    for jobs in (1, 2):
-        assert check_bijections(4, jobs=jobs).failures == ()
-
-
-def test_zeta_readings_of_another_shape_are_compared_exactly(monkeypatch):
-    # ranks 3 and 9 both get the reading one step short, aaabbba
-    wrap_children(monkeypatch, _reading_at({3, 9}, b"aaabbba"))
     failure = _bijections_failure(monkeypatch)
-    assert failure.rank == 9
-    assert failure.equation == "zeta images pairwise distinct"
-    assert dict(failure.inputs) == {"image": "aaabbba"}
-    assert (failure.lhs, failure.rhs) == ("rank 9", "already produced at rank 3")
+    assert failure == _no_path(9, "0,1,1,1", "0,1,1,1", "baabbbaa")
+
+
+def test_zeta_readings_of_another_shape_are_each_reported(monkeypatch):
+    # ranks 3 and 9 both get the reading one step short, aaabbba: two
+    # records, and no repeat
+    wrap_children(monkeypatch, _reading_at({3, 9}, b"aaabbba"))
+    assert _bijections_failures(monkeypatch) == (
+        _no_path(3, "0,0,0,3", "0,0,0,1", "aaabbba"),
+        _no_path(9, "0,1,1,1", "0,1,1,1", "aaabbba"),
+    )
