@@ -51,6 +51,17 @@ def _default_jobs() -> int:
         return 1
 
 
+def _jobs(text: str) -> int:
+    """The --jobs value: an int, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 worker, got {jobs}")
+    return jobs
+
+
 # ------------------------------------------------------------- conversion
 
 #: source encoding -> its parser down to the area-sequence hub; orders cross
@@ -348,11 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=int, required=True)
     verify.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs,
         default=None,
-        help=f"worker processes (default from ${JOBS_ENV_VAR}, else 1; "
-        "capped at the usable CPUs); grevlex runs in one process, refuses "
-        f"--jobs above 1 and ignores ${JOBS_ENV_VAR}",
+        help=f"worker processes, at least 1 (default from ${JOBS_ENV_VAR}, "
+        "else 1; capped at the usable CPUs); grevlex runs in one process, "
+        f"refuses --jobs above 1 and ignores ${JOBS_ENV_VAR}",
     )
     verify.add_argument("--max-n", type=int, default=None, dest="max_n",
                         help="raise the default size ceiling")

@@ -10,7 +10,7 @@ as data rather than raising:
               s right steps from the end; and r == s
   bijections  a, q and zeta have pairwise-distinct images, each a Dyck
               path of size n; q emits valid area sequences; a_inverse
-              undoes a, read off a's path
+              undoes a: the j-th a of a(U) is step j + pred[j]
   grevlex     the grevlex-minimal listing isomorphic to U, found for all
               orders in one pass over the listings, agrees with q
 
@@ -18,14 +18,13 @@ Every order of size n is extend(U, k) for exactly one pair (U, k) of size
 n - 1.  The theorem, induction and bijections sweeps each consume one
 stream over these pairs (_extension_children), which yields per child its
 listing q, a's path and the zeta reading of q, as bytes.  The bijections
-sweep keeps no image: each shard marks every image as one bit of a bitmap
-per map, and only a bit met twice, in one shard or two, is traced back to
-its ranks.  The grevlex sweep
-and `dyckzeta map --name p|q|unzeta` read q(U) off a prefix-sharing
-insertion walk over integer tuples (_walk).  The objects (a_map, p_map,
-q_map, zeta, ...) are the re-check: an instance the stream flags is
-checked again on them, and a flag they do not confirm is reported as a
-disagreement of the kernel.  Each check has one code path, its shard
+sweep keeps no image: it sums each image's bit from powers of two, marks
+it in a bitmap per map, and traces only a bit met twice back to its ranks.
+The grevlex sweep and `dyckzeta map --name p|q|unzeta` read q(U) off a
+prefix-sharing insertion walk over integer tuples (_walk).  The objects
+(a_map, p_map, q_map, zeta, ...) are the re-check: an instance the stream
+flags is checked again on them, and a flag they do not confirm is reported
+as a disagreement of the kernel.  Each check has one code path, its shard
 function, which the CLI runs too.
 
 Work shards by contiguous enumeration-rank ranges, so reports are
@@ -33,9 +32,9 @@ deterministic for a fixed n regardless of worker count.  A shard of ranks
 lo..hi - 1 starts its stream at its first instance, unranked by
 uio.unrank_uio (for extension pairs, the child of rank lo), and draws
 exactly hi - lo instances (for extension pairs, the parents of its hi - lo
-pairs): no shard builds the orders before its own.
-Pool workers ignore SIGINT; on Ctrl-C the parent stops them and raises
-KeyboardInterrupt, which the CLI reports with exit status 2.
+pairs): no shard builds the orders before its own.  Pool workers ignore
+SIGINT; on Ctrl-C the parent stops them and raises KeyboardInterrupt,
+which the CLI reports with exit status 2.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, islice
 from multiprocessing import active_children
-from operator import attrgetter, sub
+from operator import attrgetter, getitem, sub
 from typing import Iterator, Optional
 
 from .errors import PreconditionError, ValidationError
@@ -75,8 +74,8 @@ from .zeta import _peak_parameters, zeta
 #: Per-check size ceilings keeping the full sweep under a minute on a 2-CPU VM
 #: (Python 3.11).  They are sized for jobs=2, while verify defaults to one
 #: job: theorem 15 took 37 s at jobs=2 and 66 s at jobs=1, induction 13 took
-#: 16 s at jobs=2 and 27 s at jobs=1, bijections 14 31-32 s at jobs=2 and
-#: 49-52 s at jobs=1 (its bitmaps cap it at BITMAP_MAX_N = 15).  grevlex
+#: 16 s at jobs=2 and 27 s at jobs=1, bijections 14 17 s at jobs=2 and 30 s at
+#: jobs=1 (15 took 71 s at jobs=2; BITMAP_MAX_N = 15 caps it).  grevlex
 #: always runs in one process (n = 8 in 17 s).  Raise via the max_n argument
 #: (or --max-n in the CLI).
 DEFAULT_CEILINGS = {"theorem": 15, "induction": 13, "bijections": 14, "grevlex": 8}
@@ -168,13 +167,8 @@ def _shard_bounds(total: int, jobs: int) -> list[tuple[int, int]]:
     """
     jobs = max(1, min(jobs, total, _usable_cpus()))
     base, extra = divmod(total, jobs)
-    bounds = []
-    lo = 0
-    for w in range(jobs):
-        hi = lo + base + (1 if w < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
+    cuts = [w * base + min(w, extra) for w in range(jobs + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def _sweep(check, n, total, jobs, shard, merge=None):
@@ -186,10 +180,7 @@ def _sweep(check, n, total, jobs, shard, merge=None):
     """
     start = time.perf_counter()
     bounds = _shard_bounds(total, jobs)
-    if len(bounds) == 1:
-        results = [shard(n, 0, total)]
-    else:
-        results = _pool_map(shard, n, bounds)
+    results = [shard(n, 0, total)] if len(bounds) == 1 else _pool_map(shard, n, bounds)
     count = sum(r[0] for r in results)
     if count != total:
         raise RuntimeError(
@@ -557,8 +548,8 @@ def _induction_failures(rank, u, k) -> list[Failure]:
 
 #: the largest size whose bitmaps, 2^(2n - 2) bits per map, are allocated
 BITMAP_MAX_N = 15
-#: a/b bytes as binary digits
-_BITS = bytes.maketrans(b"ab", b"10")
+#: a/b bytes as binary digits; every other byte as ?, which int(_, 2) refuses
+_BITS = b"?" * ord("a") + b"10" + b"?" * (254 - ord("a"))
 #: bytes of each shard's bitmap that the parent decompresses at a time
 BITMAP_WINDOW = 1 << 16
 
@@ -569,12 +560,12 @@ def check_bijections(
     """Distinct images for a, q and zeta; each image a Dyck path of size n;
     a_inverse undoes a.
 
-    a_inverse is read off a's path on bytes (_pred_of_path), and a rank it
-    flags is re-checked on the objects.  Each shard marks each map's images
-    as bits of a bitmap, so n <= BITMAP_MAX_N = 15 (2^28 bits = 32 MB per
-    map and shard), checked before anything is allocated.  Only an image
-    that is a Dyck path of size n is marked, so a passing report has C_n
-    distinct Dyck paths of size n per map: each map is onto them.
+    Each shard marks each map's images as bits of a bitmap, n <= BITMAP_MAX_N
+    = 15 (2^28 bits = 32 MB per map and shard).  The bits are sums of powers
+    of two (_bijection_keys): a's path must read as the one whose j-th a is
+    step j + pred[j], else the objects re-check the rank.  Only a Dyck path
+    of size n is marked, so a passing report has C_n distinct Dyck paths of
+    size n per map: each map is onto them.
     """
     _ceiling("bijections", n, max_n)
     if n > BITMAP_MAX_N:
@@ -608,47 +599,65 @@ def _dyck_pred(path: bytes, n: int) -> Optional[tuple[int, ...]]:
     return pred
 
 
-def _image_key(image: bytes, n: int) -> int:
-    """The bit of a Dyck path of size n >= 1: its middle 2n - 2 steps read
-    as binary, a = 1 (the first step is a, the last b)."""
-    return int(image.translate(_BITS), 2) >> 1 ^ 1 << (2 * n - 2)
+def _image_key(image: bytes, n: int) -> Optional[int]:
+    """The bit of a Dyck path of size n >= 1, None for other bytes: its
+    middle 2n - 2 steps read as binary, a = 1 (the first is a, the last b)."""
+    if _dyck_pred(image, n) is not None:
+        return int(image.translate(_BITS), 2) >> 1 ^ 1 << (2 * n - 2)
+    return None
 
 
-def _bijection_images(n: int, lo: int, hi: int, failures: list):
-    """Per order of rank lo..hi - 1: (rank, (a, q, zeta image), q(U)), the
-    images as a/b bytes, q's the path of q(U).  An image is None where it
-    is no Dyck path of size n, so where q(U) has no anchor and q's where
+def _is_a_path(path: bytes, n: int, steps: int) -> bool:
+    """Whether path is 2n a/b bytes that read as binary (a = 1) to steps."""
+    try:
+        return len(path) == 2 * n and int(path.translate(_BITS), 2) == steps
+    except ValueError:      # a byte other than a and b
+        return False
+
+
+def _step_bits(n: int) -> list[tuple[int, ...]]:
+    """bits[j][s]: step 2j - s of a path of size n read as binary, i.e. bit
+    2n - 1 - 2j + s.  The j-th a of the path of an area sequence s is step
+    2j - s[j], and that of a(U) is step j + pred[j]: s = j - pred[j]."""
+    return [tuple(1 << (2 * n - 1 - 2 * j + s) for s in range(j + 1)) for j in range(n)]
+
+
+def _bijection_keys(n: int, lo: int, hi: int, failures: list):
+    """Per order of rank lo..hi - 1: (rank, a's, q's and zeta's _image_key,
+    a's path, q(U), zeta's reading), a key None where its image is no Dyck
+    path of size n, so all three where q(U) has no anchor and q's where
     q(U) is no area sequence.  The order's failures go to `failures`."""
-    rights = [b"b" * j for j in range(n + 1)]
+    bits, top, parent = _step_bits(n), 1 << (2 * n - 2), None
     for rank, u, k, cur, grown, _, fit, path, reading, _, _ in _extension_children(
         n - 1, lo, hi
     ):
+        if u is not parent:
+            parent, base = u, sum(bits[j][j - p] for j, p in enumerate(u.pred))
         if grown is None:
             child = extend(u, k)
             failures += filter(None, (_a_failure(rank, child), _area_failure(
                 rank, child) or _unanchored(rank, u, k, cur)))
-            yield rank, (None, None, None), None
+            yield rank, None, None, None, path, grown, reading
             continue
-        if _pred_of_path(path, n) != u.pred + (k,):
+        steps = base + bits[-1][n - 1 - k]      # the last a is step n - 1 + k
+        if _is_a_path(path, n, steps):
+            a_key = steps >> 1 ^ top
+        else:
             failures.append(_a_failure(rank, extend(u, k), path))
-            if _dyck_pred(path, n) is None:
-                path = None
+            a_key = _image_key(path, n)
         if fit or not (bad := _area_failure(rank, extend(u, k), grown)):
-            # a_{j-1} + 1 - a_j RIGHT steps before row j's UP step, a_n + 1 after
-            q_path = b"a".join([b"", *[
-                rights[last + 1 - a] for last, a in zip(grown, grown[1:])
-            ], rights[grown[-1] + 1]])
+            q_key = sum(map(getitem, bits, grown)) >> 1 ^ top
         else:
             failures.append(bad)
-            q_path = None
+            q_key = None
         # the theorem makes the reading a's path; any reading must be a path
-        if reading != path and _dyck_pred(reading, n) is None:
+        zeta_key = a_key if reading == path else _image_key(reading, n)
+        if zeta_key is None:
             failures.append(Failure(
                 rank, (("pred", str(extend(u, k))), ("q", _csv(grown))),
                 "zeta(p(U)) is a Dyck path", reading.decode(),
                 f"no Dyck path of size {n}"))
-            reading = None
-        yield rank, (path, q_path, reading), grown
+        yield rank, a_key, q_key, zeta_key, path, grown, reading
 
 
 def _a_failure(rank, child, path=None) -> Optional[Failure]:
@@ -669,22 +678,26 @@ def _a_failure(rank, child, path=None) -> Optional[Failure]:
 
 def _bijections_shard(n: int, lo: int, hi: int):
     """The orders of rank lo..hi - 1: (count, failures, bitmaps, repeats).
-    Each image's key (_image_key) is a bit of its map's bitmap, 2^(2n - 2)
-    bits, returned zlib-compressed; repeats holds (map, key) for each key
-    met twice."""
+    Each key of _bijection_keys is a bit of its map's bitmap, 2^(2n - 2) bits,
+    returned zlib-compressed; repeats holds (map, key) for each key met twice."""
     failures = []
-    bitmaps = [bytearray(((1 << (2 * n - 2)) + 7) // 8) for _ in range(3)]
+    size = max(1 << (2 * n - 2) >> 3, 1)        # bytes, one at least
+    bitmaps = a_bits, q_bits, zeta_bits = [bytearray(size) for _ in range(3)]
     repeats = set()
     rank = lo - 1              # rank + 1 - lo: the orders drawn
-    for rank, images, _ in _bijection_images(n, lo, hi, failures):
-        for column, image in enumerate(images):
-            if image is None:
-                continue
-            key = _image_key(image, n)
-            bitmap, byte, bit = bitmaps[column], key >> 3, 1 << (key & 7)
-            if bitmap[byte] & bit:
-                repeats.add((column, key))
-            bitmap[byte] |= bit
+    for rank, a_key, q_key, zeta_key, _, _, _ in _bijection_keys(n, lo, hi, failures):
+        if a_key is not None:
+            if a_bits[a_key >> 3] & (bit := 1 << (a_key & 7)):
+                repeats.add((0, a_key))
+            a_bits[a_key >> 3] |= bit
+        if q_key is not None:
+            if q_bits[q_key >> 3] & (bit := 1 << (q_key & 7)):
+                repeats.add((1, q_key))
+            q_bits[q_key >> 3] |= bit
+        if zeta_key is not None:
+            if zeta_bits[zeta_key >> 3] & (bit := 1 << (zeta_key & 7)):
+                repeats.add((2, zeta_key))
+            zeta_bits[zeta_key >> 3] |= bit
     return rank + 1 - lo, failures, [zlib.compress(b, 1) for b in bitmaps], repeats
 
 
@@ -718,14 +731,15 @@ def _repeated_images(n, total, results) -> list[Failure]:
         return []
     failures = []
     first_seen = {}
-    for rank, images, grown in _bijection_images(n, 0, total, []):
-        for column, image in enumerate(images):
-            if image is None or (column, key := _image_key(image, n)) not in wanted:
+    for rank, *keys, path, grown, reading in _bijection_keys(n, 0, total, []):
+        for column, key in enumerate(keys):
+            if key is None or (column, key) not in wanted:
                 continue
             first = first_seen.setdefault((column, key), rank)
             if first != rank:
+                image = (path, grown, reading)[column]
                 failures.append(Failure(
-                    rank, (("image", _csv(grown) if column == 1 else image.decode()),),
+                    rank, (("image", _csv(image) if column == 1 else image.decode()),),
                     f"{('a', 'q', 'zeta')[column]} images pairwise distinct",
                     f"rank {rank}", f"already produced at rank {first}",
                 ))

@@ -198,6 +198,15 @@ def test_verify_grevlex_runs_with_one_job_and_ignores_the_env(capsys, monkeypatc
     assert code == 0 and "PASS" in out
 
 
+@pytest.mark.parametrize("check", ["theorem", "induction", "bijections", "grevlex"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_refuses_fewer_than_one_job(capsys, check, jobs):
+    code, out, err = run(capsys, "verify", "--check", check, "--n", "3",
+                         "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert f"needs at least 1 worker, got {jobs}" in err
+
+
 def test_verify_jobs_env_default(capsys, monkeypatch):
     monkeypatch.setenv(cli.JOBS_ENV_VAR, "2")
     code, out, _ = run(capsys, "verify", "--check", "theorem", "--n", "4")

@@ -10,15 +10,19 @@ computation: the stream's listings against q_map, its paths against
 a_map, its readings against Haglund's scan (zeta.zeta_scan) and zeta's
 diagonal reading, the induction consumer against the per-pair object body,
 the bijections check's bytes inverse (harness._pred_of_path) against
-a_inverse, and the walk's listings against the insertion run.  Fault tests
-patch the names the harness looks up, wrap the stream to corrupt or watch
-what it yields (helpers.wrap_children), or rewrite the insertion, whose
-steps have no names (helpers.rewrite_kernel), and check the exact record
-each fault yields; four mutations of the insertion must each be flagged.
+a_inverse, its integer a-check (harness._is_a_path) against the vector
+_pred_of_path reads, its q-key table (harness._step_bits) against
+harness._image_key, and the walk's listings against the insertion run.
+Fault tests patch the names the harness looks up, wrap the stream to
+corrupt or watch what it yields (helpers.wrap_children), or rewrite the
+insertion, whose steps have no names (helpers.rewrite_kernel), and check
+the exact record each fault yields; four mutations of the insertion must
+each be flagged.
 """
 
 import zlib
 from itertools import product
+from operator import getitem
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -562,10 +566,13 @@ def test_q_listing_that_is_no_area_sequence_is_reported(monkeypatch):
 
 
 def _read_pred_wrong(monkeypatch, path, wrong):
-    """Make the bytes inverse send `path` to `wrong`."""
-    inner = harness._pred_of_path
+    """Make the per-order a-check refuse `path` and the bytes inverse,
+    which gives the record's lhs, send it to `wrong`."""
+    inner, check = harness._pred_of_path, harness._is_a_path
     monkeypatch.setattr(harness, "_pred_of_path",
                         lambda p, n: wrong if p == path else inner(p, n))
+    monkeypatch.setattr(harness, "_is_a_path",
+                        lambda p, n, steps: p != path and check(p, n, steps))
 
 
 def test_a_inverse_mismatch_is_reported(monkeypatch):
@@ -613,6 +620,61 @@ def test_pred_of_path_inverts_every_path():
     for path, n in [(b"aabbab", 4), (b"aabbabb", 3), (b"aabbaabb", 3),
                     (b"aaabab", 3), (b"abbbab", 3), (b"aabcab", 3), (b"", 1)]:
         assert harness._pred_of_path(path, n) is None, path
+
+
+def _steps(pred, n):
+    """The path whose j-th a is step j + pred[j], read as binary: step t is
+    bit 2n - 1 - t."""
+    return sum(1 << (2 * n - 1 - j - p) for j, p in enumerate(pred))
+
+
+def test_a_check_accepts_exactly_the_vector_the_path_reads():
+    # up to n = 7 against every vector of size n; at n = 8, 9 against every
+    # vector with one entry moved (orders or not), the steps being one-to-one
+    for n in range(1, 10):
+        steps = {u.pred: _steps(u.pred, n) for u in enumerate_uio(n)}
+        assert len(set(steps.values())) == len(steps)
+        for word in enumerate_dyck(n):
+            path = str(word).encode()
+            pred = harness._pred_of_path(path, n)
+            # moving entry j from pred[j] to p moves the j-th a by p - pred[j] steps
+            others = steps if n <= 7 else {
+                pred[:j] + (p,) + pred[j + 1:]: steps[pred]
+                - (1 << (2 * n - 1 - j - pred[j])) + (1 << (2 * n - 1 - j - p))
+                for j in range(n) for p in range(n + 1)}
+            accepted = [v for v, t in others.items() if harness._is_a_path(path, n, t)]
+            assert accepted == [pred]
+
+
+def test_a_check_refuses_other_bytes_and_lengths():
+    # each odd path is refused at the value int() reads from it with a and b
+    # as 1 and 0, where it reads one, and at the steps of the path it came from
+    loose = bytes.maketrans(b"ab", b"10")
+    n = 4
+    for word in enumerate_dyck(n):
+        path = str(word).encode()
+        steps = _steps(harness._pred_of_path(path, n), n)
+        assert harness._is_a_path(path, n, steps)
+        odd = [path[:-1], path + b"b", b"b" + path, path + b"a"] + [
+            path[:i] + bytes((c,)) + path[i + 1:]
+            for i in range(2 * n) for c in b"01_ +-"]
+        for bad in odd:
+            try:
+                value = int(bad.translate(loose), 2)
+            except ValueError:
+                value = steps
+            assert not harness._is_a_path(bad, n, value), bad
+            assert not harness._is_a_path(bad, n, steps), bad
+
+
+def test_q_table_key_is_the_image_key_of_the_path():
+    for n in range(1, 10):
+        bits, top = harness._step_bits(n), 1 << (2 * n - 2)
+        for word in enumerate_dyck(n):
+            s = area_sequence_from_word(word)
+            path = str(word_from_area_sequence(s)).encode()
+            key = sum(map(getitem, bits, s.entries)) >> 1 ^ top
+            assert key == harness._image_key(path, n)
 
 
 def _reading_at(ranks, reading):
