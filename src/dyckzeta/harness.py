@@ -76,9 +76,10 @@ from .zeta import _peak_parameters, zeta
 #: job: theorem 15 took 37 s at jobs=2 and 66 s at jobs=1, induction 13 took
 #: 16 s at jobs=2 and 27 s at jobs=1, bijections 14 17 s at jobs=2 and 30 s at
 #: jobs=1 (15 took 71 s at jobs=2; BITMAP_MAX_N = 15 caps it).  grevlex
-#: always runs in one process (n = 8 in 17 s).  Raise via the max_n argument
-#: (or --max-n in the CLI).
-DEFAULT_CEILINGS = {"theorem": 15, "induction": 13, "bijections": 14, "grevlex": 8}
+#: always runs in one process (n = 10 in 7-8 s at 107 MB peak RSS; 11 took
+#: 33 s and 276 MB, over a minute when the VM runs at half speed).  Raise
+#: via the max_n argument (or --max-n in the CLI).
+DEFAULT_CEILINGS = {"theorem": 15, "induction": 13, "bijections": 14, "grevlex": 10}
 
 
 @dataclass(frozen=True)
@@ -645,9 +646,13 @@ def _bijection_keys(n: int, lo: int, hi: int, failures: list):
         else:
             failures.append(_a_failure(rank, extend(u, k), path))
             a_key = _image_key(path, n)
-        if fit or not (bad := _area_failure(rank, extend(u, k), grown)):
+        try:
             q_key = sum(map(getitem, bits, grown)) >> 1 ^ top
-        else:
+        except IndexError:      # a letter past its row: no area sequence
+            q_key = top
+        # an area sequence has its key in range, whatever the stream's fit says
+        if (not fit or q_key >= top) and (
+                bad := _area_failure(rank, extend(u, k), grown)):
             failures.append(bad)
             q_key = None
         # the theorem makes the reading a's path; any reading must be a path

@@ -393,37 +393,46 @@ def grevlex_compare(w1: PartListing, w2: PartListing) -> int:
     return 0
 
 
-def _fillers(mask: int) -> int:
+def _missing(mask: int) -> tuple[int, int]:
     """How many more distinct values a listing needs before it is
-    normalized, given its set of values as a bit mask (bit v for value v).
+    normalized, given its set of values as a bit mask (bit v for value v),
+    and their least sum.
 
-    A run of L missing values between two present ones needs L // 2 of
-    them; the run below the least value, which must reach 0, needs
-    (L + 1) // 2, the same rule with a present value -2 below it.
+    Below a present value b, after a run from the present value a before
+    it, it needs k = (b - a - 1) // 2 values, at least b - 2, ..., b - 2k.
+    Below the least value, which must reach 0, the same holds with a = -2,
+    a value -1 becoming 0.
     """
-    return sum(len(run) // 2 for run in f"{mask << 2 | 1:b}".split("1"))
+    count, total, a = 0, 0, -2
+    for b in (v for v in range(mask.bit_length()) if mask >> v & 1):
+        k = (b - a - 1) // 2
+        count, total, a = count + k, total + k * b - k * (k + 1) + (a == -2 and b % 2), b
+    return count, total
 
 
 def _normalized_listings(n: int) -> Iterator[tuple[bytes, tuple[int, ...]]]:
-    """Every normalized listing of length n and sum at most n(n-1)/2, by
-    sum and within a sum lexicographically descending, as bytes, with its
-    key: the sorted codes 16 |down-set| + |up-set| of the elements of its
-    poset.
+    """Every normalized listing of length n and sum at most n(n-1)/2 with
+    no rise of 2 or more (w_(i+1) <= w_i + 1), by sum and within a sum
+    lexicographically descending, as bytes, with its key: the sorted codes
+    16 |down-set| + |up-set| of the elements of its poset.
 
     A listing is normalized when its least entry is 0 and its distinct
-    values, sorted, step by at most 2.  Every grevlex minimum is: the
-    listing rule only compares differences with 1 and 2, so subtracting
-    the least entry, or lowering every entry above a step of 3 or more
-    until that step is 2, keeps poset_of and lowers the sum.
+    values, sorted, step by at most 2.  Every grevlex minimum is, with no
+    such rise: the listing rule compares only differences with 1 and 2, so
+    subtracting the least entry, or lowering the entries above a step of 3
+    or more until it is 2, keeps poset_of and lowers the sum, and swapping
+    a rise of 2 or more relabels poset_of by the transposition and puts the
+    larger entry first.
 
     A depth-first walk over prefixes.  The children of a prefix depend only
-    on its set of values, the number of entries left and their sum; they
-    are memoized, keeping only children that lead to a listing.  Codes are
-    kept per prefix: byte i of `codes` is the code of entry i, and byte w
-    of `own` the code an entry w appended next would get.  Appending v
-    adds later[v][x] to the code of each earlier entry x and earlier[v][w]
-    to `own` at each w.  The last two entries are placed together, the
-    last one forced by the sum.
+    on its set of values, the number of entries left, their sum and the cap
+    (last entry + 1) on the next one; they are memoized, each with its own,
+    keeping only those that lead to a listing: none does where the values
+    missing (_missing) outnumber or outweigh what is left.  Byte i
+    of `codes` is the code of entry i, and byte w of `own` the code an
+    entry w appended next would get.  Appending v adds later[v][x] to the
+    code of each earlier entry x and earlier[v][w] to `own` at each w.  The
+    last two entries are placed together, the last one forced by the sum.
     """
     if n > 16:
         raise PreconditionError(
@@ -437,46 +446,50 @@ def _normalized_listings(n: int) -> Iterator[tuple[bytes, tuple[int, ...]]]:
     earlier = [bytes(16 if v < w else 1 if v >= w + 2 else 0 for w in range(top + 1))
                for v in range(top + 1)]
     last = 8 * (n - 2)
-    fillers = cache(_fillers)
+    missing = cache(_missing)
     both = cache(lambda v, w: bytes(map(add, later[v], later[w])))
     memo: dict = {}
 
-    def children(mask: int, left: int, total: int) -> list:
-        key = (mask, left, total)
+    def children(mask: int, left: int, total: int, prev: int) -> list:
+        # above the largest value plus 2 * left, a gap cannot be filled
+        high = min(total, top, mask.bit_length() + 2 * left - 1, prev + 1)
+        key = (mask, left, total, high)
         kids = memo.get(key)
         if kids is None:
             kids = []
-            # above the largest value plus 2 * left, a gap cannot be filled
-            for v in range(min(total, top, mask.bit_length() + 2 * left - 1), -1, -1):
+            for v in range(high, -1, -1):
                 m = mask | 1 << v
-                if fillers(m) >= left:
+                count, least = missing(m)
+                if count >= left or least > total - v:
                     continue
                 if left == 2:
                     w = total - v
-                    if w <= top and fillers(m | 1 << w) == 0:
+                    if w <= v + 1 and missing(m | 1 << w)[0] == 0:
                         between = later[w][v] + (earlier[v][w] << 8)
                         kids.append((bytes((v, w)), v, w, both(v, w), between << last))
-                elif children(m, left - 1, total - v):
-                    kids.append((v, m, later[v], int.from_bytes(earlier[v], "little")))
+                elif grand := children(m, left - 1, total - v, v):
+                    kids.append((v, grand, later[v],
+                                 int.from_bytes(earlier[v], "little")))
             memo[key] = kids
         return kids
 
-    stack = [(0, n, total, b"", 0, 0) for total in range(n * (n - 1) // 2, -1, -1)]
-    while stack:
-        mask, left, total, xs, codes, own = stack.pop()
-        own_code = own.to_bytes(top + 1, "little")
-        if left == 2:
-            for tail, v, w, step, between in children(mask, 2, total):
-                full = (codes + int.from_bytes(xs.translate(step), "little") + between
-                        + ((own_code[v] + (own_code[w] << 8)) << last))
-                yield xs + tail, tuple(sorted(full.to_bytes(n, "little")))
-            continue
-        shift = 8 * len(xs)
-        for v, m, step, grow in reversed(children(mask, left, total)):
-            stack.append((m, left - 1, total - v, xs + bytes((v,)),
-                          codes + int.from_bytes(xs.translate(step), "little")
-                          + (own_code[v] << shift),
-                          own + grow))
+    for total in range(n * (n - 1) // 2 + 1):
+        stack = [(children(0, n, total, top), b"", 0, 0)]
+        while stack:
+            kids, xs, codes, own = stack.pop()
+            own_code = own.to_bytes(top + 1, "little")
+            if len(xs) == n - 2:
+                for tail, v, w, step, between in kids:
+                    full = (codes + int.from_bytes(xs.translate(step), "little") + between
+                            + ((own_code[v] + (own_code[w] << 8)) << last))
+                    yield xs + tail, tuple(sorted(full.to_bytes(n, "little")))
+                continue
+            shift = 8 * len(xs)
+            for v, grand, step, grow in reversed(kids):
+                stack.append((grand, xs + bytes((v,)),
+                              codes + int.from_bytes(xs.translate(step), "little")
+                              + (own_code[v] << shift),
+                              own + grow))
 
 
 def grevlex_minima(orders: Sequence[UnitIntervalOrder]) -> list[PartListing]:
@@ -484,13 +497,13 @@ def grevlex_minima(orders: Sequence[UnitIntervalOrder]) -> list[PartListing]:
     poset is isomorphic to it, found in one walk over the listings.
 
     The walk (_normalized_listings) goes in ascending grevlex order over
-    the normalized listings, which hold every minimum, so an order's first
-    isomorphic listing is its minimum.  A listing's sorted (|down-set|,
-    |up-set|) pairs are looked up among the orders still waiting, and
-    is_isomorphic confirms every hit: the pairs only filter.  Nothing here
-    inserts, so this is an oracle for q_map.  Every order has a listing of
-    sum at most n(n-1)/2, the largest area-sequence sum, which bounds the
-    walk.
+    the normalized listings with no rise of 2 or more, which hold every
+    minimum, so an order's first isomorphic listing is its minimum.  A
+    listing's sorted (|down-set|, |up-set|) pairs are looked up among the
+    orders still waiting, and is_isomorphic confirms every hit: the pairs
+    only filter.  Nothing here inserts, so this is an oracle for q_map.
+    Every order has a listing of sum at most n(n-1)/2, the largest
+    area-sequence sum, which bounds the walk.
     """
     n = orders[0].n if orders else 0
     targets = [poset_from_uio(u) for u in orders]
@@ -515,10 +528,10 @@ def grevlex_minima(orders: Sequence[UnitIntervalOrder]) -> list[PartListing]:
     return found
 
 
-def grevlex_min_search(u: UnitIntervalOrder, n_max_guard: int = 6) -> PartListing:
+def grevlex_min_search(u: UnitIntervalOrder, n_max_guard: int = 8) -> PartListing:
     """Grevlex-minimal listing whose poset is isomorphic to u: grevlex_minima
     of u alone, refused above n_max_guard, since one order may walk every
-    listing up to sum n(n-1)/2."""
+    listing up to sum n(n-1)/2: 36 792 at n = 8, 188 296 at n = 9."""
     if u.n > n_max_guard:
         raise PreconditionError(
             f"exhaustive search refused for n = {u.n} > guard {n_max_guard}"

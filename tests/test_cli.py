@@ -177,7 +177,7 @@ def test_verify_exit_one_on_failures(capsys, monkeypatch):
 
 
 def test_verify_ceiling_is_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "--check", "grevlex", "--n", "9")
+    code, _, err = run(capsys, "verify", "--check", "grevlex", "--n", "11")
     assert code == 2
     assert "capped" in err
 

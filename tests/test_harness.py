@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,16 @@ def test_grevlex_small_sizes_pass():
         assert report.instances_checked == catalan(n)
 
 
+def test_grevlex_passes_on_all_orders_at_eight_within_budget():
+    # the independent minimum against q(U) on all 1430 orders, ~0.4 s
+    start = time.perf_counter()
+    report = check_grevlex(8)
+    elapsed = time.perf_counter() - start
+    assert report.passed, report.render_text()
+    assert report.instances_checked == 1430
+    assert elapsed <= 5.0, f"check_grevlex(8) took {elapsed:.1f}s"
+
+
 # --------------------------------------------------------------- ceilings
 
 def test_readme_lists_the_default_ceilings():
@@ -78,7 +89,7 @@ def test_ceilings_guard_and_override():
     with pytest.raises(PreconditionError, match="capped"):
         check_bijections(15)
     with pytest.raises(PreconditionError, match="capped"):
-        check_grevlex(9)
+        check_grevlex(11)
     # max_n overrides in both directions
     with pytest.raises(PreconditionError, match="capped"):
         check_theorem(3, max_n=2)

@@ -565,6 +565,34 @@ def test_q_listing_that_is_no_area_sequence_is_reported(monkeypatch):
     assert failure.rhs == "entry 4 is 2, exceeding entry 3 + 1 = 1"
 
 
+def test_listing_a_wrong_fit_passes_is_recorded_not_raised(monkeypatch):
+    # the stream raises grown's last letter by 2 at ranks 3 mod 7 and still
+    # says it fits; a letter past its table row must reach the re-check.
+    # The corruption depends on the rank, so reports are not compared
+    # across job counts.
+    monkeypatch.setattr(
+        harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+    )
+
+    def lift(child):
+        grown = child[4]
+        if grown is None or child[0] % 7 != 3:
+            return child
+        return child[:4] + (grown[:-1] + bytes((grown[-1] + 2,)),) + child[5:]
+
+    wrap_children(monkeypatch, lift)
+    for n in range(5, 9):
+        for jobs in (1, 2):
+            report = check_bijections(n, jobs=jobs)
+            assert report.instances_checked == catalan(n)
+            assert report.failures, (n, jobs)
+            assert all(f.rank % 7 == 3 or f.equation == "q images pairwise distinct"
+                       for f in report.failures), (n, jobs)
+            past_row = [f for f in report.failures
+                        if f.equation == "q(U) is a valid area sequence"]
+            assert (len(past_row) == 1) == (n >= 6), (n, jobs)
+
+
 def _read_pred_wrong(monkeypatch, path, wrong):
     """Make the per-order a-check refuse `path` and the bytes inverse,
     which gives the record's lhs, send it to `wrong`."""

@@ -1,5 +1,5 @@
 import json
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -297,7 +297,7 @@ def test_grevlex_min_search_examples():
 
 def test_grevlex_min_search_guard():
     with pytest.raises(PreconditionError, match="guard"):
-        grevlex_min_search(parse_pred("0,1,2,3,4,5,6"))
+        grevlex_min_search(parse_pred("0,1,2,3,4,5,6,7,8"))
 
 
 def test_grevlex_min_matches_insertion_exhaustive_to_four():
@@ -377,14 +377,58 @@ def test_normalizing_moves_keep_the_poset():
     assert moved > 1000
 
 
+def rises_by_at_most_one(entries):
+    return all(b <= a + 1 for a, b in zip(entries, entries[1:]))
+
+
+def test_swapping_a_rise_of_two_relabels_the_poset_and_lowers_the_key():
+    swapped = 0
+    for n in range(2, 6):
+        for entries in product(range(6), repeat=n):
+            before = poset_of(PartListing(entries)).below
+            for i in range(n - 1):
+                if entries[i + 1] - entries[i] < 2:
+                    continue
+                swapped += 1
+                after = list(entries)
+                after[i], after[i + 1] = after[i + 1], after[i]
+                moved = poset_of(PartListing(after)).below
+                t = list(range(n))
+                t[i], t[i + 1] = i + 1, i
+                assert all(moved[t[x]][t[y]] == before[x][y]
+                           for x in range(n) for y in range(n)), (entries, i)
+                assert grevlex_key(PartListing(after)) < grevlex_key(
+                    PartListing(entries))
+    assert swapped > 1000
+
+
+def test_brute_force_minima_have_no_rise_of_two():
+    for n in range(0, 6):
+        for u in enumerate_uio(n):
+            assert rises_by_at_most_one(grevlex_min_brute_force(u).entries), str(u)
+
+
 def test_walk_yields_the_normalized_compositions_in_grevlex_order():
+    # normalized and with no rise of 2 or more
     for n in range(0, 7):
         walk = [tuple(e) for e, _ in partlist._normalized_listings(n)]
         by_sum = [
-            sorted((e for e in compositions(total, n) if normalized(e)), reverse=True)
+            sorted((e for e in compositions(total, n)
+                    if normalized(e) and rises_by_at_most_one(e)), reverse=True)
             for total in range(n * (n - 1) // 2 + 1)
         ]
         assert walk == [e for part in by_sum for e in part], n
+
+
+def test_missing_values_count_and_least_sum():
+    # against every set of extra values below 12 that normalizes the mask
+    for mask in range(1, 1 << 8):
+        have = {v for v in range(8) if mask >> v & 1}
+        free = [v for v in range(12) if v not in have]
+        fits = [extra for r in range(5) for extra in combinations(free, r)
+                if normalized(have | set(extra))]
+        assert partlist._missing(mask) == (
+            min(map(len, fits)), min(map(sum, fits))), bin(mask)
 
 
 def test_walk_refuses_sizes_past_byte_codes():
