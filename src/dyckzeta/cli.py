@@ -40,17 +40,6 @@ from .uio import (
 )
 from .zeta import zeta
 
-JOBS_ENV_VAR = "DYCKZETA_JOBS"
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _jobs(text: str) -> int:
     """The --jobs value: an int, at least 1."""
     try:
@@ -188,7 +177,7 @@ def _cmd_verify(args) -> int:
         raise PreconditionError(
             f"grevlex runs in one process; --jobs {args.jobs} is not supported"
         )
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
+    jobs = args.jobs if args.jobs is not None else harness._usable_cpus()
     if check == "theorem":
         report = harness.check_theorem(args.n, jobs=jobs, max_n=args.max_n)
     elif check == "induction":
@@ -266,33 +255,20 @@ def render_svg(d: DyckWord, diagonals: bool = False) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" '
         f'height="{side}" viewBox="0 0 {side} {side}">'
     ]
+
+    def line(start, end, stroke, dash=None):
+        (x0, y0), (x1, y1) = px(*start), px(*end)
+        dashes = f' stroke-dasharray="{dash}"' if dash else ""
+        parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" '
+                     f'stroke="{stroke}" stroke-width="1"{dashes}/>')
+
     for i in range(n + 1):
-        x0, y0 = px(i, 0)
-        x1, y1 = px(i, n)
-        parts.append(
-            f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" '
-            f'stroke="#cccccc" stroke-width="1"/>'
-        )
-        x0, y0 = px(0, i)
-        x1, y1 = px(n, i)
-        parts.append(
-            f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" '
-            f'stroke="#cccccc" stroke-width="1"/>'
-        )
-    x0, y0 = px(0, 0)
-    x1, y1 = px(n, n)
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" '
-        f'stroke="#555555" stroke-width="1" stroke-dasharray="6,4"/>'
-    )
+        line((i, 0), (i, n), "#cccccc")
+        line((0, i), (n, i), "#cccccc")
+    line((0, 0), (n, n), "#555555", "6,4")
     if diagonals:
         for t in range(1, n):
-            x0, y0 = px(0, t)
-            x1, y1 = px(n - t, n)
-            parts.append(
-                f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" '
-                f'stroke="#999999" stroke-width="1" stroke-dasharray="2,4"/>'
-            )
+            line((0, t), (n - t, n), "#999999", "2,4")
     points = []
     x = y = 0
     points.append("%s,%s" % px(x, y))
@@ -361,9 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_jobs,
         default=None,
-        help=f"worker processes, at least 1 (default from ${JOBS_ENV_VAR}, "
-        "else 1; capped at the usable CPUs); grevlex runs in one process, "
-        f"refuses --jobs above 1 and ignores ${JOBS_ENV_VAR}",
+        help="worker processes, at least 1 (default and cap: the usable "
+        "CPUs); grevlex runs in one process and refuses --jobs above 1",
     )
     verify.add_argument("--max-n", type=int, default=None, dest="max_n",
                         help="raise the default size ceiling")

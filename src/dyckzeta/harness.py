@@ -72,8 +72,8 @@ from .uio import (
 from .zeta import _peak_parameters, zeta
 
 #: Per-check size ceilings keeping the full sweep under a minute on a 2-CPU VM
-#: (Python 3.11).  They are sized for jobs=2, while verify defaults to one
-#: job: theorem 15 took 37 s at jobs=2 and 66 s at jobs=1, induction 13 took
+#: (Python 3.11) at two jobs, which is verify's default there (the usable
+#: CPUs): theorem 15 took 37 s at jobs=2 and 66 s at jobs=1, induction 13 took
 #: 16 s at jobs=2 and 27 s at jobs=1, bijections 14 17 s at jobs=2 and 30 s at
 #: jobs=1 (15 took 71 s at jobs=2; BITMAP_MAX_N = 15 caps it).  grevlex
 #: always runs in one process (n = 10 in 7-8 s at 107 MB peak RSS; 11 took
@@ -576,27 +576,19 @@ def check_bijections(
                   partial(_repeated_images, n))
 
 
-def _pred_of_path(path: bytes, n: int) -> Optional[tuple[int, ...]]:
+def _dyck_pred(path: bytes, n: int) -> Optional[tuple[int, ...]]:
     """a_inverse on a/b bytes: pred[j] is the number of b's before the j-th
-    a.  None unless the path has 2n steps, n of them a and n of them b."""
+    a.  None unless the path is a Dyck path of size n: n a's and n b's that
+    stay on or above the diagonal.  Between two a's the b count peaks just
+    before the next a, so they do iff pred[j] <= j for every j."""
     runs = path.split(b"a")
     if len(runs) != n + 1 or path.count(b"b") != n or len(path) != 2 * n:
         return None
     runs.pop()
-    return tuple(accumulate(map(len, runs)))
-
-
-def _dyck_pred(path: bytes, n: int) -> Optional[tuple[int, ...]]:
-    """_pred_of_path(path, n) if path is a Dyck path of size n, else None.
-
-    Between two a's the b count peaks just before the next a, so the path
-    stays on or above the diagonal iff pred[j] <= j for every j; the total
-    b count n closes it on the diagonal."""
-    pred = _pred_of_path(path, n)
-    if pred is not None:
-        for j, p in enumerate(pred):
-            if p > j:
-                return None
+    pred = tuple(accumulate(map(len, runs)))
+    for j, p in enumerate(pred):
+        if p > j:
+            return None
     return pred
 
 
@@ -674,7 +666,7 @@ def _a_failure(rank, child, path=None) -> Optional[Failure]:
         return Failure(rank, (("pred", str(child)), ("a_word", str(word))),
                        "a_inverse(a(U)) == U", str(back), str(child))
     if path is not None:
-        pred = _pred_of_path(path, child.n)
+        pred = _dyck_pred(path, child.n)
         return Failure(rank, (("pred", str(child)), ("a_path", path.decode())),
                        "kernel agrees with a_map and a_inverse",
                        "no order" if pred is None else _csv(pred), str(child))

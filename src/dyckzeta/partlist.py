@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 from .errors import PreconditionError, ValidationError
 from .lattice import AreaSequence, DyckWord, _csv, _word_of_area
-from .uio import LevelProfile, UnitIntervalOrder
+from .uio import UnitIntervalOrder
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,14 +157,18 @@ class InsertionTrace:
     where each letter landed.  The intermediate listings q_1..q_n follow
     from these and are replayed by `words`."""
 
-    levels: LevelProfile
+    levels: tuple[int, ...]
     c: tuple[int, ...]
     positions: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.levels.n
-        if not (len(self.c) == len(self.positions) == n):
+        levels = self.levels
+        if not (len(self.c) == len(self.positions) == len(levels)):
             raise ValidationError("trace components disagree on length")
+        if min(levels, default=0) != 0 or sorted(levels) != list(levels):
+            raise ValidationError(
+                f"levels {_csv(levels)} do not start at 0 and rise weakly"
+            )
         for i, pos in enumerate(self.positions):
             if not 0 <= pos <= i:
                 raise ValidationError(
@@ -176,7 +180,7 @@ class InsertionTrace:
         """The intermediate listings q_1..q_n, rebuilt insertion by insertion."""
         words = []
         cur: tuple[int, ...] = ()
-        for level, pos in zip(self.levels.levels, self.positions):
+        for level, pos in zip(self.levels, self.positions):
             cur = cur[:pos] + (level,) + cur[pos:]
             words.append(PartListing(cur))
         return tuple(words)
@@ -286,7 +290,7 @@ def q_map(u: UnitIntervalOrder) -> tuple[PartListing, InsertionTrace]:
     """
     cur, lv, cs, positions = _insert_all(u)
     AreaSequence(cur)   # the finished listing must be an area sequence
-    trace = InsertionTrace(LevelProfile(tuple(lv)), tuple(cs), tuple(positions))
+    trace = InsertionTrace(tuple(lv), tuple(cs), tuple(positions))
     return PartListing(cur), trace
 
 
@@ -528,12 +532,16 @@ def grevlex_minima(orders: Sequence[UnitIntervalOrder]) -> list[PartListing]:
     return found
 
 
-def grevlex_min_search(u: UnitIntervalOrder, n_max_guard: int = 8) -> PartListing:
+#: Largest order grevlex_min_search takes: one order may walk every listing
+#: up to sum n(n-1)/2, 36 792 at n = 8 and 188 296 at n = 9.
+GREVLEX_SEARCH_MAX_N = 8
+
+
+def grevlex_min_search(u: UnitIntervalOrder) -> PartListing:
     """Grevlex-minimal listing whose poset is isomorphic to u: grevlex_minima
-    of u alone, refused above n_max_guard, since one order may walk every
-    listing up to sum n(n-1)/2: 36 792 at n = 8, 188 296 at n = 9."""
-    if u.n > n_max_guard:
+    of u alone, refused above GREVLEX_SEARCH_MAX_N."""
+    if u.n > GREVLEX_SEARCH_MAX_N:
         raise PreconditionError(
-            f"exhaustive search refused for n = {u.n} > guard {n_max_guard}"
+            f"exhaustive search refused for n = {u.n} > guard {GREVLEX_SEARCH_MAX_N}"
         )
     return grevlex_minima([u])[0]

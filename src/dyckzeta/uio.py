@@ -94,30 +94,6 @@ class IntervalConfiguration:
         return len(self.lefts)
 
 
-@dataclass(frozen=True, slots=True)
-class LevelProfile:
-    """Longest-chain heights: 0 for minimal elements, weakly increasing."""
-
-    levels: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
-        for j, lv in enumerate(self.levels, start=1):
-            if lv < 0:
-                raise ValidationError(f"level {j} is negative: {lv}")
-            if j == 1 and lv != 0:
-                raise ValidationError(f"level 1 must be 0, got {lv}")
-            if j > 1 and lv < self.levels[j - 2]:
-                raise ValidationError(
-                    f"levels must be weakly increasing: level {j} = {lv} < "
-                    f"level {j - 1} = {self.levels[j - 2]}"
-                )
-
-    @property
-    def n(self) -> int:
-        return len(self.levels)
-
-
 def _exact(x) -> Fraction:
     if isinstance(x, float):
         raise ValidationError(
@@ -151,15 +127,16 @@ def relation(u: UnitIntervalOrder, i: int, j: int) -> Relation:
     return Relation.INCOMPARABLE
 
 
-def levels(u: UnitIntervalOrder) -> LevelProfile:
-    """Level of j: 0 if j is minimal, else 1 + max level of its predecessors.
+def levels(u: UnitIntervalOrder) -> tuple[int, ...]:
+    """Longest-chain heights: level of j is 0 if j is minimal, else 1 + max
+    level of its predecessors.
 
     Monotonicity of levels makes that max the level of the last predecessor.
     """
     lv: list[int] = []
     for p in u.pred:
         lv.append(0 if p == 0 else lv[p - 1] + 1)
-    return LevelProfile(tuple(lv))
+    return tuple(lv)
 
 
 def _complement(v: tuple[int, ...]) -> tuple[int, ...]:

@@ -33,7 +33,7 @@ def _report(num, message):
 
 def test_criterion_01_insertion_run_on_five_element_order():
     listing, trace = q_map(parse_pred("0,0,1,1,3"))
-    assert trace.levels.levels == (0, 0, 1, 1, 2)
+    assert trace.levels == (0, 0, 1, 1, 2)
     assert trace.c == (0, 0, 1, 1, 1)
     assert [w.entries for w in trace.words] == [
         (0,),

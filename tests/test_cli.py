@@ -189,13 +189,17 @@ def test_verify_grevlex_refuses_more_than_one_job(capsys):
     assert "grevlex runs in one process" in err
 
 
-def test_verify_grevlex_runs_with_one_job_and_ignores_the_env(capsys, monkeypatch):
-    code, out, _ = run(capsys, "verify", "--check", "grevlex", "--n", "3",
-                       "--jobs", "1")
-    assert code == 0 and "PASS" in out
-    monkeypatch.setenv(cli.JOBS_ENV_VAR, "2")
-    code, out, _ = run(capsys, "verify", "--check", "grevlex", "--n", "3")
-    assert code == 0 and "PASS" in out
+def test_verify_grevlex_runs_with_one_job_and_by_default(capsys, monkeypatch):
+    # with two usable CPUs the default is no refusal and starts no pool
+    def no_pool(*args, **kwargs):
+        raise AssertionError("grevlex must not start a pool")
+
+    monkeypatch.setattr(cli.harness.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(cli.harness, "ProcessPoolExecutor", no_pool)
+    for jobs in (("--jobs", "1"), ()):
+        code, out, _ = run(capsys, "verify", "--check", "grevlex", "--n", "3", *jobs)
+        assert code == 0 and "PASS" in out
 
 
 @pytest.mark.parametrize("check", ["theorem", "induction", "bijections", "grevlex"])
@@ -207,24 +211,31 @@ def test_verify_refuses_fewer_than_one_job(capsys, check, jobs):
     assert f"needs at least 1 worker, got {jobs}" in err
 
 
-def test_verify_jobs_env_default(capsys, monkeypatch):
-    monkeypatch.setenv(cli.JOBS_ENV_VAR, "2")
-    code, out, _ = run(capsys, "verify", "--check", "theorem", "--n", "4")
-    assert code == 0
-    assert "PASS" in out
+def test_verify_jobs_default_to_and_are_capped_at_the_usable_cpus(capsys, monkeypatch):
+    # three usable CPUs: each pooled check is asked for three jobs
+    seen = []
+    passing = VerificationReport("any", 4, 14, (), 0.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.harness.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                      raising=False)
+        for name in ("check_theorem", "check_induction_step", "check_bijections"):
+            patch.setattr(cli.harness, name,
+                          lambda n, jobs=1, max_n=None: seen.append(jobs) or passing)
+        for check in ("theorem", "induction", "bijections"):
+            code, out, _ = run(capsys, "verify", "--check", check, "--n", "4")
+            assert code == 0 and "PASS" in out
+    assert seen == [3, 3, 3]
 
-
-def test_verify_huge_jobs_env_is_capped_at_usable_cpus(capsys, monkeypatch):
+    # one usable CPU: neither the default nor a huge --jobs starts a pool
     def no_pool(*args, **kwargs):
         raise AssertionError("one usable CPU must not start a pool")
 
-    monkeypatch.setenv(cli.JOBS_ENV_VAR, "50000")
     monkeypatch.setattr(cli.harness.os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
     monkeypatch.setattr(cli.harness, "ProcessPoolExecutor", no_pool)
-    code, out, _ = run(capsys, "verify", "--check", "theorem", "--n", "4")
-    assert code == 0
-    assert "PASS" in out
+    for jobs in ((), ("--jobs", "50000")):
+        code, out, _ = run(capsys, "verify", "--check", "theorem", "--n", "4", *jobs)
+        assert code == 0 and "PASS" in out
 
 
 def cli_process(*argv, env=(), **kwargs):
@@ -295,12 +306,49 @@ def test_render_ascii_has_expected_footprint(capsys):
     assert out.count("/") == 3
 
 
+#: render --format svg --diagonals of aabb and aabbab: grid lines (vertical
+#: and horizontal in turn), main diagonal, reading diagonals, path
+SVG_WITH_DIAGONALS = {
+    "aabb": """\
+<svg xmlns="http://www.w3.org/2000/svg" width="100" height="100" viewBox="0 0 100 100">
+<line x1="10" y1="90" x2="10" y2="10" stroke="#cccccc" stroke-width="1"/>
+<line x1="10" y1="90" x2="90" y2="90" stroke="#cccccc" stroke-width="1"/>
+<line x1="50" y1="90" x2="50" y2="10" stroke="#cccccc" stroke-width="1"/>
+<line x1="10" y1="50" x2="90" y2="50" stroke="#cccccc" stroke-width="1"/>
+<line x1="90" y1="90" x2="90" y2="10" stroke="#cccccc" stroke-width="1"/>
+<line x1="10" y1="10" x2="90" y2="10" stroke="#cccccc" stroke-width="1"/>
+<line x1="10" y1="90" x2="90" y2="10" stroke="#555555" stroke-width="1" stroke-dasharray="6,4"/>
+<line x1="10" y1="50" x2="50" y2="10" stroke="#999999" stroke-width="1" stroke-dasharray="2,4"/>
+<polyline points="10,90 10,50 10,10 50,10 90,10" fill="none" stroke="#1f4fd8" stroke-width="4" stroke-linecap="square"/>
+</svg>
+""",
+    "aabbab": """\
+<svg xmlns="http://www.w3.org/2000/svg" width="140" height="140" viewBox="0 0 140 140">
+<line x1="10" y1="130" x2="10" y2="10" stroke="#cccccc" stroke-width="1"/>
+<line x1="10" y1="130" x2="130" y2="130" stroke="#cccccc" stroke-width="1"/>
+<line x1="50" y1="130" x2="50" y2="10" stroke="#cccccc" stroke-width="1"/>
+<line x1="10" y1="90" x2="130" y2="90" stroke="#cccccc" stroke-width="1"/>
+<line x1="90" y1="130" x2="90" y2="10" stroke="#cccccc" stroke-width="1"/>
+<line x1="10" y1="50" x2="130" y2="50" stroke="#cccccc" stroke-width="1"/>
+<line x1="130" y1="130" x2="130" y2="10" stroke="#cccccc" stroke-width="1"/>
+<line x1="10" y1="10" x2="130" y2="10" stroke="#cccccc" stroke-width="1"/>
+<line x1="10" y1="130" x2="130" y2="10" stroke="#555555" stroke-width="1" stroke-dasharray="6,4"/>
+<line x1="10" y1="90" x2="90" y2="10" stroke="#999999" stroke-width="1" stroke-dasharray="2,4"/>
+<line x1="10" y1="50" x2="50" y2="10" stroke="#999999" stroke-width="1" stroke-dasharray="2,4"/>
+<polyline points="10,130 10,90 10,50 50,50 90,50 90,10 130,10" fill="none" stroke="#1f4fd8" stroke-width="4" stroke-linecap="square"/>
+</svg>
+""",
+}
+
+
 def test_render_svg(capsys):
-    code, out, _ = run(capsys, "render", "aabb", "--format", "svg", "--diagonals")
-    assert code == 0
-    assert out.startswith("<svg")
-    assert "polyline" in out
-    assert out.count("stroke-dasharray") == 2  # main diagonal + one reading diagonal
+    # without --diagonals the same text lacks the reading diagonals (#999999)
+    for word, full in SVG_WITH_DIAGONALS.items():
+        code, out, _ = run(capsys, "render", word, "--format", "svg", "--diagonals")
+        assert (code, out) == (0, full)
+        code, out, _ = run(capsys, "render", word, "--format", "svg")
+        assert (code, out) == (0, "".join(
+            line for line in full.splitlines(True) if "#999999" not in line))
 
 
 def test_render_ascii_is_bounded_before_the_canvas_is_drawn(capsys):

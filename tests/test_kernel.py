@@ -9,15 +9,17 @@ grevlex sweep reads q(U) from a prefix-sharing insertion walk
 computation: the stream's listings against q_map, its paths against
 a_map, its readings against Haglund's scan (zeta.zeta_scan) and zeta's
 diagonal reading, the induction consumer against the per-pair object body,
-the bijections check's bytes inverse (harness._pred_of_path) against
+the bijections check's bytes inverse (harness._dyck_pred) against
 a_inverse, its integer a-check (harness._is_a_path) against the vector
-_pred_of_path reads, its q-key table (harness._step_bits) against
+_dyck_pred reads, its q-key table (harness._step_bits) against
 harness._image_key, and the walk's listings against the insertion run.
 Fault tests patch the names the harness looks up, wrap the stream to
 corrupt or watch what it yields (helpers.wrap_children), or rewrite the
 insertion, whose steps have no names (helpers.rewrite_kernel), and check
 the exact record each fault yields; four mutations of the insertion must
-each be flagged.
+each be flagged.  The library checks default to one job, run in this
+process, so a wrapper that records the stream sees all of it; only verify
+in the CLI defaults to the usable CPUs.
 """
 
 import zlib
@@ -596,8 +598,8 @@ def test_listing_a_wrong_fit_passes_is_recorded_not_raised(monkeypatch):
 def _read_pred_wrong(monkeypatch, path, wrong):
     """Make the per-order a-check refuse `path` and the bytes inverse,
     which gives the record's lhs, send it to `wrong`."""
-    inner, check = harness._pred_of_path, harness._is_a_path
-    monkeypatch.setattr(harness, "_pred_of_path",
+    inner, check = harness._dyck_pred, harness._is_a_path
+    monkeypatch.setattr(harness, "_dyck_pred",
                         lambda p, n: wrong if p == path else inner(p, n))
     monkeypatch.setattr(harness, "_is_a_path",
                         lambda p, n, steps: p != path and check(p, n, steps))
@@ -639,15 +641,28 @@ def test_a_path_the_bytes_inverse_refuses_is_a_kernel_disagreement(monkeypatch):
     assert (failure.lhs, failure.rhs) == ("no order", "0,0,2,2")
 
 
+def test_a_path_that_dips_below_the_diagonal_is_a_kernel_disagreement(monkeypatch):
+    # rank 7's path keeps its four a's and four b's but its fifth step dips
+    # below the diagonal: no order, and the image, no path, is not marked
+    wrap_children(monkeypatch, lambda child: (
+        child[:7] + (b"aabbbaab",) + child[8:] if child[0] == 7 else child))
+    failure = _bijections_failure(monkeypatch)
+    assert failure.rank == 7
+    assert failure.equation == "kernel agrees with a_map and a_inverse"
+    assert dict(failure.inputs) == {"pred": "0,0,2,2", "a_path": "aabbbaab"}
+    assert (failure.lhs, failure.rhs) == ("no order", "0,0,2,2")
+
+
 def test_pred_of_path_inverts_every_path():
     for n in range(0, 10):
         for word in enumerate_dyck(n):
-            assert harness._pred_of_path(str(word).encode(), n) == a_inverse(word).pred
-    # a path of the wrong length, with another count of a's, or with a
-    # byte other than a and b is refused
+            assert harness._dyck_pred(str(word).encode(), n) == a_inverse(word).pred
+    # a path of the wrong length, with another count of a's, with a byte
+    # other than a and b, or that dips below the diagonal is refused
     for path, n in [(b"aabbab", 4), (b"aabbabb", 3), (b"aabbaabb", 3),
-                    (b"aaabab", 3), (b"abbbab", 3), (b"aabcab", 3), (b"", 1)]:
-        assert harness._pred_of_path(path, n) is None, path
+                    (b"aaabab", 3), (b"abbbab", 3), (b"aabcab", 3), (b"", 1),
+                    (b"ba", 1), (b"abba", 2), (b"aabbbaab", 4), (b"aaabbbba", 4)]:
+        assert harness._dyck_pred(path, n) is None, path
 
 
 def _steps(pred, n):
@@ -664,7 +679,7 @@ def test_a_check_accepts_exactly_the_vector_the_path_reads():
         assert len(set(steps.values())) == len(steps)
         for word in enumerate_dyck(n):
             path = str(word).encode()
-            pred = harness._pred_of_path(path, n)
+            pred = harness._dyck_pred(path, n)
             # moving entry j from pred[j] to p moves the j-th a by p - pred[j] steps
             others = steps if n <= 7 else {
                 pred[:j] + (p,) + pred[j + 1:]: steps[pred]
@@ -681,7 +696,7 @@ def test_a_check_refuses_other_bytes_and_lengths():
     n = 4
     for word in enumerate_dyck(n):
         path = str(word).encode()
-        steps = _steps(harness._pred_of_path(path, n), n)
+        steps = _steps(harness._dyck_pred(path, n), n)
         assert harness._is_a_path(path, n, steps)
         odd = [path[:-1], path + b"b", b"b" + path, path + b"a"] + [
             path[:i] + bytes((c,)) + path[i + 1:]

@@ -6,6 +6,7 @@ from hypothesis import given
 
 from dyckzeta import (
     AreaSequence,
+    InsertionTrace,
     PartListing,
     Poset,
     PreconditionError,
@@ -151,7 +152,7 @@ def test_q_map_worked_five_element_run():
     u = parse_pred("0,0,1,1,3")
     listing, trace = q_map(u)
     assert listing.entries == (0, 1, 2, 1, 0)
-    assert trace.levels.levels == (0, 0, 1, 1, 2)
+    assert trace.levels == (0, 0, 1, 1, 2)
     assert trace.c == (0, 0, 1, 1, 1)
     assert [w.entries for w in trace.words] == [
         (0,),
@@ -183,6 +184,20 @@ def test_q_map_injective_exhaustive():
     for n in range(0, 9):
         images = {q_map(u)[0].entries for u in enumerate_uio(n)}
         assert len(images) == catalan(n)
+
+
+@pytest.mark.parametrize("levels, c, positions, message", [
+    ((0, 0), (0,), (0, 0), "components disagree on length"),
+    ((0, 0), (0, 0), (0,), "components disagree on length"),
+    ((0, 0, 1), (0, 0, 1), (0, 2, 1), "letter 2 inserted at 2, outside 0..1"),
+    ((0, 0), (0, 0), (0, -1), "letter 2 inserted at -1, outside 0..1"),
+    ((1, 1), (0, 0), (0, 0), "levels 1,1 do not start at 0"),
+    ((-1, 0), (0, 0), (0, 0), "levels -1,0 do not start at 0"),
+    ((0, 1, 0), (0, 1, 0), (0, 1, 0), "levels 0,1,0 do not start at 0 and rise"),
+])
+def test_insertion_trace_refusals(levels, c, positions, message):
+    with pytest.raises(ValidationError, match=message):
+        InsertionTrace(levels, c, positions)
 
 
 # ------------------------------------------------------------------ p_map

@@ -128,18 +128,18 @@ def test_relation_rejects_bad_elements():
 # ----------------------------------------------------------------- levels
 
 def test_levels_worked_example():
-    assert levels(uio_from_intervals(FIVE)).levels == (0, 0, 1, 1, 2)
+    assert levels(uio_from_intervals(FIVE)) == (0, 0, 1, 1, 2)
 
 
 def test_levels_extremes():
-    assert levels(parse_pred("0,0,0,0")).levels == (0, 0, 0, 0)
-    assert levels(parse_pred("0,1,2,3")).levels == (0, 1, 2, 3)
+    assert levels(parse_pred("0,0,0,0")) == (0, 0, 0, 0)
+    assert levels(parse_pred("0,1,2,3")) == (0, 1, 2, 3)
 
 
 def test_levels_step_bound_exhaustive():
     for n in range(1, 8):
         for u in enumerate_uio(n):
-            lv = levels(u).levels
+            lv = levels(u)
             assert all(lv[j] <= lv[j - 1] + 1 for j in range(1, n))
             assert all(
                 (lv[j] == 0) == (u.pred[j] == 0) for j in range(n)

@@ -146,7 +146,7 @@ def test_added_peak_parameters_match_the_level_oracle():
             small, _ = q_map(u)
             for k in range(u.pred[-1] if n else 0, n + 1):
                 extended = extend(u, k)
-                level = levels(extended).levels[-1]
+                level = levels(extended)[-1]
                 big, trace = q_map(extended)
                 after = big.entries[trace.positions[-1] + 1:]
                 r = small.entries.count(level) + after.count(level - 1)
