@@ -211,31 +211,39 @@ def test_verify_refuses_fewer_than_one_job(capsys, check, jobs):
     assert f"needs at least 1 worker, got {jobs}" in err
 
 
-def test_verify_jobs_default_to_and_are_capped_at_the_usable_cpus(capsys, monkeypatch):
-    # three usable CPUs: each pooled check is asked for three jobs
+def test_verify_jobs_env_default(capsys, monkeypatch):
+    # the default is the usable CPUs: three of them ask each pooled check for
+    # three jobs, and a stale DYCKZETA_JOBS in the environment changes nothing
     seen = []
     passing = VerificationReport("any", 4, 14, (), 0.0)
-    with monkeypatch.context() as patch:
-        patch.setattr(cli.harness.os, "sched_getaffinity", lambda pid: {0, 1, 2},
-                      raising=False)
-        for name in ("check_theorem", "check_induction_step", "check_bijections"):
-            patch.setattr(cli.harness, name,
-                          lambda n, jobs=1, max_n=None: seen.append(jobs) or passing)
-        for check in ("theorem", "induction", "bijections"):
-            code, out, _ = run(capsys, "verify", "--check", check, "--n", "4")
-            assert code == 0 and "PASS" in out
+    monkeypatch.setenv("DYCKZETA_JOBS", "2")
+    monkeypatch.setattr(cli.harness.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    for name in ("check_theorem", "check_induction_step", "check_bijections"):
+        monkeypatch.setattr(cli.harness, name,
+                            lambda n, jobs=1, max_n=None: seen.append(jobs) or passing)
+    for check in ("theorem", "induction", "bijections"):
+        code, out, _ = run(capsys, "verify", "--check", check, "--n", "4")
+        assert code == 0 and "PASS" in out
     assert seen == [3, 3, 3]
 
-    # one usable CPU: neither the default nor a huge --jobs starts a pool
+
+def test_verify_huge_jobs_env_is_capped_at_usable_cpus(capsys, monkeypatch):
+    # one usable CPU: neither the default nor a huge --jobs starts a pool,
+    # with or without a huge stale DYCKZETA_JOBS in the environment
     def no_pool(*args, **kwargs):
         raise AssertionError("one usable CPU must not start a pool")
 
     monkeypatch.setattr(cli.harness.os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
     monkeypatch.setattr(cli.harness, "ProcessPoolExecutor", no_pool)
-    for jobs in ((), ("--jobs", "50000")):
-        code, out, _ = run(capsys, "verify", "--check", "theorem", "--n", "4", *jobs)
-        assert code == 0 and "PASS" in out
+    for env in ((), ("50000",)):
+        for value in env:
+            monkeypatch.setenv("DYCKZETA_JOBS", value)
+        for jobs in ((), ("--jobs", "50000")):
+            code, out, _ = run(capsys, "verify", "--check", "theorem", "--n", "4",
+                               *jobs)
+            assert code == 0 and "PASS" in out
 
 
 def cli_process(*argv, env=(), **kwargs):
