@@ -28,6 +28,7 @@ from .lattice import (
     parse_area_set,
     parse_word,
 )
+from .partlist import _walk
 from .uio import (
     UnitIntervalOrder,
     _complement,
@@ -130,11 +131,11 @@ def _cmd_map(args) -> int:
     """Print the image of each value, one line each, in input order.
 
     q, p and unzeta = zeta_inverse = p o a^-1 print q(U), or its path, from
-    one insertion walk over the stream (harness._walk): consecutive lines
-    whose pred vectors share a prefix, as sorted input does, re-insert only
-    the rest.  unzeta reads the pred vector a^-1(word) off the line's bytes
-    (_pred_of_word), with no path object.  Each q(U) is checked as an area
-    sequence, whose path is then a Dyck word.
+    one insertion walk over the lines' pred vectors (partlist._walk):
+    consecutive lines whose vectors share a prefix, as sorted input does,
+    re-insert only the rest.  unzeta reads the pred vector a^-1(word) off
+    the line's bytes (_pred_of_word), with no path object.  Each q(U) is
+    checked as an area sequence, whose path is then a Dyck word.
     """
     _write_lines(_images(args.name, _each_value(args.value)), args.value is None)
     return 0
@@ -148,8 +149,7 @@ def _images(name: str, values):
     else:
         return (_apply_named_map(name, value) for value in values)
     text = _FROM_AREA["areaseq" if name == "q" else "word"]
-    return (text(AreaSequence(listings[len(pred)]))
-            for pred, listings in harness._walk(preds, tuple))
+    return (text(AreaSequence(listing)) for listing in _walk(preds))
 
 
 #: the step letters U/R and 1/0 as a/b; harness._dyck_pred refuses any

@@ -15,26 +15,25 @@ as data rather than raising:
               orders in one pass over the listings, agrees with q
 
 Every order of size n is extend(U, k) for exactly one pair (U, k) of size
-n - 1.  The theorem, induction and bijections sweeps each consume one
-stream over these pairs (_extension_children), which yields per child its
-listing q, a's path and the zeta reading of q, as bytes.  The bijections
-sweep keeps no image: it sums each image's bit from powers of two, marks
-it in a bitmap per map, and traces only a bit met twice back to its ranks.
-The grevlex sweep and `dyckzeta map --name p|q|unzeta` read q(U) off a
-prefix-sharing insertion walk over integer tuples (_walk).  The objects
-(a_map, p_map, q_map, zeta, ...) are the re-check: an instance the stream
-flags is checked again on them, and a flag they do not confirm is reported
-as a disagreement of the kernel.  Each check has one code path, its shard
-function, which the CLI runs too.
+n - 1.  All four sweeps consume one stream over these pairs
+(_extension_children), which yields per child its listing q, a's path and
+the zeta reading of q, as bytes.  The bijections sweep keeps no image: it
+sums each image's bit from powers of two, marks it in a bitmap per map,
+and traces only a bit met twice back to its ranks.  The grevlex sweep
+holds each child's listing against the minimum that grevlex_minima finds
+without inserting anything.  The objects (a_map, p_map, q_map, zeta, ...)
+are the re-check: an instance the stream flags is checked again on them,
+and a flag they do not confirm is reported as a disagreement of the
+kernel.  Each check has one code path, its shard function, which the CLI
+runs too.
 
 Work shards by contiguous enumeration-rank ranges, so reports are
 deterministic for a fixed n regardless of worker count.  A shard of ranks
-lo..hi - 1 starts its stream at its first instance, unranked by
-uio.unrank_uio (for extension pairs, the child of rank lo), and draws
-exactly hi - lo instances (for extension pairs, the parents of its hi - lo
-pairs): no shard builds the orders before its own.  Pool workers ignore
-SIGINT; on Ctrl-C the parent stops them and raises KeyboardInterrupt,
-which the CLI reports with exit status 2.
+lo..hi - 1 starts its stream at the child of rank lo, unranked by
+uio.unrank_uio, and draws exactly the parents of its hi - lo pairs: no
+shard builds the orders before its own.  Pool workers ignore SIGINT; on
+Ctrl-C the parent stops them and raises KeyboardInterrupt, which the CLI
+reports with exit status 2.
 """
 
 from __future__ import annotations
@@ -47,9 +46,9 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, islice
+from itertools import accumulate
 from multiprocessing import active_children
-from operator import attrgetter, getitem, sub
+from operator import getitem, sub
 from typing import Iterator, Optional
 
 from .errors import PreconditionError, ValidationError
@@ -60,7 +59,7 @@ from .lattice import (
     catalan,
     final_maximal_peak,
 )
-from .partlist import _insert, _insert_all, grevlex_minima, p_map, q_map
+from .partlist import _insert_all, grevlex_minima, p_map, q_map
 from .uio import (
     UnitIntervalOrder,
     a_inverse,
@@ -76,9 +75,9 @@ from .zeta import _peak_parameters, zeta
 #: CPUs): theorem 15 took 37 s at jobs=2 and 66 s at jobs=1, induction 13 took
 #: 16 s at jobs=2 and 27 s at jobs=1, bijections 14 17 s at jobs=2 and 30 s at
 #: jobs=1 (15 took 71 s at jobs=2; BITMAP_MAX_N = 15 caps it).  grevlex
-#: always runs in one process (n = 10 in 7-8 s at 107 MB peak RSS; 11 took
-#: 33 s and 276 MB, over a minute when the VM runs at half speed).  Raise
-#: via the max_n argument (or --max-n in the CLI).
+#: always runs in one process (n = 10 in 5.7-7.0 s at 111 MB peak RSS; 11
+#: took 30 s and 290 MB, over a minute when the VM runs at half speed).
+#: Raise via the max_n argument (or --max-n in the CLI).
 DEFAULT_CEILINGS = {"theorem": 15, "induction": 13, "bijections": 14, "grevlex": 10}
 
 
@@ -217,42 +216,6 @@ def _pool_map(shard, n, bounds):
 
 def _ignore_sigint():
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _walk(items, pred_of=attrgetter("pred")):
-    """The insertion listings along a stream of orders.
-
-    The vectors pred_of(item) may have any sizes and come in any order,
-    with repeats.  Each item re-inserts only the elements past the prefix
-    its vector shares with the previous one, so a stream in lexicographic
-    order (the preorder of the tree of rightmost extensions, which is how
-    enumerate_uio and the order shards deliver it) costs about 1.4
-    insertions per order at n = 10, against n for a lone q_map.  Yields
-    (item, listings) with n = len(pred_of(item)): listings[i] is the
-    listing of elements 0..i-1 for i <= n (listings[n] is q(U); entries
-    past n are left over from longer vectors).  The same listings list is
-    updated for every item.
-    """
-    prev = ()
-    lv = []                         # lv[i]: level of element i
-    listings = [()]
-    for item in items:
-        pred = pred_of(item)
-        n = len(pred)
-        d = 0
-        try:                        # the common prefix ends with the shorter vector
-            while pred[d] == prev[d]:
-                d += 1
-        except IndexError:
-            pass
-        if n >= len(listings):      # the longest vector so far
-            grow = n + 1 - len(listings)
-            listings += [()] * grow
-            lv += [0] * grow
-        for i in range(d, n):
-            listings[i + 1], lv[i], _, _ = _insert(listings[i], lv, pred[i])
-        prev = pred
-        yield item, listings
 
 
 def _is_area_sequence(s: tuple[int, ...]) -> bool:
@@ -752,17 +715,19 @@ def check_grevlex(n: int, max_n: Optional[int] = None) -> VerificationReport:
 
 
 def _grevlex_shard(n: int, lo: int, hi: int):
-    """The walk's listings against grevlex_minima of the orders of rank
-    lo..hi - 1, which one pass over the listings finds for all of them."""
-    count = 0
+    """The stream's listings for the orders of rank lo..hi - 1 (the
+    children of the pairs of size n - 1 with those ranks) against their
+    grevlex_minima, which one pass over the listings finds for all of them."""
     failures = []
-    orders = list(islice(enumerate_uio(n, unrank_uio(n, lo)), hi - lo))
-    walk = zip(_walk(orders), grevlex_minima(orders))
-    for rank, ((u, listings), found) in enumerate(walk, start=lo):
-        count += 1
-        if found.entries != listings[n]:
+    children = [(rank, u, k, cur, grown, extend(u, k))
+                for rank, u, k, cur, grown, *_ in _extension_children(n - 1, lo, hi)]
+    found = grevlex_minima([child for *_, child in children])
+    for (rank, u, k, cur, grown, child), minimum in zip(children, found):
+        if grown is None:
+            failures.append(_area_failure(rank, child) or _unanchored(rank, u, k, cur))
+        elif bytes(minimum.entries) != grown:
             failures.append(Failure(
-                rank, (("pred", str(u)),), "grevlex_min_search(U) == q(U)",
-                str(found), _csv(listings[n]),
+                rank, (("pred", str(child)),), "grevlex_min_search(U) == q(U)",
+                str(minimum), _csv(grown),
             ))
-    return count, failures
+    return len(children), failures

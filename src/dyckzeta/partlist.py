@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from operator import add, or_
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError, ValidationError
 from .lattice import AreaSequence, DyckWord, _csv, _word_of_area
@@ -277,6 +277,36 @@ def _insert_all(u: UnitIntervalOrder) -> tuple[tuple[int, ...], list, list, list
         cs.append(c)
         positions.append(pos)
     return cur, lv, cs, positions
+
+
+def _walk(preds: Iterable[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """q(U), unchecked, for each pred vector of a stream.
+
+    The vectors may have any sizes and come in any order, with repeats.
+    Each re-inserts only the elements past the prefix it shares with the
+    previous one, so a stream in lexicographic order (the preorder of the
+    tree of rightmost extensions, which is enumerate_uio's order) costs
+    about 1.4 insertions per order at n = 10, against n for a lone q_map.
+    """
+    prev = ()
+    lv = []                         # lv[i]: level of element i
+    listings = [()]                 # listings[i]: the listing of elements 0..i-1
+    for pred in preds:
+        n = len(pred)
+        d = 0
+        try:                        # the common prefix ends with the shorter vector
+            while pred[d] == prev[d]:
+                d += 1
+        except IndexError:
+            pass
+        if n >= len(listings):      # the longest vector so far
+            grow = n + 1 - len(listings)
+            listings += [()] * grow
+            lv += [0] * grow
+        for i in range(d, n):
+            listings[i + 1], lv[i], _, _ = _insert(listings[i], lv, pred[i])
+        prev = pred
+        yield listings[n]
 
 
 def q_map(u: UnitIntervalOrder) -> tuple[PartListing, InsertionTrace]:

@@ -34,7 +34,7 @@ from dyckzeta import (
     zeta,
     zeta_inverse,
 )
-from dyckzeta import cli
+from dyckzeta import cli, partlist
 from dyckzeta.cli import main
 from dyckzeta.lattice import AREA_SET_TEXT_MAX_N
 
@@ -630,13 +630,13 @@ def test_streamed_map_over_mixed_sizes_stops_at_a_bad_line(capsys, monkeypatch):
 def test_streamed_map_checks_each_listing_as_an_area_sequence(capsys, monkeypatch):
     # the walk's insertion turns q(0,1) = 0,1 into 0,2: the output line is
     # refused by AreaSequence after the lines before it, for p and for q
-    real_insert = harness._insert
+    real_insert = partlist._insert
 
     def insert(cur, lv, p):
         grown, level, c, pos = real_insert(cur, lv, p)
         return ((0, 2) if grown == (0, 1) else grown), level, c, pos
 
-    monkeypatch.setattr(harness, "_insert", insert)
+    monkeypatch.setattr(partlist, "_insert", insert)
     for name, first in (("p", "abab\n"), ("q", "0,0\n")):
         code, out, err = map_stdin(capsys, monkeypatch, name, "0,0\n0,1\n0,0\n")
         assert (code, out) == (2, first)

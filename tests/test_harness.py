@@ -15,7 +15,6 @@ from dyckzeta import (
     check_induction_step,
     check_theorem,
     enumerate_dyck,
-    enumerate_uio,
     q_map,
     unrank_uio,
     zeta,
@@ -301,21 +300,6 @@ def _windows(n, total):
                     (lo, total if n <= 5 else lo + 1)}
 
 
-def test_order_shards_draw_exactly_their_own_orders(monkeypatch):
-    # grevlex_minima is stubbed with q: the stream, not the oracle, is
-    # under test, and the stub keeps every shard free of failures
-    monkeypatch.setattr(
-        harness, "grevlex_minima", lambda orders: [q_map(u)[0] for u in orders]
-    )
-    drawn = _counting(monkeypatch, "enumerate_uio")
-    for n in range(1, 8):
-        orders = list(enumerate_uio(n))
-        for lo, hi in _windows(n, len(orders)):
-            drawn.clear()
-            assert harness._grevlex_shard(n, lo, hi) == (hi - lo, [])
-            assert drawn == orders[lo:hi], (n, lo, hi)
-
-
 def _assert_draws_the_pairs_of_its_orders(monkeypatch, shard):
     # the orders of rank lo..hi - 1 are the children of the pairs of size
     # n - 1 with those ranks; the shard draws the parents of those pairs
@@ -342,6 +326,15 @@ def test_theorem_shard_draws_exactly_the_pairs_of_its_orders(monkeypatch):
 
 def test_bijections_shard_draws_exactly_the_pairs_of_its_orders(monkeypatch):
     _assert_draws_the_pairs_of_its_orders(monkeypatch, harness._bijections_shard)
+
+
+def test_grevlex_shard_draws_exactly_the_pairs_of_its_orders(monkeypatch):
+    # grevlex_minima is stubbed with q: the stream, not the oracle, is
+    # under test, and the stub keeps every shard free of failures
+    monkeypatch.setattr(
+        harness, "grevlex_minima", lambda orders: [q_map(u)[0] for u in orders]
+    )
+    _assert_draws_the_pairs_of_its_orders(monkeypatch, harness._grevlex_shard)
 
 
 def test_induction_shard_draws_exactly_its_own_pairs(monkeypatch):

@@ -1,25 +1,27 @@
 """The sweeps' kernels against the object-level maps.
 
-The theorem, induction and bijections sweeps read one stream of extension
-pairs (harness._extension_children), which yields per child its bytes
-listing, inserted inline, a's path, and zeta read by bytes.translate onto
-the parent's prefix readings; each sweep is one consumer of it.  The
-grevlex sweep reads q(U) from a prefix-sharing insertion walk
-(harness._walk).  Each piece is checked here against an independent
-computation: the stream's listings against q_map, its paths against
-a_map, its readings against Haglund's scan (zeta.zeta_scan) and zeta's
-diagonal reading, the induction consumer against the per-pair object body,
-the bijections check's bytes inverse (harness._dyck_pred) against
-a_inverse, its integer a-check (harness._is_a_path) against the vector
-_dyck_pred reads, its q-key table (harness._step_bits) against
+The four sweeps read one stream of extension pairs
+(harness._extension_children), which yields per child its bytes listing,
+inserted inline, a's path, and zeta read by bytes.translate onto the
+parent's prefix readings; each sweep is one consumer of it, and the
+grevlex sweep holds the stream's listings against the exhaustive minima.
+`dyckzeta map --name p|q|unzeta` reads q(U) from a prefix-sharing
+insertion walk (partlist._walk).  Each piece is checked here against an
+independent computation: the stream's listings against q_map, its paths
+against a_map, its readings against Haglund's scan (zeta.zeta_scan) and
+zeta's diagonal reading, the induction consumer against the per-pair
+object body, the bijections check's bytes inverse (harness._dyck_pred)
+against a_inverse, its integer a-check (harness._is_a_path) against the
+vector _dyck_pred reads, its q-key table (harness._step_bits) against
 harness._image_key, and the walk's listings against the insertion run.
-Fault tests patch the names the harness looks up, wrap the stream to
+Fault tests patch the names the code looks up, wrap the stream to
 corrupt or watch what it yields (helpers.wrap_children), or rewrite the
 insertion, whose steps have no names (helpers.rewrite_kernel), and check
 the exact record each fault yields; four mutations of the insertion must
-each be flagged.  The library checks default to one job, run in this
-process, so a wrapper that records the stream sees all of it; only verify
-in the CLI defaults to the usable CPUs.
+each be flagged, and the two that change listings flag the same orders
+in the grevlex sweep as in the theorem sweep.  The library checks default
+to one job, run in this process, so a wrapper that records the stream
+sees all of it; only verify in the CLI defaults to the usable CPUs.
 """
 
 import zlib
@@ -31,7 +33,6 @@ from hypothesis import example, given, strategies as st
 
 from dyckzeta import (
     AreaSequence,
-    UnitIntervalOrder,
     ValidationError,
     a_inverse,
     a_map,
@@ -98,15 +99,9 @@ def test_kernel_listings_equal_q_map(monkeypatch):
 def test_walk_over_any_stream_equals_insert_all(orders):
     # sizes 0..8 in any order, with repeats and shorter or empty vectors
     # (in the example, 0,0 changes a prefix that 0,0,1,1 then extends past
-    # the shorter vector): every listing the walk holds for an order is the
-    # insertion run of that prefix
-    seen = []
-    for u, listings in harness._walk(orders):
-        seen.append(u)
-        for i in range(u.n + 1):
-            prefix = UnitIntervalOrder(u.pred[:i])
-            assert listings[i] == _insert_all(prefix)[0], (str(u), i)
-    assert seen == orders
+    # the shorter vector): the walk gives each vector its own insertion run
+    listings = list(partlist._walk(u.pred for u in orders))
+    assert listings == [_insert_all(u)[0] for u in orders]
 
 
 def test_translate_reading_and_kernel_paths_equal_the_oracles(monkeypatch):
@@ -201,11 +196,10 @@ def test_corrupted_scan_is_reported_as_kernel_disagreement(monkeypatch):
 
 
 def _insert_replacing(monkeypatch, good, bad=None, pos=None, objects=False):
-    """Make the harness's insertion return `bad` (or put the letter at `pos`)
-    wherever it would grow the listing `good`: harness._insert, which the
-    walk calls, and the kernel's inlined insertion; with `objects`, also
-    partlist._insert, which q_map and p_map call."""
-    real_insert = harness._insert
+    """Make the kernel's inlined insertion return `bad` (or put the letter
+    at `pos`) wherever it would grow the listing `good`; with `objects`,
+    also partlist._insert, which q_map and p_map call."""
+    real_insert = partlist._insert
 
     def insert(cur, lv, p):
         grown, level, c, at = real_insert(cur, lv, p)
@@ -218,7 +212,6 @@ def _insert_replacing(monkeypatch, good, bad=None, pos=None, objects=False):
             return (grown if bad is None else bytes(bad)), (at if pos is None else pos)
         return grown, at
 
-    monkeypatch.setattr(harness, "_insert", insert)
     if objects:
         monkeypatch.setattr(partlist, "_insert", insert)
     rewrite_kernel(monkeypatch, {"grown": "grown, pos = _grow(grown, pos)"}, _grow=grow)
@@ -330,6 +323,19 @@ def test_unanchored_kernel_insertion_is_a_kernel_disagreement(monkeypatch):
     }
 
 
+def test_grevlex_reports_an_unanchored_kernel_insertion_as_the_theorem_does(monkeypatch):
+    # only the kernel sends 0,1 to 0,2: the children it leaves without a
+    # listing get the theorem's records, and the grevlex sweep flags the
+    # same orders as the theorem
+    _insert_replacing(monkeypatch, (0, 1), (0, 2))
+    grevlex, theorem = check_grevlex(5).failures, check_theorem(5).failures
+    assert [f.rank for f in grevlex] == [f.rank for f in theorem]
+    anchor = "kernel finds every insertion's anchor"
+    records = [f for f in grevlex if f.equation == anchor]
+    assert records == [f for f in theorem if f.equation == anchor]
+    assert [f.rank for f in records] == [31, *range(33, 42)]
+
+
 def test_wrong_listing_fails_the_grevlex_check(monkeypatch):
     # rank 5 (pred 0,0,1,2) gets q = 0,1,1,0 instead of its minimum 0,1,0,1
     _insert_replacing(monkeypatch, (0, 1, 0, 1), (0, 1, 1, 0))
@@ -351,7 +357,7 @@ def test_shards_restart_the_prefix_stack_at_any_rank():
         assert harness._theorem_shard(n, lo, catalan(n)) == (catalan(n) - lo, [])
 
 
-@pytest.mark.parametrize("edits", [
+_MUTATIONS = [
     # the letter lands one place further right at depth 4, where it can
     {"grown": "pos += i == 4 and pos < i\ngrown = cur[:pos] + letters[level] + cur[pos:]"},
     # C_i one too small where it is at least 2
@@ -362,7 +368,10 @@ def test_shards_restart_the_prefix_stack_at_any_rank():
     # a child whose letter equals its parent's largest letter reads the
     # parent's prefix one diagonal too far
     {"head": "if i == m: head = through"},
-])
+]
+
+
+@pytest.mark.parametrize("edits", _MUTATIONS)
 def test_kernel_mutations_are_flagged(monkeypatch, edits):
     # the incremental area-sequence rule must also agree with the full one
     # on the listings a mutation spoils
@@ -387,6 +396,22 @@ def test_kernel_mutations_are_flagged(monkeypatch, edits):
         listing = tuple(map(int, dict(failure.inputs)["q"].split(",")))
         assert failure.lhs != failure.rhs or not harness._is_area_sequence(listing)
     assert all(fit == full for fit, full in fits)
+
+
+@pytest.mark.parametrize("edits, listings", zip(_MUTATIONS, (True, True, False, False)),
+                         ids=["grown", "c", "row", "head"])
+def test_grevlex_flags_the_orders_a_listing_mutation_flags(monkeypatch, edits, listings):
+    # the grevlex sweep reads the stream's listings: a mutation that changes
+    # them (20/66/218/731 and 26/100/365/1302 orders at n = 5..8) is
+    # flagged there on exactly the orders the theorem flags, and one that
+    # changes only a path or a reading is not
+    rewrite_kernel(monkeypatch, edits)
+    for n in range(5, 9):
+        theorem = sorted({f.rank for f in check_theorem(n).failures})
+        assert theorem
+        report = check_grevlex(n)
+        assert report.instances_checked == catalan(n)
+        assert [f.rank for f in report.failures] == (theorem if listings else [])
 
 
 def test_two_shards_match_one(monkeypatch):
@@ -567,6 +592,15 @@ def test_q_listing_that_is_no_area_sequence_is_reported(monkeypatch):
     assert failure.rhs == "entry 4 is 2, exceeding entry 3 + 1 = 1"
 
 
+def _lift(child):
+    """The child with grown's last letter raised by 2 at ranks 3 mod 7, its
+    fit left as it was."""
+    grown = child[4]
+    if grown is None or child[0] % 7 != 3:
+        return child
+    return child[:4] + (grown[:-1] + bytes((grown[-1] + 2,)),) + child[5:]
+
+
 def test_listing_a_wrong_fit_passes_is_recorded_not_raised(monkeypatch):
     # the stream raises grown's last letter by 2 at ranks 3 mod 7 and still
     # says it fits; a letter past its table row must reach the re-check.
@@ -575,14 +609,7 @@ def test_listing_a_wrong_fit_passes_is_recorded_not_raised(monkeypatch):
     monkeypatch.setattr(
         harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
     )
-
-    def lift(child):
-        grown = child[4]
-        if grown is None or child[0] % 7 != 3:
-            return child
-        return child[:4] + (grown[:-1] + bytes((grown[-1] + 2,)),) + child[5:]
-
-    wrap_children(monkeypatch, lift)
+    wrap_children(monkeypatch, _lift)
     for n in range(5, 9):
         for jobs in (1, 2):
             report = check_bijections(n, jobs=jobs)
@@ -593,6 +620,18 @@ def test_listing_a_wrong_fit_passes_is_recorded_not_raised(monkeypatch):
             past_row = [f for f in report.failures
                         if f.equation == "q(U) is a valid area sequence"]
             assert (len(past_row) == 1) == (n >= 6), (n, jobs)
+
+
+def test_grevlex_names_exactly_the_listings_a_wrong_fit_passes(monkeypatch):
+    # no lifted listing is its order's minimum, whatever fit says: the
+    # grevlex sweep names every corrupted rank (204 at n = 8) and no other
+    wrap_children(monkeypatch, _lift)
+    for n in range(5, 9):
+        report = check_grevlex(n)
+        assert report.instances_checked == catalan(n)
+        assert [f.rank for f in report.failures] == [
+            rank for rank in range(catalan(n)) if rank % 7 == 3]
+        assert {f.equation for f in report.failures} == {"grevlex_min_search(U) == q(U)"}
 
 
 def _read_pred_wrong(monkeypatch, path, wrong):
