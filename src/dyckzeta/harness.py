@@ -75,8 +75,8 @@ from .zeta import _peak_parameters, zeta
 #: CPUs): theorem 15 took 37 s at jobs=2 and 66 s at jobs=1, induction 13 took
 #: 16 s at jobs=2 and 27 s at jobs=1, bijections 14 17 s at jobs=2 and 30 s at
 #: jobs=1 (15 took 71 s at jobs=2; BITMAP_MAX_N = 15 caps it).  grevlex
-#: always runs in one process (n = 10 in 5.7-7.0 s at 111 MB peak RSS; 11
-#: took 30 s and 290 MB, over a minute when the VM runs at half speed).
+#: always runs in one process (n = 10 in 6.0-7.0 s at 80 MB peak RSS; 11
+#: took 29 s and 184 MB, over a minute when the VM runs at half speed).
 #: Raise via the max_n argument (or --max-n in the CLI).
 DEFAULT_CEILINGS = {"theorem": 15, "induction": 13, "bijections": 14, "grevlex": 10}
 

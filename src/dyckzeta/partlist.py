@@ -14,7 +14,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from operator import add, or_
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError, ValidationError
@@ -444,11 +444,10 @@ def _missing(mask: int) -> tuple[int, int]:
     return count, total
 
 
-def _normalized_listings(n: int) -> Iterator[tuple[bytes, tuple[int, ...]]]:
+def _normalized_listings(n: int) -> Iterator[bytes]:
     """Every normalized listing of length n and sum at most n(n-1)/2 with
     no rise of 2 or more (w_(i+1) <= w_i + 1), by sum and within a sum
-    lexicographically descending, as bytes, with its key: the sorted codes
-    16 |down-set| + |up-set| of the elements of its poset.
+    lexicographically descending, as bytes.
 
     A listing is normalized when its least entry is 0 and its distinct
     values, sorted, step by at most 2.  Every grevlex minimum is, with no
@@ -460,28 +459,16 @@ def _normalized_listings(n: int) -> Iterator[tuple[bytes, tuple[int, ...]]]:
 
     A depth-first walk over prefixes.  The children of a prefix depend only
     on its set of values, the number of entries left, their sum and the cap
-    (last entry + 1) on the next one; they are memoized, each with its own,
-    keeping only those that lead to a listing: none does where the values
-    missing (_missing) outnumber or outweigh what is left.  Byte i
-    of `codes` is the code of entry i, and byte w of `own` the code an
-    entry w appended next would get.  Appending v adds later[v][x] to the
-    code of each earlier entry x and earlier[v][w] to `own` at each w.  The
-    last two entries are placed together, the last one forced by the sum.
+    (last entry + 1) on the next one; they are memoized, keeping only those
+    that lead to a listing: none does where the values missing (_missing)
+    outnumber or outweigh what is left.  The last two entries are placed
+    together, the last one forced by the sum.
     """
-    if n > 16:
-        raise PreconditionError(
-            f"the listing walk keeps a code in a byte: n <= 16, got {n}")
     if n < 2:
-        yield bytes(n), (0,) * n
+        yield bytes(n)
         return
     top = 2 * n - 2                 # the largest entry of a normalized listing
-    # poset_of: x before v is below v iff v - x >= 1, above it iff x - v >= 2
-    later = [b"\x01" * v + b"\x00\x00" + b"\x10" * (254 - v) for v in range(top + 1)]
-    earlier = [bytes(16 if v < w else 1 if v >= w + 2 else 0 for w in range(top + 1))
-               for v in range(top + 1)]
-    last = 8 * (n - 2)
     missing = cache(_missing)
-    both = cache(lambda v, w: bytes(map(add, later[v], later[w])))
     memo: dict = {}
 
     def children(mask: int, left: int, total: int, prev: int) -> list:
@@ -499,31 +486,47 @@ def _normalized_listings(n: int) -> Iterator[tuple[bytes, tuple[int, ...]]]:
                 if left == 2:
                     w = total - v
                     if w <= v + 1 and missing(m | 1 << w)[0] == 0:
-                        between = later[w][v] + (earlier[v][w] << 8)
-                        kids.append((bytes((v, w)), v, w, both(v, w), between << last))
+                        kids.append(bytes((v, w)))
                 elif grand := children(m, left - 1, total - v, v):
-                    kids.append((v, grand, later[v],
-                                 int.from_bytes(earlier[v], "little")))
+                    kids.append((v, grand))
             memo[key] = kids
         return kids
 
     for total in range(n * (n - 1) // 2 + 1):
-        stack = [(children(0, n, total, top), b"", 0, 0)]
+        stack = [(children(0, n, total, top), b"")]
         while stack:
-            kids, xs, codes, own = stack.pop()
-            own_code = own.to_bytes(top + 1, "little")
+            kids, xs = stack.pop()
             if len(xs) == n - 2:
-                for tail, v, w, step, between in kids:
-                    full = (codes + int.from_bytes(xs.translate(step), "little") + between
-                            + ((own_code[v] + (own_code[w] << 8)) << last))
-                    yield xs + tail, tuple(sorted(full.to_bytes(n, "little")))
+                for tail in kids:
+                    yield xs + tail
                 continue
-            shift = 8 * len(xs)
-            for v, grand, step, grow in reversed(kids):
-                stack.append((grand, xs + bytes((v,)),
-                              codes + int.from_bytes(xs.translate(step), "little")
-                              + (own_code[v] << shift),
-                              own + grow))
+            for v, grand in reversed(kids):
+                stack.append((grand, xs + bytes((v,))))
+
+
+def _order_of(w: Sequence[int]) -> tuple[int, ...]:
+    """The pred vector of the unit interval order that poset_of(w) is
+    isomorphic to: the sorted sizes of the down-sets, where the entry x at
+    position p lies above the entries <= x - 2 and the entries x - 1
+    before p.
+
+    Number the elements by (value, position), f_permutation's order.  The
+    down-set of x at p is then a prefix: every entry <= x - 2, then the
+    entries x - 1 before p, which come first among the x - 1.  The prefixes
+    grow along the order: an x after p has no fewer x - 1 before it, and
+    the down-set of an x + 1 or more holds every entry <= x - 1.  So
+    relabeled_poset(w) is the unit interval order whose pred vector lists
+    these sizes in that order, which is the sorted one.  The C_n pred
+    vectors give the C_n orders up to isomorphism, so two listings have
+    isomorphic posets exactly when their vectors are equal.
+    """
+    ordered = sorted(w)
+    seen = [0] * (ordered[-1] + 2) if ordered else []   # seen[x]: x - 1 so far
+    down = []
+    for x in w:
+        down.append(bisect_left(ordered, x - 1) + seen[x])
+        seen[x + 1] += 1
+    return tuple(sorted(down))
 
 
 def grevlex_minima(orders: Sequence[UnitIntervalOrder]) -> list[PartListing]:
@@ -532,31 +535,23 @@ def grevlex_minima(orders: Sequence[UnitIntervalOrder]) -> list[PartListing]:
 
     The walk (_normalized_listings) goes in ascending grevlex order over
     the normalized listings with no rise of 2 or more, which hold every
-    minimum, so an order's first isomorphic listing is its minimum.  A
-    listing's sorted (|down-set|, |up-set|) pairs are looked up among the
-    orders still waiting, and is_isomorphic confirms every hit: the pairs
-    only filter.  Nothing here inserts, so this is an oracle for q_map.
-    Every order has a listing of sum at most n(n-1)/2, the largest
+    minimum, so an order's first listing with an isomorphic poset is its
+    minimum.  _order_of names that order exactly by its pred vector, so
+    each listing is looked up among the orders still waiting, with no
+    isomorphism search.  Nothing here inserts, so this is an oracle for
+    q_map.  Every order has a listing of sum at most n(n-1)/2, the largest
     area-sequence sum, which bounds the walk.
     """
     n = orders[0].n if orders else 0
-    targets = [poset_from_uio(u) for u in orders]
-    waiting: dict[tuple, list[int]] = {}
-    for idx, target in enumerate(targets):
-        key = tuple(sorted(16 * down + up for down, up in _degrees(target)))
-        waiting.setdefault(key, []).append(idx)
+    waiting: dict[tuple[int, ...], list[int]] = {}
+    for idx, u in enumerate(orders):
+        waiting.setdefault(u.pred, []).append(idx)
     found: list = [None] * len(orders)
-    for entries, key in _normalized_listings(n):
+    for entries in _normalized_listings(n):
         if not waiting:
             return found
-        if key in waiting:
-            w = PartListing(entries)
-            poset = poset_of(w)
-            for idx in waiting.pop(key):
-                if is_isomorphic(poset, targets[idx]):
-                    found[idx] = w
-                else:
-                    waiting.setdefault(key, []).append(idx)
+        for idx in waiting.pop(_order_of(entries), ()):
+            found[idx] = PartListing(entries)
     if waiting:
         raise RuntimeError("unreachable: every unit interval order has a part listing")
     return found

@@ -10,6 +10,7 @@ from dyckzeta import (
     PartListing,
     Poset,
     PreconditionError,
+    UnitIntervalOrder,
     ValidationError,
     catalan,
     enumerate_uio,
@@ -338,29 +339,47 @@ def test_grevlex_minima_equal_q_map_at_six():
     assert grevlex_minima(orders) == [q_map(u)[0] for u in orders]
 
 
-def test_grevlex_minima_rest_on_is_isomorphic_not_the_invariant(monkeypatch):
-    # a constant key makes every listing a candidate for every order
-    # (and takes is_isomorphic's degree pruning away too)
-    walk = partlist._normalized_listings
-    monkeypatch.setattr(partlist, "_normalized_listings",
-                        lambda n: ((e, (0,) * n) for e, _ in walk(n)))
-    monkeypatch.setattr(partlist, "_degrees", lambda p: [(0, 0)] * p.n)
-    for n in range(0, 5):
-        orders = list(enumerate_uio(n))
-        assert grevlex_minima(orders) == [grevlex_min_brute_force(u) for u in orders]
+def test_grevlex_minima_search_no_isomorphism(monkeypatch):
+    orders = list(enumerate_uio(6))
+    expected = [q_map(u)[0] for u in orders]
+
+    def refuse(*args):
+        raise AssertionError("the grevlex oracle keys listings by their order")
+
+    for name in ("is_isomorphic", "poset_of", "poset_from_uio", "_degrees", "Poset"):
+        monkeypatch.setattr(partlist, name, refuse)
+    assert grevlex_minima(orders) == expected
 
 
-def test_listing_invariant_counts_down_and_up_sets():
-    # the walk's key of each listing, against the poset's relation matrix
+def order_of_matches_the_posets(entries, isomorphic):
+    order = UnitIntervalOrder(partlist._order_of(entries))
+    w = PartListing(entries)
+    assert poset_from_uio(order) == relabeled_poset(w), entries
+    if isomorphic:
+        assert is_isomorphic(poset_from_uio(order), poset_of(w)), entries
+
+
+def test_order_of_is_the_order_of_every_small_listing():
+    # every listing with entries in 0..2n-2, the largest of a normalized one
     for n in range(0, 6):
-        for entries, key in partlist._normalized_listings(n):
+        for entries in product(range(2 * n - 1), repeat=n):
+            order_of_matches_the_posets(entries, n <= 4)
+
+
+def test_order_of_is_the_order_of_every_walked_listing():
+    for n in range(0, 8):
+        for entries in partlist._normalized_listings(n):
+            order_of_matches_the_posets(entries, n <= 4)
+
+
+def test_order_of_sorts_the_down_set_sizes():
+    # the key of each walked listing, against the poset's relation matrix
+    for n in range(0, 7):
+        for entries in partlist._normalized_listings(n):
             p = poset_of(PartListing(entries))
-            expected = sorted(
-                (sum(p.holds(i, j) for i in range(1, n + 1)),
-                 sum(p.holds(j, k) for k in range(1, n + 1)))
-                for j in range(1, n + 1)
-            )
-            assert key == tuple(16 * down + up for down, up in expected), entries
+            expected = sorted(sum(p.holds(i, j) for i in range(1, n + 1))
+                              for j in range(1, n + 1))
+            assert partlist._order_of(entries) == tuple(expected), entries
 
 
 def normalized(entries):
@@ -426,7 +445,7 @@ def test_brute_force_minima_have_no_rise_of_two():
 def test_walk_yields_the_normalized_compositions_in_grevlex_order():
     # normalized and with no rise of 2 or more
     for n in range(0, 7):
-        walk = [tuple(e) for e, _ in partlist._normalized_listings(n)]
+        walk = [tuple(e) for e in partlist._normalized_listings(n)]
         by_sum = [
             sorted((e for e in compositions(total, n)
                     if normalized(e) and rises_by_at_most_one(e)), reverse=True)
@@ -446,11 +465,6 @@ def test_missing_values_count_and_least_sum():
             min(map(len, fits)), min(map(sum, fits))), bin(mask)
 
 
-def test_walk_refuses_sizes_past_byte_codes():
-    with pytest.raises(PreconditionError, match="n <= 16"):
-        next(partlist._normalized_listings(17))
-
-
 def test_grevlex_minima_miss_a_minimum_the_walk_skips(monkeypatch):
     orders = list(enumerate_uio(5))
     expected = [grevlex_min_brute_force(u) for u in orders]
@@ -458,7 +472,7 @@ def test_grevlex_minima_miss_a_minimum_the_walk_skips(monkeypatch):
     assert normalized(skipped) and sum(skipped) > 0
     walk = partlist._normalized_listings
     monkeypatch.setattr(partlist, "_normalized_listings",
-                        lambda n: ((e, k) for e, k in walk(n) if tuple(e) != skipped))
+                        lambda n: (e for e in walk(n) if tuple(e) != skipped))
     found = grevlex_minima(orders)
     assert [i for i, (w, best) in enumerate(zip(found, expected)) if w != best] == [20]
     assert grevlex_key(found[20]) > grevlex_key(expected[20])
