@@ -172,20 +172,12 @@ def _pred_of_word(line: str) -> tuple[int, ...]:
 # ----------------------------------------------------------------- verify
 
 def _cmd_verify(args) -> int:
-    check = args.check
-    if check == "grevlex" and args.jobs is not None and args.jobs > 1:
-        raise PreconditionError(
-            f"grevlex runs in one process; --jobs {args.jobs} is not supported"
-        )
+    check = {"theorem": harness.check_theorem,
+             "induction": harness.check_induction_step,
+             "bijections": harness.check_bijections,
+             "grevlex": harness.check_grevlex}[args.check]
     jobs = args.jobs if args.jobs is not None else harness._usable_cpus()
-    if check == "theorem":
-        report = harness.check_theorem(args.n, jobs=jobs, max_n=args.max_n)
-    elif check == "induction":
-        report = harness.check_induction_step(args.n, jobs=jobs, max_n=args.max_n)
-    elif check == "bijections":
-        report = harness.check_bijections(args.n, jobs=jobs, max_n=args.max_n)
-    else:
-        report = harness.check_grevlex(args.n, max_n=args.max_n)
+    report = check(args.n, jobs=jobs, max_n=args.max_n)
     if args.json:
         print(json.dumps(report.to_json_dict()))
     else:
@@ -337,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_jobs,
         default=None,
-        help="worker processes, at least 1 (default and cap: the usable "
-        "CPUs); grevlex runs in one process and refuses --jobs above 1",
+        help="worker processes, at least 1 (default and cap: the usable CPUs)",
     )
     verify.add_argument("--max-n", type=int, default=None, dest="max_n",
                         help="raise the default size ceiling")

@@ -11,8 +11,8 @@ as data rather than raising:
   bijections  a, q and zeta have pairwise-distinct images, each a Dyck
               path of size n; q emits valid area sequences; a_inverse
               undoes a: the j-th a of a(U) is step j + pred[j]
-  grevlex     the grevlex-minimal listing isomorphic to U, found for all
-              orders in one pass over the listings, agrees with q
+  grevlex     the grevlex-minimal listing isomorphic to U, read off U's
+              pred vector without inserting (grevlex_min), agrees with q
 
 Every order of size n is extend(U, k) for exactly one pair (U, k) of size
 n - 1.  All four sweeps consume one stream over these pairs
@@ -20,12 +20,12 @@ n - 1.  All four sweeps consume one stream over these pairs
 the zeta reading of q, as bytes.  The bijections sweep keeps no image: it
 sums each image's bit from powers of two, marks it in a bitmap per map,
 and traces only a bit met twice back to its ranks.  The grevlex sweep
-holds each child's listing against the minimum that grevlex_minima finds
-without inserting anything.  The objects (a_map, p_map, q_map, zeta, ...)
-are the re-check: an instance the stream flags is checked again on them,
-and a flag they do not confirm is reported as a disagreement of the
-kernel.  Each check has one code path, its shard function, which the CLI
-runs too.
+holds each child's listing against grevlex_min of its pred vector, which
+merges the child's level blocks greedily and inserts nothing.  The objects
+(a_map, p_map, q_map, zeta, ...) are the re-check: an instance the stream
+flags is checked again on them, and a flag they do not confirm is
+reported as a disagreement of the kernel.  Each check has one code path,
+its shard function, which the CLI runs too.
 
 Work shards by contiguous enumeration-rank ranges, so reports are
 deterministic for a fixed n regardless of worker count.  A shard of ranks
@@ -59,7 +59,7 @@ from .lattice import (
     catalan,
     final_maximal_peak,
 )
-from .partlist import _insert_all, grevlex_minima, p_map, q_map
+from .partlist import _insert_all, grevlex_min, p_map, q_map
 from .uio import (
     UnitIntervalOrder,
     a_inverse,
@@ -74,11 +74,11 @@ from .zeta import _peak_parameters, zeta
 #: (Python 3.11) at two jobs, which is verify's default there (the usable
 #: CPUs): theorem 15 took 37 s at jobs=2 and 66 s at jobs=1, induction 13 took
 #: 16 s at jobs=2 and 27 s at jobs=1, bijections 14 17 s at jobs=2 and 30 s at
-#: jobs=1 (15 took 71 s at jobs=2; BITMAP_MAX_N = 15 caps it).  grevlex
-#: always runs in one process (n = 10 in 6.0-7.0 s at 80 MB peak RSS; 11
-#: took 29 s and 184 MB, over a minute when the VM runs at half speed).
-#: Raise via the max_n argument (or --max-n in the CLI).
-DEFAULT_CEILINGS = {"theorem": 15, "induction": 13, "bijections": 14, "grevlex": 10}
+#: jobs=1 (15 took 71 s at jobs=2; BITMAP_MAX_N = 15 caps it), grevlex 14
+#: 13.6 s at jobs=2 and 26 s at jobs=1, at 19 MB peak RSS (15 took 50 s at
+#: jobs=2, over a minute when the VM runs at half speed).  Raise via the
+#: max_n argument (or --max-n in the CLI).
+DEFAULT_CEILINGS = {"theorem": 15, "induction": 13, "bijections": 14, "grevlex": 14}
 
 
 @dataclass(frozen=True)
@@ -708,26 +708,28 @@ def _repeated_images(n, total, results) -> list[Failure]:
 
 # ---------------------------------------------------------------- grevlex
 
-def check_grevlex(n: int, max_n: Optional[int] = None) -> VerificationReport:
-    """The independent exhaustive minimum equals the insertion listing."""
+def check_grevlex(
+    n: int, jobs: int = 1, max_n: Optional[int] = None
+) -> VerificationReport:
+    """Each order's listing from the stream is the grevlex-minimal listing
+    isomorphic to it, which grevlex_min reads off the order alone."""
     _ceiling("grevlex", n, max_n)
-    return _sweep("grevlex", n, catalan(n), 1, _grevlex_shard)
+    return _sweep("grevlex", n, catalan(n), jobs, _grevlex_shard)
 
 
 def _grevlex_shard(n: int, lo: int, hi: int):
     """The stream's listings for the orders of rank lo..hi - 1 (the
     children of the pairs of size n - 1 with those ranks) against their
-    grevlex_minima, which one pass over the listings finds for all of them."""
+    grevlex_min."""
     failures = []
-    children = [(rank, u, k, cur, grown, extend(u, k))
-                for rank, u, k, cur, grown, *_ in _extension_children(n - 1, lo, hi)]
-    found = grevlex_minima([child for *_, child in children])
-    for (rank, u, k, cur, grown, child), minimum in zip(children, found):
+    rank = lo - 1              # rank + 1 - lo: the children drawn
+    for rank, u, k, cur, grown, *_ in _extension_children(n - 1, lo, hi):
         if grown is None:
-            failures.append(_area_failure(rank, child) or _unanchored(rank, u, k, cur))
-        elif bytes(minimum.entries) != grown:
+            failures.append(
+                _area_failure(rank, extend(u, k)) or _unanchored(rank, u, k, cur))
+        elif (minimum := grevlex_min(pred := u.pred + (k,))) != grown:
             failures.append(Failure(
-                rank, (("pred", str(child)),), "grevlex_min_search(U) == q(U)",
-                str(minimum), _csv(grown),
+                rank, (("pred", _csv(pred)),), "grevlex_min_search(U) == q(U)",
+                _csv(minimum), _csv(grown),
             ))
-    return len(children), failures
+    return rank + 1 - lo, failures

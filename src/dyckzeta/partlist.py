@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -427,83 +426,6 @@ def grevlex_compare(w1: PartListing, w2: PartListing) -> int:
     return 0
 
 
-def _missing(mask: int) -> tuple[int, int]:
-    """How many more distinct values a listing needs before it is
-    normalized, given its set of values as a bit mask (bit v for value v),
-    and their least sum.
-
-    Below a present value b, after a run from the present value a before
-    it, it needs k = (b - a - 1) // 2 values, at least b - 2, ..., b - 2k.
-    Below the least value, which must reach 0, the same holds with a = -2,
-    a value -1 becoming 0.
-    """
-    count, total, a = 0, 0, -2
-    for b in (v for v in range(mask.bit_length()) if mask >> v & 1):
-        k = (b - a - 1) // 2
-        count, total, a = count + k, total + k * b - k * (k + 1) + (a == -2 and b % 2), b
-    return count, total
-
-
-def _normalized_listings(n: int) -> Iterator[bytes]:
-    """Every normalized listing of length n and sum at most n(n-1)/2 with
-    no rise of 2 or more (w_(i+1) <= w_i + 1), by sum and within a sum
-    lexicographically descending, as bytes.
-
-    A listing is normalized when its least entry is 0 and its distinct
-    values, sorted, step by at most 2.  Every grevlex minimum is, with no
-    such rise: the listing rule compares only differences with 1 and 2, so
-    subtracting the least entry, or lowering the entries above a step of 3
-    or more until it is 2, keeps poset_of and lowers the sum, and swapping
-    a rise of 2 or more relabels poset_of by the transposition and puts the
-    larger entry first.
-
-    A depth-first walk over prefixes.  The children of a prefix depend only
-    on its set of values, the number of entries left, their sum and the cap
-    (last entry + 1) on the next one; they are memoized, keeping only those
-    that lead to a listing: none does where the values missing (_missing)
-    outnumber or outweigh what is left.  The last two entries are placed
-    together, the last one forced by the sum.
-    """
-    if n < 2:
-        yield bytes(n)
-        return
-    top = 2 * n - 2                 # the largest entry of a normalized listing
-    missing = cache(_missing)
-    memo: dict = {}
-
-    def children(mask: int, left: int, total: int, prev: int) -> list:
-        # above the largest value plus 2 * left, a gap cannot be filled
-        high = min(total, top, mask.bit_length() + 2 * left - 1, prev + 1)
-        key = (mask, left, total, high)
-        kids = memo.get(key)
-        if kids is None:
-            kids = []
-            for v in range(high, -1, -1):
-                m = mask | 1 << v
-                count, least = missing(m)
-                if count >= left or least > total - v:
-                    continue
-                if left == 2:
-                    w = total - v
-                    if w <= v + 1 and missing(m | 1 << w)[0] == 0:
-                        kids.append(bytes((v, w)))
-                elif grand := children(m, left - 1, total - v, v):
-                    kids.append((v, grand))
-            memo[key] = kids
-        return kids
-
-    for total in range(n * (n - 1) // 2 + 1):
-        stack = [(children(0, n, total, top), b"")]
-        while stack:
-            kids, xs = stack.pop()
-            if len(xs) == n - 2:
-                for tail in kids:
-                    yield xs + tail
-                continue
-            for v, grand in reversed(kids):
-                stack.append((grand, xs + bytes((v,))))
-
-
 def _order_of(w: Sequence[int]) -> tuple[int, ...]:
     """The pred vector of the unit interval order that poset_of(w) is
     isomorphic to: the sorted sizes of the down-sets, where the entry x at
@@ -529,44 +451,64 @@ def _order_of(w: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(down))
 
 
-def grevlex_minima(orders: Sequence[UnitIntervalOrder]) -> list[PartListing]:
-    """For each order (all of one size n), the grevlex-minimal listing whose
-    poset is isomorphic to it, found in one walk over the listings.
+def grevlex_min(pred: Sequence[int]) -> bytes:
+    """The grevlex-minimal listing whose poset is isomorphic to the order
+    with this pred vector, as bytes, read off the vector: nothing inserts
+    and no listing is searched, so this is an oracle for q_map.
 
-    The walk (_normalized_listings) goes in ascending grevlex order over
-    the normalized listings with no rise of 2 or more, which hold every
-    minimum, so an order's first listing with an isomorphic poset is its
-    minimum.  _order_of names that order exactly by its pred vector, so
-    each listing is looked up among the orders still waiting, with no
-    isomorphism search.  Nothing here inserts, so this is an oracle for
-    q_map.  Every order has a listing of sum at most n(n-1)/2, the largest
-    area-sequence sum, which bounds the walk.
+    By _order_of's lemma, a listing of the order U splits U's labels into
+    value blocks: numbered by (value, position), value x holds the labels
+    b_x..b_(x+1) - 1, and label i of block x has pred_i = b_(x-1) + the
+    number of letters x - 1 before it (b_(-1) = b_0 = 0, and b_x = n past
+    the largest value).  So b_(x-1) <= pred_i <= b_x, and the listing's sum
+    is the sum over x >= 1 of n - b_x.
+
+    Least sum.  Every label of blocks 0..x has pred <= b_x, and pred rises
+    weakly, so b_1 <= #{pred = 0} and b_(x+1) <= #{pred <= b_x}.  Let the
+    level boundaries be L_0 = 0 and L_(x+1) = #{pred <= L_x}.  If
+    b_x <= L_x, then b_(x+1) <= #{pred <= b_x} <= #{pred <= L_x} = L_(x+1);
+    so b_x <= L_x for every x, and a partition other than the levels' has a
+    larger sum.  The levels' one is realized by the merge below, so it is
+    the unique least-sum partition.  Its block x + 1 starts at the first
+    label whose pred exceeds L_x, and then L_x < pred_i <= L_(x+1) holds
+    for each of its labels i.
+
+    Least listing.  Within one sum, the grevlex-least listing is the
+    lexicographically largest.  A listing merges the blocks, each in label
+    order, and the next label i of block x can come next exactly when
+    pred_i - b_(x-1) letters x - 1 are placed, that is, when pred_i is the
+    next label of block x - 1: call x ready then.  Placing the largest ready
+    x each time gives the lexicographically largest listing, as long as the
+    merge never gets stuck.  It does not.  The largest ready x has no ready
+    x + 1, so no pending x + 1 needs the count of x's to stay as it is now:
+    the next x + 1 needs more x's than are placed, and after this x at
+    least as many as are placed.  So each pending label needs at least the
+    letters below it that are placed, and the least block left is ready: it
+    needs at most the whole block below, and all of that is placed.
+    Placing x changes only whether x and x + 1 are ready, so the search for
+    the next largest ready value starts at x + 1, and a merge is linear in n.
     """
-    n = orders[0].n if orders else 0
-    waiting: dict[tuple[int, ...], list[int]] = {}
-    for idx, u in enumerate(orders):
-        waiting.setdefault(u.pred, []).append(idx)
-    found: list = [None] * len(orders)
-    for entries in _normalized_listings(n):
-        if not waiting:
-            return found
-        for idx in waiting.pop(_order_of(entries), ()):
-            found[idx] = PartListing(entries)
-    if waiting:
-        raise RuntimeError("unreachable: every unit interval order has a part listing")
-    return found
-
-
-#: Largest order grevlex_min_search takes: one order may walk every listing
-#: up to sum n(n-1)/2, 36 792 at n = 8 and 188 296 at n = 9.
-GREVLEX_SEARCH_MAX_N = 8
+    n = len(pred)
+    starts = [0]                    # starts[x]: the first label of value x
+    for i, p in enumerate(pred):
+        if p > starts[-1]:
+            starts.append(i)
+    ends = starts[1:] + [n]
+    nxt = [0] + starts              # nxt[x + 1]: the next label of value x
+    listing = bytearray()
+    x = top = len(starts) - 1
+    for _ in range(n):
+        while not (nxt[x + 1] < ends[x] and pred[nxt[x + 1]] == nxt[x]):
+            x -= 1
+        listing.append(x)
+        nxt[x + 1] += 1
+        x = min(x + 1, top)
+    return bytes(listing)
 
 
 def grevlex_min_search(u: UnitIntervalOrder) -> PartListing:
-    """Grevlex-minimal listing whose poset is isomorphic to u: grevlex_minima
-    of u alone, refused above GREVLEX_SEARCH_MAX_N."""
-    if u.n > GREVLEX_SEARCH_MAX_N:
-        raise PreconditionError(
-            f"exhaustive search refused for n = {u.n} > guard {GREVLEX_SEARCH_MAX_N}"
-        )
-    return grevlex_minima([u])[0]
+    """Grevlex-minimal listing whose poset is isomorphic to u (grevlex_min,
+    whose bytes hold the orders the sweeps' stream holds: size <= 255)."""
+    if u.n > 255:
+        raise PreconditionError(f"bytes listings hold orders of size <= 255, got {u.n}")
+    return PartListing(grevlex_min(u.pred))

@@ -9,7 +9,7 @@ import ast
 import inspect
 import textwrap
 from collections import defaultdict
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from hypothesis import strategies as st
 
@@ -25,6 +25,7 @@ from dyckzeta import (
     poset_of,
 )
 from dyckzeta import harness
+from dyckzeta.partlist import _order_of
 from dyckzeta.zeta import zeta_scan
 
 
@@ -110,8 +111,8 @@ def grevlex_min_brute_force(u):
     """Grevlex-minimal listing whose poset is isomorphic to u, one order at
     a time: for each sum in turn, every listing is tried with is_isomorphic
     and the smallest grevlex_key kept.  Its own listing walk and its
-    comparison by key make it independent of how partlist.grevlex_minima
-    orders its walk."""
+    comparison by key make it independent of how grevlex_minima orders
+    its walk."""
     n = u.n
     target = poset_from_uio(u)
     for total in range(n * (n - 1) // 2 + 1):
@@ -125,6 +126,117 @@ def grevlex_min_brute_force(u):
         if best is not None:
             return best
     raise AssertionError(f"no listing for {u}")
+
+
+# ------------------------------------------------------- the listing walk
+# The exhaustive grevlex oracle: one walk over the listings of size n in
+# ascending grevlex order, about five times longer per size, finds every
+# order's minimum.  partlist.grevlex_min reads each minimum off its order.
+
+def missing_values(mask):
+    """How many more distinct values a listing needs before it is
+    normalized, given its set of values as a bit mask (bit v for value v),
+    and their least sum.
+
+    Below a present value b, after a run from the present value a before
+    it, it needs k = (b - a - 1) // 2 values, at least b - 2, ..., b - 2k.
+    Below the least value, which must reach 0, the same holds with a = -2,
+    a value -1 becoming 0.
+    """
+    count, total, a = 0, 0, -2
+    for b in (v for v in range(mask.bit_length()) if mask >> v & 1):
+        k = (b - a - 1) // 2
+        count, total, a = count + k, total + k * b - k * (k + 1) + (a == -2 and b % 2), b
+    return count, total
+
+
+def normalized_listings(n):
+    """Every normalized listing of length n and sum at most n(n-1)/2 with
+    no rise of 2 or more (w_(i+1) <= w_i + 1), by sum and within a sum
+    lexicographically descending, as bytes.
+
+    A listing is normalized when its least entry is 0 and its distinct
+    values, sorted, step by at most 2.  Every grevlex minimum is, with no
+    such rise: the listing rule compares only differences with 1 and 2, so
+    subtracting the least entry, or lowering the entries above a step of 3
+    or more until it is 2, keeps poset_of and lowers the sum, and swapping
+    a rise of 2 or more relabels poset_of by the transposition and puts the
+    larger entry first.
+
+    A depth-first walk over prefixes.  The children of a prefix depend only
+    on its set of values, the number of entries left, their sum and the cap
+    (last entry + 1) on the next one; they are memoized, keeping only those
+    that lead to a listing: none does where the values missing
+    (missing_values) outnumber or outweigh what is left.  The last two entries are placed
+    together, the last one forced by the sum.
+    """
+    if n < 2:
+        yield bytes(n)
+        return
+    top = 2 * n - 2                 # the largest entry of a normalized listing
+    missing = cache(missing_values)
+    memo = {}
+
+    def children(mask, left, total, prev):
+        # above the largest value plus 2 * left, a gap cannot be filled
+        high = min(total, top, mask.bit_length() + 2 * left - 1, prev + 1)
+        key = (mask, left, total, high)
+        kids = memo.get(key)
+        if kids is None:
+            kids = []
+            for v in range(high, -1, -1):
+                m = mask | 1 << v
+                count, least = missing(m)
+                if count >= left or least > total - v:
+                    continue
+                if left == 2:
+                    w = total - v
+                    if w <= v + 1 and missing(m | 1 << w)[0] == 0:
+                        kids.append(bytes((v, w)))
+                elif grand := children(m, left - 1, total - v, v):
+                    kids.append((v, grand))
+            memo[key] = kids
+        return kids
+
+    for total in range(n * (n - 1) // 2 + 1):
+        stack = [(children(0, n, total, top), b"")]
+        while stack:
+            kids, xs = stack.pop()
+            if len(xs) == n - 2:
+                for tail in kids:
+                    yield xs + tail
+                continue
+            for v, grand in reversed(kids):
+                stack.append((grand, xs + bytes((v,))))
+
+
+def grevlex_minima(orders):
+    """For each order (all of one size n), the grevlex-minimal listing whose
+    poset is isomorphic to it, found in one walk over the listings.
+
+    The walk (normalized_listings) goes in ascending grevlex order over
+    the normalized listings with no rise of 2 or more, which hold every
+    minimum, so an order's first listing with an isomorphic poset is its
+    minimum.  partlist._order_of names that order exactly by its pred
+    vector, so each listing is looked up among the orders still waiting,
+    with no isomorphism search.  Nothing here inserts, so this is an
+    oracle for q_map, and an exhaustive one for partlist.grevlex_min.
+    Every order has a listing of sum at most n(n-1)/2, the largest
+    area-sequence sum, which bounds the walk.
+    """
+    n = orders[0].n if orders else 0
+    waiting = {}
+    for idx, u in enumerate(orders):
+        waiting.setdefault(u.pred, []).append(idx)
+    found = [None] * len(orders)
+    for entries in normalized_listings(n):
+        if not waiting:
+            return found
+        for idx in waiting.pop(_order_of(entries), ()):
+            found[idx] = PartListing(entries)
+    if waiting:
+        raise RuntimeError("unreachable: every unit interval order has a part listing")
+    return found
 
 
 # ------------------------------------------------- reference validators

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  The two timed criteria (the full theorem sweep and the
-one-pass grevlex minima at n = 5) assert their stated budgets.
+grevlex oracle sweep at n = 5) assert their stated budgets.
 """
 
 import time
@@ -110,7 +110,7 @@ def test_criterion_09_grevlex_oracle_at_five():
     elapsed = time.perf_counter() - start
     assert report.passed, report.render_text()
     assert report.instances_checked == 42
-    assert elapsed <= 120.0, f"grevlex minima took {elapsed:.1f}s"
+    assert elapsed <= 120.0, f"grevlex sweep took {elapsed:.1f}s"
     _report(9, f"independent grevlex minimum matches q on all 42 orders ({elapsed:.1f}s)")
 
 

@@ -37,6 +37,7 @@ from dyckzeta import (
 from dyckzeta import cli, partlist
 from dyckzeta.cli import main
 from dyckzeta.lattice import AREA_SET_TEXT_MAX_N
+from helpers import rewrite_kernel
 
 
 def run(capsys, *argv):
@@ -177,29 +178,28 @@ def test_verify_exit_one_on_failures(capsys, monkeypatch):
 
 
 def test_verify_ceiling_is_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "--check", "grevlex", "--n", "11")
+    code, _, err = run(capsys, "verify", "--check", "grevlex", "--n", "15")
     assert code == 2
     assert "capped" in err
 
 
-def test_verify_grevlex_refuses_more_than_one_job(capsys):
-    code, out, err = run(capsys, "verify", "--check", "grevlex", "--n", "3",
-                         "--jobs", "2")
-    assert (code, out) == (2, "")
-    assert "grevlex runs in one process" in err
-
-
-def test_verify_grevlex_runs_with_one_job_and_by_default(capsys, monkeypatch):
-    # with two usable CPUs the default is no refusal and starts no pool
-    def no_pool(*args, **kwargs):
-        raise AssertionError("grevlex must not start a pool")
-
+def test_verify_grevlex_reports_are_equal_at_one_and_two_jobs(capsys, monkeypatch):
+    # the letter lands one place further right at depth 4: a corruption
+    # that does not depend on where a shard starts, flagged alike by both
+    rewrite_kernel(monkeypatch, {
+        "grown": "pos += i == 4 and pos < i\ngrown = cur[:pos] + letters[level] + cur[pos:]"})
     monkeypatch.setattr(cli.harness.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    monkeypatch.setattr(cli.harness, "ProcessPoolExecutor", no_pool)
-    for jobs in (("--jobs", "1"), ()):
-        code, out, _ = run(capsys, "verify", "--check", "grevlex", "--n", "3", *jobs)
-        assert code == 0 and "PASS" in out
+    reports = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "verify", "--check", "grevlex", "--n", "7",
+                           "--jobs", jobs, "--json")
+        assert code == 1
+        report = json.loads(out)
+        del report["elapsed_ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert len(reports[0]["failures"]) == 218
 
 
 @pytest.mark.parametrize("check", ["theorem", "induction", "bijections", "grevlex"])

@@ -8,6 +8,7 @@ import pytest
 from dyckzeta import cli, harness
 from dyckzeta import (
     PreconditionError,
+    UnitIntervalOrder,
     area_sequence_from_word,
     catalan,
     check_bijections,
@@ -58,8 +59,19 @@ def test_grevlex_small_sizes_pass():
         assert report.instances_checked == catalan(n)
 
 
+def test_check_grevlex_runs_in_this_process_by_default(monkeypatch):
+    # verify asks for the usable CPUs; the library's default is one job
+    def no_pool(*args, **kwargs):
+        raise AssertionError("check_grevlex must not start a pool by default")
+
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    assert check_grevlex(5).passed
+
+
 def test_grevlex_passes_on_all_orders_at_eight_within_budget():
-    # the independent minimum against q(U) on all 1430 orders, ~0.4 s
+    # the independent minimum against q(U) on all 1430 orders, ~0.02 s
     start = time.perf_counter()
     report = check_grevlex(8)
     elapsed = time.perf_counter() - start
@@ -88,7 +100,7 @@ def test_ceilings_guard_and_override():
     with pytest.raises(PreconditionError, match="capped"):
         check_bijections(15)
     with pytest.raises(PreconditionError, match="capped"):
-        check_grevlex(11)
+        check_grevlex(15)
     # max_n overrides in both directions
     with pytest.raises(PreconditionError, match="capped"):
         check_theorem(3, max_n=2)
@@ -329,11 +341,10 @@ def test_bijections_shard_draws_exactly_the_pairs_of_its_orders(monkeypatch):
 
 
 def test_grevlex_shard_draws_exactly_the_pairs_of_its_orders(monkeypatch):
-    # grevlex_minima is stubbed with q: the stream, not the oracle, is
-    # under test, and the stub keeps every shard free of failures
-    monkeypatch.setattr(
-        harness, "grevlex_minima", lambda orders: [q_map(u)[0] for u in orders]
-    )
+    # grevlex_min is stubbed with q: the stream, not the oracle, is under
+    # test, and the stub keeps every shard free of failures
+    monkeypatch.setattr(harness, "grevlex_min", lambda pred: bytes(
+        q_map(UnitIntervalOrder(pred))[0].entries))
     _assert_draws_the_pairs_of_its_orders(monkeypatch, harness._grevlex_shard)
 
 

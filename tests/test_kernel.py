@@ -4,7 +4,7 @@ The four sweeps read one stream of extension pairs
 (harness._extension_children), which yields per child its bytes listing,
 inserted inline, a's path, and zeta read by bytes.translate onto the
 parent's prefix readings; each sweep is one consumer of it, and the
-grevlex sweep holds the stream's listings against the exhaustive minima.
+grevlex sweep holds the stream's listings against partlist.grevlex_min.
 `dyckzeta map --name p|q|unzeta` reads q(U) from a prefix-sharing
 insertion walk (partlist._walk).  Each piece is checked here against an
 independent computation: the stream's listings against q_map, its paths

@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import combinations, product
 
 import pytest
@@ -30,10 +31,19 @@ from dyckzeta import (
     q_map,
     q_step,
     relabeled_poset,
+    unrank_uio,
 )
-from dyckzeta import partlist
-from dyckzeta.partlist import POSET_JSON_MAX_N, grevlex_minima
-from helpers import compositions, grevlex_min_brute_force, pred_vectors
+from dyckzeta import partlist, uio
+from dyckzeta.partlist import POSET_JSON_MAX_N, grevlex_min
+import helpers
+from helpers import (
+    compositions,
+    grevlex_min_brute_force,
+    grevlex_minima,
+    missing_values,
+    normalized_listings,
+    pred_vectors,
+)
 
 
 def relation_pairs(p):
@@ -311,9 +321,19 @@ def test_grevlex_min_search_examples():
     assert grevlex_min_search(parse_pred("0,1,2")).entries == (0, 1, 2)
 
 
-def test_grevlex_min_search_guard():
-    with pytest.raises(PreconditionError, match="guard"):
-        grevlex_min_search(parse_pred("0,1,2,3,4,5,6,7,8"))
+def test_grevlex_min_search_refuses_sizes_past_byte_letters():
+    chain = UnitIntervalOrder(tuple(range(255)))
+    assert grevlex_min_search(chain).entries == tuple(range(255))
+    with pytest.raises(PreconditionError, match="size <= 255, got 256"):
+        grevlex_min_search(UnitIntervalOrder(tuple(range(256))))
+
+
+def test_grevlex_min_search_equals_q_map_on_random_orders():
+    rng = random.Random(20)
+    for n in (20, 60, 255):
+        for _ in range(30):
+            u = UnitIntervalOrder(unrank_uio(n, rng.randrange(catalan(n))))
+            assert grevlex_min_search(u) == q_map(u)[0], str(u)
 
 
 def test_grevlex_min_matches_insertion_exhaustive_to_four():
@@ -339,16 +359,26 @@ def test_grevlex_minima_equal_q_map_at_six():
     assert grevlex_minima(orders) == [q_map(u)[0] for u in orders]
 
 
-def test_grevlex_minima_search_no_isomorphism(monkeypatch):
-    orders = list(enumerate_uio(6))
-    expected = [q_map(u)[0] for u in orders]
+def test_grevlex_min_equals_the_walk_to_nine():
+    for n in range(0, 10):
+        orders = list(enumerate_uio(n))
+        walked = grevlex_minima(orders)
+        assert [grevlex_min(u.pred) for u in orders] == [
+            bytes(w.entries) for w in walked], n
+
+
+def test_grevlex_min_neither_inserts_nor_builds_posets(monkeypatch):
+    orders = list(enumerate_uio(7))
+    expected = [bytes(q_map(u)[0].entries) for u in orders]
 
     def refuse(*args):
-        raise AssertionError("the grevlex oracle keys listings by their order")
+        raise AssertionError("grevlex_min reads the order's level blocks only")
 
-    for name in ("is_isomorphic", "poset_of", "poset_from_uio", "_degrees", "Poset"):
+    for name in ("_insert", "_insert_all", "_insertion_point", "q_map", "p_map",
+                 "q_step", "poset_of", "poset_from_uio", "Poset", "is_isomorphic"):
         monkeypatch.setattr(partlist, name, refuse)
-    assert grevlex_minima(orders) == expected
+    monkeypatch.setattr(uio, "levels", refuse)
+    assert [grevlex_min(u.pred) for u in orders] == expected
 
 
 def order_of_matches_the_posets(entries, isomorphic):
@@ -368,14 +398,14 @@ def test_order_of_is_the_order_of_every_small_listing():
 
 def test_order_of_is_the_order_of_every_walked_listing():
     for n in range(0, 8):
-        for entries in partlist._normalized_listings(n):
+        for entries in normalized_listings(n):
             order_of_matches_the_posets(entries, n <= 4)
 
 
 def test_order_of_sorts_the_down_set_sizes():
     # the key of each walked listing, against the poset's relation matrix
     for n in range(0, 7):
-        for entries in partlist._normalized_listings(n):
+        for entries in normalized_listings(n):
             p = poset_of(PartListing(entries))
             expected = sorted(sum(p.holds(i, j) for i in range(1, n + 1))
                               for j in range(1, n + 1))
@@ -445,7 +475,7 @@ def test_brute_force_minima_have_no_rise_of_two():
 def test_walk_yields_the_normalized_compositions_in_grevlex_order():
     # normalized and with no rise of 2 or more
     for n in range(0, 7):
-        walk = [tuple(e) for e in partlist._normalized_listings(n)]
+        walk = [tuple(e) for e in normalized_listings(n)]
         by_sum = [
             sorted((e for e in compositions(total, n)
                     if normalized(e) and rises_by_at_most_one(e)), reverse=True)
@@ -461,7 +491,7 @@ def test_missing_values_count_and_least_sum():
         free = [v for v in range(12) if v not in have]
         fits = [extra for r in range(5) for extra in combinations(free, r)
                 if normalized(have | set(extra))]
-        assert partlist._missing(mask) == (
+        assert missing_values(mask) == (
             min(map(len, fits)), min(map(sum, fits))), bin(mask)
 
 
@@ -470,24 +500,12 @@ def test_grevlex_minima_miss_a_minimum_the_walk_skips(monkeypatch):
     expected = [grevlex_min_brute_force(u) for u in orders]
     skipped = expected[20].entries
     assert normalized(skipped) and sum(skipped) > 0
-    walk = partlist._normalized_listings
-    monkeypatch.setattr(partlist, "_normalized_listings",
+    walk = helpers.normalized_listings
+    monkeypatch.setattr(helpers, "normalized_listings",
                         lambda n: (e for e in walk(n) if tuple(e) != skipped))
     found = grevlex_minima(orders)
     assert [i for i, (w, best) in enumerate(zip(found, expected)) if w != best] == [20]
     assert grevlex_key(found[20]) > grevlex_key(expected[20])
-
-
-def test_grevlex_minima_never_insert(monkeypatch):
-    orders = list(enumerate_uio(5))
-    expected = [q_map(u)[0] for u in orders]
-
-    def refuse(*args):
-        raise AssertionError("the grevlex oracle must not use the insertion")
-
-    for name in ("_insert", "_insert_all", "_insertion_point", "q_map", "p_map", "q_step"):
-        monkeypatch.setattr(partlist, name, refuse)
-    assert grevlex_minima(orders) == expected
 
 
 # --------------------------------------------- listing growth under extension
