@@ -359,6 +359,30 @@ def test_grevlex_minima_equal_q_map_at_six():
     assert grevlex_minima(orders) == [q_map(u)[0] for u in orders]
 
 
+def test_grevlex_minima_search_no_isomorphism(monkeypatch):
+    orders = list(enumerate_uio(6))
+    expected = [q_map(u)[0] for u in orders]
+
+    def refuse(*args):
+        raise AssertionError("the grevlex oracle keys listings by their order")
+
+    for name in ("is_isomorphic", "poset_of", "poset_from_uio", "_degrees", "Poset"):
+        monkeypatch.setattr(partlist, name, refuse)
+    assert grevlex_minima(orders) == expected
+
+
+def test_grevlex_minima_never_insert(monkeypatch):
+    orders = list(enumerate_uio(5))
+    expected = [q_map(u)[0] for u in orders]
+
+    def refuse(*args):
+        raise AssertionError("the grevlex oracle must not use the insertion")
+
+    for name in ("_insert", "_insert_all", "_insertion_point", "q_map", "p_map", "q_step"):
+        monkeypatch.setattr(partlist, name, refuse)
+    assert grevlex_minima(orders) == expected
+
+
 def test_grevlex_min_equals_the_walk_to_nine():
     for n in range(0, 10):
         orders = list(enumerate_uio(n))
