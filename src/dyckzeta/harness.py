@@ -8,20 +8,19 @@ as data rather than raising:
               every pair (U, k): the listing grows by one final-maximal
               letter; both path maps grow by a final peak placed r resp.
               s right steps from the end; and r == s
-  bijections  a, q and zeta have pairwise-distinct images, each a Dyck
-              path of size n; q emits valid area sequences; a_inverse
-              undoes a: the j-th a of a(U) is step j + pred[j]
+  bijections  a, q and zeta send the orders of size n one-to-one onto the
+              Dyck paths of size n, each checked by a left inverse
   grevlex     the grevlex-minimal listing isomorphic to U, read off U's
               pred vector without inserting (grevlex_min), agrees with q
 
 Every order of size n is extend(U, k) for exactly one pair (U, k) of size
 n - 1.  All four sweeps consume one stream over these pairs
 (_extension_children), which yields per child its listing q, a's path and
-the zeta reading of q, as bytes.  The bijections sweep keeps no image: it
-sums each image's bit from powers of two, marks it in a bitmap per map,
-and traces only a bit met twice back to its ranks.  The grevlex sweep
-holds each child's listing against grevlex_min of its pred vector, which
-merges the child's level blocks greedily and inserts nothing.  The objects
+the zeta reading of q, as bytes.  The bijections sweep checks each map's
+left inverse on each order alone, so it keeps no image and a failure is
+recorded on the rank that carries it.  The grevlex sweep holds each
+child's listing against grevlex_min of its pred vector, which merges the
+child's level blocks greedily and inserts nothing.  The objects
 (a_map, p_map, q_map, zeta, ...) are the re-check: an instance the stream
 flags is checked again on them, and a flag they do not confirm is
 reported as a disagreement of the kernel.  Each check has one code path,
@@ -41,14 +40,12 @@ from __future__ import annotations
 import os
 import signal
 import time
-import zlib
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 from multiprocessing import active_children
-from operator import getitem, sub
+from operator import sub
 from typing import Iterator, Optional
 
 from .errors import PreconditionError, ValidationError
@@ -59,7 +56,7 @@ from .lattice import (
     catalan,
     final_maximal_peak,
 )
-from .partlist import _insert_all, grevlex_min, p_map, q_map
+from .partlist import _bound_listing, _insert_all, _order_of, grevlex_min, p_map, q_map
 from .uio import (
     UnitIntervalOrder,
     a_inverse,
@@ -74,10 +71,10 @@ from .zeta import _peak_parameters, zeta
 #: (Python 3.11) at two jobs, which is verify's default there (the usable
 #: CPUs): theorem 15 took 37 s at jobs=2 and 66 s at jobs=1, induction 13 took
 #: 16 s at jobs=2 and 27 s at jobs=1, bijections 14 17 s at jobs=2 and 30 s at
-#: jobs=1 (15 took 71 s at jobs=2; BITMAP_MAX_N = 15 caps it), grevlex 14
-#: 13.6 s at jobs=2 and 26 s at jobs=1, at 19 MB peak RSS (15 took 50 s at
-#: jobs=2, over a minute when the VM runs at half speed).  Raise via the
-#: max_n argument (or --max-n in the CLI).
+#: jobs=1, grevlex 14 13.6 s at jobs=2 and 26 s at jobs=1, at 19 MB peak RSS.
+#: Bijections 15 (38 s at jobs=2 where 14 took 11 s) and grevlex 15 (50 s)
+#: would pass a minute when the VM runs at half speed.  Raise via the max_n
+#: argument (or --max-n in the CLI).
 DEFAULT_CEILINGS = {"theorem": 15, "induction": 13, "bijections": 14, "grevlex": 14}
 
 
@@ -171,12 +168,11 @@ def _shard_bounds(total: int, jobs: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _sweep(check, n, total, jobs, shard, merge=None):
+def _sweep(check, n, total, jobs, shard):
     """Run shard(n, lo, hi) over contiguous rank ranges and report.
 
     A shard returns its instance count and its failures, and the counts must
-    add up to `total`; merge(total, results), if given, returns the failures
-    that only the results of all shards together show.
+    add up to `total`.
     """
     start = time.perf_counter()
     bounds = _shard_bounds(total, jobs)
@@ -186,10 +182,7 @@ def _sweep(check, n, total, jobs, shard, merge=None):
         raise RuntimeError(
             f"{check} enumeration truncated: saw {count} of {total} instances"
         )
-    failures = [f for r in results for f in r[1]]
-    if merge is not None:
-        failures += merge(total, results)
-    failures.sort(key=lambda f: f.rank)
+    failures = sorted((f for r in results for f in r[1]), key=lambda f: f.rank)
     return VerificationReport(
         check, n, count, tuple(failures), time.perf_counter() - start
     )
@@ -220,7 +213,7 @@ def _ignore_sigint():
 
 def _is_area_sequence(s: tuple[int, ...]) -> bool:
     """AreaSequence's rule for a listing, whose entries are levels (>= 0)."""
-    return s[0] == 0 and max(map(sub, s[1:], s), default=0) <= 1
+    return not s or s[0] == 0 and max(map(sub, s[1:], s), default=0) <= 1
 
 
 # ---------------------------------------------------------------- theorem
@@ -325,8 +318,7 @@ def _extension_children(m: int, lo: int, hi: int):
     checks.
     """
     n = m + 1
-    if n > 255:                 # levels < n and the diagonals 0..n are bytes
-        raise PreconditionError(f"bytes listings hold orders of size <= 255, got {n}")
+    _bound_listing(n)           # levels < n and the diagonals 0..n are bytes
     # diagonal j keeps the letters j - 1 (read b; none for j = 0) and j (a)
     keeps = [bytes(range(max(j - 1, 0), j + 1)) for j in range(n + 1)]
     tables = [bytes.maketrans(keep, b"ba"[-len(keep):]) for keep in keeps]
@@ -439,14 +431,8 @@ def _induction_shard(n: int, lo: int, hi: int):
         kept = zeta_q.rstrip(b"b")
         t = len(zeta_q) - len(kept)
         expected = kept + b"b" * (t - r) + b"a" + b"b" * (r + 1)
-        if (
-            grown[:pos] + grown[pos + 1:] != cur
-            or grown[pos] != max(grown)
-            or grown[pos] in grown[pos + 1:]
-            or not fit
-            or r != s
-            or reading != expected
-        ):
+        if r != s or reading != expected or not (
+                fit and _extends_listing(cur, max(cur), grown, pos, k)):
             failures += _induction_failures(rank, u, k) or [Failure(
                 rank,
                 (("pred", str(u)), ("k", str(k)),
@@ -510,33 +496,18 @@ def _induction_failures(rank, u, k) -> list[Failure]:
 
 # ------------------------------------------------------------- bijections
 
-#: the largest size whose bitmaps, 2^(2n - 2) bits per map, are allocated
-BITMAP_MAX_N = 15
 #: a/b bytes as binary digits; every other byte as ?, which int(_, 2) refuses
 _BITS = b"?" * ord("a") + b"10" + b"?" * (254 - ord("a"))
-#: bytes of each shard's bitmap that the parent decompresses at a time
-BITMAP_WINDOW = 1 << 16
 
 
 def check_bijections(
     n: int, jobs: int = 1, max_n: Optional[int] = None
 ) -> VerificationReport:
-    """Distinct images for a, q and zeta; each image a Dyck path of size n;
-    a_inverse undoes a.
-
-    Each shard marks each map's images as bits of a bitmap, n <= BITMAP_MAX_N
-    = 15 (2^28 bits = 32 MB per map and shard).  The bits are sums of powers
-    of two (_bijection_keys): a's path must read as the one whose j-th a is
-    step j + pred[j], else the objects re-check the rank.  Only a Dyck path
-    of size n is marked, so a passing report has C_n distinct Dyck paths of
-    size n per map: each map is onto them.
-    """
+    """a, q and zeta are one-to-one onto the Dyck paths of size n, each by a
+    left inverse checked on each order alone (_bijections_shard), so no
+    image is kept: C_n distinct Dyck paths of size n per map."""
     _ceiling("bijections", n, max_n)
-    if n > BITMAP_MAX_N:
-        raise PreconditionError(f"bijections bitmaps hold sizes <= {BITMAP_MAX_N} "
-                                f"(2^{2 * BITMAP_MAX_N - 2} bits per map), got {n}")
-    return _sweep("bijections", n, catalan(n), jobs, _bijections_shard,
-                  partial(_repeated_images, n))
+    return _sweep("bijections", n, catalan(n), jobs, _bijections_shard)
 
 
 def _dyck_pred(path: bytes, n: int) -> Optional[tuple[int, ...]]:
@@ -555,12 +526,26 @@ def _dyck_pred(path: bytes, n: int) -> Optional[tuple[int, ...]]:
     return pred
 
 
-def _image_key(image: bytes, n: int) -> Optional[int]:
-    """The bit of a Dyck path of size n >= 1, None for other bytes: its
-    middle 2n - 2 steps read as binary, a = 1 (the first is a, the last b)."""
-    if _dyck_pred(image, n) is not None:
-        return int(image.translate(_BITS), 2) >> 1 ^ 1 << (2 * n - 2)
-    return None
+def _unscan(reading: bytes, n: int) -> Optional[bytes]:
+    """The listing of size n whose zeta reading by Haglund's scan is
+    `reading`, else None.  The leading a's are the letters 0; segment i >= 1
+    holds a b per letter i - 1, and the a's after its j-th b are letters i
+    just after the j-th i - 1 (without the letters above i, an area
+    sequence has an i - 1 or an i before each i)."""
+    runs = reading.split(b"b")      # runs[t]: the a's after the t-th b
+    listing, letter, t = bytes(len(runs[0])), 0, 1
+    while (count := listing.count(letter)) and t + count <= len(runs):
+        grown = bytearray()
+        for x in listing:
+            grown.append(x)
+            if x == letter:
+                grown += bytes((letter + 1,)) * len(runs[t])
+                t += 1
+        listing, letter = bytes(grown), letter + 1
+    # all runs used, n of them a's: n letters, n a's and n b's
+    if count or t != len(runs) or len(listing) != n or reading.count(b"a") != n:
+        return None
+    return listing
 
 
 def _is_a_path(path: bytes, n: int, steps: int) -> bool:
@@ -573,51 +558,63 @@ def _is_a_path(path: bytes, n: int, steps: int) -> bool:
 
 def _step_bits(n: int) -> list[tuple[int, ...]]:
     """bits[j][s]: step 2j - s of a path of size n read as binary, i.e. bit
-    2n - 1 - 2j + s.  The j-th a of the path of an area sequence s is step
-    2j - s[j], and that of a(U) is step j + pred[j]: s = j - pred[j]."""
+    2n - 1 - 2j + s.  The j-th a of a(U) is step j + pred[j]: s = j - pred[j]."""
     return [tuple(1 << (2 * n - 1 - 2 * j + s) for s in range(j + 1)) for j in range(n)]
 
 
-def _bijection_keys(n: int, lo: int, hi: int, failures: list):
-    """Per order of rank lo..hi - 1: (rank, a's, q's and zeta's _image_key,
-    a's path, q(U), zeta's reading), a key None where its image is no Dyck
-    path of size n, so all three where q(U) has no anchor and q's where
-    q(U) is no area sequence.  The order's failures go to `failures`."""
-    bits, top, parent = _step_bits(n), 1 << (2 * n - 2), None
-    for rank, u, k, cur, grown, _, fit, path, reading, _, _ in _extension_children(
+def _extends_listing(cur: bytes, top: int, grown: bytes, pos: int, k: int) -> bool:
+    """Whether grown is cur, whose largest letter is top, with a letter L
+    inserted at pos that keeps the area rule, is the last maximal letter
+    and lies above k letters by _order_of's rule: all but the L's and the
+    L - 1's after it.  A largest letter moves no other letter's count, so
+    _order_of(grown) is then _order_of(cur) + (k,)."""
+    if grown[:pos] + grown[pos + 1:] != cur:
+        return False
+    level = grown[pos]          # the letters after it are lower
+    return (level >= top and level not in grown[pos + 1:]
+            and (grown[pos - 1] + 1 >= level if pos else level == 0)
+            and k == (len(grown) - grown.count(level) - grown.count(level - 1, pos)
+                      if level else 0))
+
+
+def _bijections_shard(n: int, lo: int, hi: int):
+    """Left inverses of a, q and zeta on the orders of rank lo..hi - 1.
+
+    a: a's path reads as binary to the bits of the steps j + pred[j]
+    (_is_a_path), so it names pred.  q: per parent U, q(U) is an area
+    sequence and _order_of(q(U)) == U.pred, the paper's definition of q;
+    per child, _extends_listing carries both to q(extend(U, k)), so the
+    sweep rests on no sweep of another size.  zeta: a reading equal to a's
+    path is a's image, as the theorem says; any other must un-scan to q.
+    """
+    failures = []
+    bits, parent = _step_bits(n), None
+    rank = lo - 1              # rank + 1 - lo: the orders drawn
+    for rank, u, k, cur, grown, pos, _, path, reading, _, _ in _extension_children(
         n - 1, lo, hi
     ):
-        if u is not parent:
-            parent, base = u, sum(bits[j][j - p] for j, p in enumerate(u.pred))
         if grown is None:
             child = extend(u, k)
             failures += filter(None, (_a_failure(rank, child), _area_failure(
                 rank, child) or _unanchored(rank, u, k, cur)))
-            yield rank, None, None, None, path, grown, reading
             continue
-        steps = base + bits[-1][n - 1 - k]      # the last a is step n - 1 + k
-        if _is_a_path(path, n, steps):
-            a_key = steps >> 1 ^ top
-        else:
+        if u is not parent:
+            parent, base = u, sum(bits[j][j - p] for j, p in enumerate(u.pred))
+            inverted = _is_area_sequence(cur) and _order_of(cur) == u.pred
+            top = max(cur, default=0)
+        # the last a is step n - 1 + k
+        if not _is_a_path(path, n, base + bits[-1][n - 1 - k]):
             failures.append(_a_failure(rank, extend(u, k), path))
-            a_key = _image_key(path, n)
-        try:
-            q_key = sum(map(getitem, bits, grown)) >> 1 ^ top
-        except IndexError:      # a letter past its row: no area sequence
-            q_key = top
-        # an area sequence has its key in range, whatever the stream's fit says
-        if (not fit or q_key >= top) and (
-                bad := _area_failure(rank, extend(u, k), grown)):
-            failures.append(bad)
-            q_key = None
-        # the theorem makes the reading a's path; any reading must be a path
-        zeta_key = a_key if reading == path else _image_key(reading, n)
-        if zeta_key is None:
-            failures.append(Failure(
-                rank, (("pred", str(extend(u, k))), ("q", _csv(grown))),
-                "zeta(p(U)) is a Dyck path", reading.decode(),
-                f"no Dyck path of size {n}"))
-        yield rank, a_key, q_key, zeta_key, path, grown, reading
+        if not (inverted and _extends_listing(cur, top, grown, pos, k)):
+            failures.append(_q_failure(rank, u, k, cur, grown, pos))
+        if reading != path and (back := _unscan(reading, n)) != grown:
+            inputs = (("pred", str(extend(u, k))), ("q", _csv(grown)))
+            failures.append(Failure(rank, inputs, "zeta(p(U)) is a Dyck path",
+                                    reading.decode(), f"no Dyck path of size {n}")
+                            if _dyck_pred(reading, n) is None else  # back: a listing
+                            Failure(rank, inputs, "zeta(p(U)) un-scans to q(U)",
+                                    _csv(back), _csv(grown)))
+    return rank + 1 - lo, failures
 
 
 def _a_failure(rank, child, path=None) -> Optional[Failure]:
@@ -636,74 +633,22 @@ def _a_failure(rank, child, path=None) -> Optional[Failure]:
     return None
 
 
-def _bijections_shard(n: int, lo: int, hi: int):
-    """The orders of rank lo..hi - 1: (count, failures, bitmaps, repeats).
-    Each key of _bijection_keys is a bit of its map's bitmap, 2^(2n - 2) bits,
-    returned zlib-compressed; repeats holds (map, key) for each key met twice."""
-    failures = []
-    size = max(1 << (2 * n - 2) >> 3, 1)        # bytes, one at least
-    bitmaps = a_bits, q_bits, zeta_bits = [bytearray(size) for _ in range(3)]
-    repeats = set()
-    rank = lo - 1              # rank + 1 - lo: the orders drawn
-    for rank, a_key, q_key, zeta_key, _, _, _ in _bijection_keys(n, lo, hi, failures):
-        if a_key is not None:
-            if a_bits[a_key >> 3] & (bit := 1 << (a_key & 7)):
-                repeats.add((0, a_key))
-            a_bits[a_key >> 3] |= bit
-        if q_key is not None:
-            if q_bits[q_key >> 3] & (bit := 1 << (q_key & 7)):
-                repeats.add((1, q_key))
-            q_bits[q_key >> 3] |= bit
-        if zeta_key is not None:
-            if zeta_bits[zeta_key >> 3] & (bit := 1 << (zeta_key & 7)):
-                repeats.add((2, zeta_key))
-            zeta_bits[zeta_key >> 3] |= bit
-    return rank + 1 - lo, failures, [zlib.compress(b, 1) for b in bitmaps], repeats
-
-
-def _windows(data: bytes):
-    """The bytes zlib-compressed as `data`, BITMAP_WINDOW bytes at a time."""
-    stream = zlib.decompressobj()
-    while window := stream.decompress(data, BITMAP_WINDOW):
-        yield window
-        data = stream.unconsumed_tail
-
-
-def _repeated_images(n, total, results) -> list[Failure]:
-    """A Failure per rank whose a, q or zeta image an earlier rank made.
-    The shards' repeats and the bits two shards share (an AND of their
-    bitmaps, window by window) are looked up in one more pass of the
-    stream."""
-    wanted = set().union(*(r[3] for r in results))
-    for column in range(3):
-        streams = zip(*(_windows(r[2][column]) for r in results))
-        for start, windows in enumerate(streams):
-            seen = 0
-            for window in windows:
-                marks = int.from_bytes(window, "little")
-                shared = seen & marks
-                while shared:
-                    key = shared.bit_length() - 1
-                    wanted.add((column, start * 8 * BITMAP_WINDOW + key))
-                    shared ^= 1 << key
-                seen |= marks
-    if not wanted:
-        return []
-    failures = []
-    first_seen = {}
-    for rank, *keys, path, grown, reading in _bijection_keys(n, 0, total, []):
-        for column, key in enumerate(keys):
-            if key is None or (column, key) not in wanted:
-                continue
-            first = first_seen.setdefault((column, key), rank)
-            if first != rank:
-                image = (path, grown, reading)[column]
-                failures.append(Failure(
-                    rank, (("image", _csv(image) if column == 1 else image.decode()),),
-                    f"{('a', 'q', 'zeta')[column]} images pairwise distinct",
-                    f"rank {rank}", f"already produced at rank {first}",
-                ))
-    return failures
+def _q_failure(rank, u, k, cur, grown, pos) -> Failure:
+    """The Failure for a child whose listing the q check refuses: the
+    listing's or the objects' own, if it is no area sequence or, for the
+    objects', has another poset; else the kernel's disagreement."""
+    child = extend(u, k)
+    bad = _area_failure(rank, child, grown) or _area_failure(rank, child)
+    if bad is not None:
+        return bad
+    listing, _, _, positions = _insert_all(child)
+    if (order := _order_of(listing)) != child.pred:
+        return Failure(rank, (("pred", str(child)), ("q", _csv(listing))),
+                       "the poset of q(U) is U", _csv(order), str(child))
+    return Failure(
+        rank, (("pred", str(u)), ("k", str(k)), ("q", _csv(cur))),
+        "kernel agrees with q_map and _order_of",
+        f"{_csv(grown)} pos={pos}", f"{_csv(listing)} pos={positions[-1]}")
 
 
 # ---------------------------------------------------------------- grevlex

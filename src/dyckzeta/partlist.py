@@ -20,6 +20,15 @@ from .errors import PreconditionError, ValidationError
 from .lattice import AreaSequence, DyckWord, _csv, _word_of_area
 from .uio import UnitIntervalOrder
 
+#: The largest order listed: levels < n are bytes in the sweeps and
+#: grevlex_min, and map's walk keeps a listing per prefix of a line.
+LISTING_MAX_N = 255
+
+
+def _bound_listing(n: int) -> None:
+    if n > LISTING_MAX_N:
+        raise PreconditionError(f"listed orders have size <= {LISTING_MAX_N}, got {n}")
+
 
 @dataclass(frozen=True, slots=True)
 class PartListing:
@@ -281,8 +290,9 @@ def _insert_all(u: UnitIntervalOrder) -> tuple[tuple[int, ...], list, list, list
 def _walk(preds: Iterable[Sequence[int]]) -> Iterator[tuple[int, ...]]:
     """q(U), unchecked, for each pred vector of a stream.
 
-    The vectors may have any sizes and come in any order, with repeats.
-    Each re-inserts only the elements past the prefix it shares with the
+    The vectors come in any order, with repeats, and sizes up to
+    LISTING_MAX_N; a longer one is refused before it is walked.  Each
+    re-inserts only the elements past the prefix it shares with the
     previous one, so a stream in lexicographic order (the preorder of the
     tree of rightmost extensions, which is enumerate_uio's order) costs
     about 1.4 insertions per order at n = 10, against n for a lone q_map.
@@ -292,6 +302,7 @@ def _walk(preds: Iterable[Sequence[int]]) -> Iterator[tuple[int, ...]]:
     listings = [()]                 # listings[i]: the listing of elements 0..i-1
     for pred in preds:
         n = len(pred)
+        _bound_listing(n)
         d = 0
         try:                        # the common prefix ends with the shorter vector
             while pred[d] == prev[d]:
@@ -440,7 +451,8 @@ def _order_of(w: Sequence[int]) -> tuple[int, ...]:
     relabeled_poset(w) is the unit interval order whose pred vector lists
     these sizes in that order, which is the sorted one.  The C_n pred
     vectors give the C_n orders up to isomorphism, so two listings have
-    isomorphic posets exactly when their vectors are equal.
+    isomorphic posets exactly when their vectors are equal.  So _order_of
+    inverts q, and the bijections sweep checks q by it.
     """
     ordered = sorted(w)
     seen = [0] * (ordered[-1] + 2) if ordered else []   # seen[x]: x - 1 so far
@@ -508,7 +520,6 @@ def grevlex_min(pred: Sequence[int]) -> bytes:
 
 def grevlex_min_search(u: UnitIntervalOrder) -> PartListing:
     """Grevlex-minimal listing whose poset is isomorphic to u (grevlex_min,
-    whose bytes hold the orders the sweeps' stream holds: size <= 255)."""
-    if u.n > 255:
-        raise PreconditionError(f"bytes listings hold orders of size <= 255, got {u.n}")
+    whose bytes hold orders of size <= LISTING_MAX_N)."""
+    _bound_listing(u.n)
     return PartListing(grevlex_min(u.pred))

@@ -184,7 +184,8 @@ def enumerate_uio(
     so a shard that starts at unrank_uio(n, lo) draws only its own orders.
     Each step is the lexicographic successor: the last entry below its
     ceiling j - 1 goes up by one and every entry after it drops to the new
-    value, the smallest that keeps the vector weakly increasing.
+    value, the smallest that keeps the vector weakly increasing.  That
+    keeps it an order, so only start goes through UnitIntervalOrder's check.
     """
     if n < 0:
         raise PreconditionError(f"size must be non-negative, got {n}")
@@ -199,7 +200,9 @@ def enumerate_uio(
 
     def stream() -> Iterator[UnitIntervalOrder]:
         while True:
-            yield UnitIntervalOrder(tuple(pred))
+            u = object.__new__(UnitIntervalOrder)
+            object.__setattr__(u, "pred", tuple(pred))
+            yield u
             j = n - 1
             while j > 0 and pred[j] == j:
                 j -= 1

@@ -372,6 +372,28 @@ def test_render_ascii_is_bounded_before_the_canvas_is_drawn(capsys):
     assert code == 0 and out.startswith("<svg")
 
 
+@pytest.mark.parametrize("name, line", [
+    ("p", lambda n: ",".join(["0"] * n)),
+    ("q", lambda n: ",".join(["0"] * n)),
+    ("unzeta", lambda n: "a" * n + "b" * n),
+])
+def test_map_walk_is_bounded_before_a_line_is_walked(capsys, monkeypatch, name, line):
+    # the walk keeps a listing per prefix of a line, so a line past
+    # LISTING_MAX_N entries is refused before any is inserted
+    top = partlist.LISTING_MAX_N
+    code, out, _ = run(capsys, "map", "--name", name, line(top))
+    assert code == 0
+    assert out.count("\n") == 1 and len(out) > top
+
+    def insert(*args):
+        raise AssertionError("a refused line was walked")
+
+    monkeypatch.setattr(partlist, "_insert", insert)
+    code, out, err = run(capsys, "map", "--name", name, line(top + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: listed orders have size <= {top}, got {top + 1}\n"
+
+
 def test_convert_bounds_the_area_set_size_before_allocating(capsys):
     top = AREA_SET_TEXT_MAX_N
     code, out, _ = run(capsys, "convert", "--from", "areaset", "--to", "areaseq",

@@ -1,11 +1,12 @@
 import json
+import random
 import re
 import time
 from pathlib import Path
 
 import pytest
 
-from dyckzeta import cli, harness
+from dyckzeta import harness
 from dyckzeta import (
     PreconditionError,
     UnitIntervalOrder,
@@ -113,19 +114,18 @@ def test_byte_kernel_refuses_sizes_past_255():
         check_theorem(256, max_n=256)
     with pytest.raises(PreconditionError, match="size <= 255, got 256"):
         check_induction_step(255, max_n=255)
-    with pytest.raises(PreconditionError, match="sizes <= 15 .*, got 256"):
+    with pytest.raises(PreconditionError, match="size <= 255, got 256"):
         check_bijections(256, max_n=256)
     assert harness._theorem_shard(255, 0, 1) == (1, [])
 
 
-def test_bijections_refuses_bitmaps_past_their_bound(monkeypatch, capsys):
-    # refused before any shard runs or any bitmap is allocated
-    monkeypatch.setattr(harness, "_sweep", None)
-    with pytest.raises(PreconditionError, match=r"sizes <= 15 \(2\^28 bits per map\), got 16"):
-        check_bijections(16, max_n=16)
-    args = ["verify", "--check", "bijections", "--n", "16", "--max-n", "16"]
-    assert cli.main(args) == 2
-    assert "got 16" in capsys.readouterr().err
+def test_bijections_shard_runs_past_the_old_bitmap_bound():
+    # each order is checked on its own, so any rank range of any size runs
+    # with no image kept: 200 orders from each of a few seeded ranks at 16
+    n = 16
+    rng = random.Random(16)
+    for lo in [0, catalan(n) - 200] + [rng.randrange(catalan(n) - 200) for _ in range(3)]:
+        assert harness._bijections_shard(n, lo, lo + 200) == (200, [])
 
 
 def test_checks_reject_size_zero():

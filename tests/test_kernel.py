@@ -12,8 +12,10 @@ against a_map, its readings against Haglund's scan (zeta.zeta_scan) and
 zeta's diagonal reading, the induction consumer against the per-pair
 object body, the bijections check's bytes inverse (harness._dyck_pred)
 against a_inverse, its integer a-check (harness._is_a_path) against the
-vector _dyck_pred reads, its q-key table (harness._step_bits) against
-harness._image_key, and the walk's listings against the insertion run.
+vector _dyck_pred reads, its q check (harness._extends_listing) against
+every other insertion into the parent's listing, its un-scan
+(harness._unscan) against Haglund's scan, and the walk's listings against
+the insertion run.
 Fault tests patch the names the code looks up, wrap the stream to
 corrupt or watch what it yields (helpers.wrap_children), or rewrite the
 insertion, whose steps have no names (helpers.rewrite_kernel), and check
@@ -24,9 +26,7 @@ to one job, run in this process, so a wrapper that records the stream
 sees all of it; only verify in the CLI defaults to the usable CPUs.
 """
 
-import zlib
 from itertools import product
-from operator import getitem
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -414,6 +414,22 @@ def test_grevlex_flags_the_orders_a_listing_mutation_flags(monkeypatch, edits, l
         assert [f.rank for f in report.failures] == (theorem if listings else [])
 
 
+@pytest.mark.parametrize("edits", _MUTATIONS, ids=["grown", "c", "row", "head"])
+def test_bijections_flag_the_orders_each_mutation_flags(monkeypatch, edits):
+    # each order is checked on its own, so the bijections sweep flags at
+    # n = 8 exactly the theorem's 731, 1302, 645 and 671 orders, and gives
+    # the same report at jobs 1 and 2: no mutation depends on the rank
+    rewrite_kernel(monkeypatch, edits)
+    monkeypatch.setattr(
+        harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+    )
+    theorem = sorted({f.rank for f in check_theorem(8).failures})
+    report = check_bijections(8)
+    assert report.instances_checked == catalan(8)
+    assert sorted({f.rank for f in report.failures}) == theorem
+    assert check_bijections(8, jobs=2).failures == report.failures
+
+
 def test_two_shards_match_one(monkeypatch):
     monkeypatch.setattr(
         harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
@@ -506,39 +522,31 @@ def test_a_map_sends_order_ranks_to_dyck_ranks():
         assert [a_map(u) for u in enumerate_uio(n)] == list(enumerate_dyck(n))
 
 
-def _bitmaps(result):
-    return [int.from_bytes(zlib.decompress(b), "little") for b in result[2]]
-
-
-def test_bijections_shard_restarts_at_any_rank():
-    # the bitmaps of the shards (0, lo) and (lo, total) are disjoint and OR
-    # to those of (0, total)
+def test_bijections_shard_restarts_at_any_rank(monkeypatch):
+    # the shards (0, lo) and (lo, total) split the records of (0, total),
+    # on a correct kernel (none) and under a mutation that spoils listings
     n = 5
     total = catalan(n)
-    whole = harness._bijections_shard(n, 0, total)
-    assert (whole[0], whole[1], whole[3]) == (total, [], set())
-    assert [bitmap.bit_count() for bitmap in _bitmaps(whole)] == [total] * 3
-    for lo in range(total):
-        head = harness._bijections_shard(n, 0, lo)
-        tail = harness._bijections_shard(n, lo, total)
-        assert (tail[0], tail[1], tail[3]) == (total - lo, [], set())
-        for first, second, both in zip(_bitmaps(head), _bitmaps(tail), _bitmaps(whole)):
-            assert first & second == 0
-            assert first | second == both
+    for edits in ({}, _MUTATIONS[0]):
+        rewrite_kernel(monkeypatch, edits)
+        whole = harness._bijections_shard(n, 0, total)
+        assert whole[0] == total and bool(whole[1]) == bool(edits)
+        for lo in range(total):
+            head = harness._bijections_shard(n, 0, lo)
+            tail = harness._bijections_shard(n, lo, total)
+            assert (head[0], tail[0]) == (lo, total - lo)
+            assert head[1] + tail[1] == whole[1]
 
 
 def _bijections_failures(monkeypatch):
-    """The failures of check_bijections(4), the same at jobs 1 and 2, and
-    at jobs 2 with the parent's AND one byte at a time (8 windows)."""
+    """The failures of check_bijections(4), the same at jobs 1 and 2."""
     monkeypatch.setattr(
         harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
     )
     lone = check_bijections(4, jobs=1)
     two = check_bijections(4, jobs=2)
-    monkeypatch.setattr(harness, "BITMAP_WINDOW", 1)
-    windowed = check_bijections(4, jobs=2)
     assert lone.instances_checked == two.instances_checked == catalan(4)
-    assert lone.failures == two.failures == windowed.failures
+    assert lone.failures == two.failures
     return lone.failures
 
 
@@ -556,27 +564,27 @@ def _no_path(rank, pred, q, reading):
 
 def test_duplicated_zeta_image_is_reported(monkeypatch):
     # rank 9 (pred 0,1,1,1) gets the zeta image zeta(p(U)) of rank 3
-    # (pred 0,0,0,3)
+    # (pred 0,0,0,3), a Dyck path that un-scans to rank 3's listing
     first = str(zeta(p_map(parse_pred("0,0,0,3")))).encode()
     wrap_children(monkeypatch, lambda child: (
         child[:8] + (first,) + child[9:] if child[0] == 9 else child))
     failure = _bijections_failure(monkeypatch)
-    assert failure.rank == 9
-    assert failure.equation == "zeta images pairwise distinct"
-    assert dict(failure.inputs) == {"image": "aaabbbab"}
-    assert (failure.lhs, failure.rhs) == ("rank 9", "already produced at rank 3")
+    assert failure == harness.Failure(
+        9, (("pred", "0,1,1,1"), ("q", "0,1,1,1")), "zeta(p(U)) un-scans to q(U)",
+        "0,0,0,1", "0,1,1,1")
 
 
 def test_duplicated_q_image_is_reported(monkeypatch):
-    # rank 10 (q = 0,1,2,1) gets the listing of rank 2 (q = 0,0,1,0); the
-    # reading, which reuses the parent's prefix readings, is then no path
+    # rank 10 (q = 0,1,2,1) gets the listing of rank 2 (q = 0,0,1,0), which
+    # is no insertion into its parent's 0,1,1, while the objects find
+    # nothing wrong; the reading, which reuses the parent's prefix
+    # readings, is then no path
     _insert_replacing(monkeypatch, (0, 1, 2, 1), (0, 0, 1, 0))
-    no_path, failure = _bijections_failures(monkeypatch)
+    failure, no_path = _bijections_failures(monkeypatch)
+    assert failure == harness.Failure(
+        10, (("pred", "0,1,1"), ("k", "2"), ("q", "0,1,1")),
+        "kernel agrees with q_map and _order_of", "0,0,1,0 pos=2", "0,1,2,1 pos=2")
     assert no_path == _no_path(10, "0,1,1,2", "0,0,1,0", "abaab")
-    assert failure.rank == 10
-    assert failure.equation == "q images pairwise distinct"
-    assert dict(failure.inputs) == {"image": "0,0,1,0"}
-    assert (failure.lhs, failure.rhs) == ("rank 10", "already produced at rank 2")
 
 
 def test_q_listing_that_is_no_area_sequence_is_reported(monkeypatch):
@@ -603,9 +611,9 @@ def _lift(child):
 
 def test_listing_a_wrong_fit_passes_is_recorded_not_raised(monkeypatch):
     # the stream raises grown's last letter by 2 at ranks 3 mod 7 and still
-    # says it fits; a letter past its table row must reach the re-check.
-    # The corruption depends on the rank, so reports are not compared
-    # across job counts.
+    # says it fits; the q check reads the listing, not fit, so it names
+    # each corrupted rank once (204 at n = 8) and no other, at both job
+    # counts: as no area sequence where it is none, else as no insertion
     monkeypatch.setattr(
         harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
     )
@@ -614,12 +622,10 @@ def test_listing_a_wrong_fit_passes_is_recorded_not_raised(monkeypatch):
         for jobs in (1, 2):
             report = check_bijections(n, jobs=jobs)
             assert report.instances_checked == catalan(n)
-            assert report.failures, (n, jobs)
-            assert all(f.rank % 7 == 3 or f.equation == "q images pairwise distinct"
-                       for f in report.failures), (n, jobs)
-            past_row = [f for f in report.failures
-                        if f.equation == "q(U) is a valid area sequence"]
-            assert (len(past_row) == 1) == (n >= 6), (n, jobs)
+            assert [f.rank for f in report.failures] == [
+                rank for rank in range(catalan(n)) if rank % 7 == 3], (n, jobs)
+            assert {f.equation for f in report.failures} == {
+                "q(U) is a valid area sequence", "kernel agrees with q_map and _order_of"}
 
 
 def test_grevlex_names_exactly_the_listings_a_wrong_fit_passes(monkeypatch):
@@ -749,14 +755,44 @@ def test_a_check_refuses_other_bytes_and_lengths():
             assert not harness._is_a_path(bad, n, steps), bad
 
 
-def test_q_table_key_is_the_image_key_of_the_path():
-    for n in range(1, 10):
-        bits, top = harness._step_bits(n), 1 << (2 * n - 2)
+def test_q_check_accepts_exactly_the_insertions_of_q():
+    # for every parent U with n <= 7, of all the letters 0..n inserted at
+    # every place of q(U) and all the counts 0..n, the q check accepts only
+    # q(extend(U, k)) with its new letter last among its equals and the
+    # count k, one for each k
+    for n in range(1, 8):
+        children = {}
+        for _, u, k, cur, grown, pos, *_ in harness._extension_children(
+                n - 1, 0, catalan(n)):
+            assert grown == bytes(q_map(extend(u, k))[0].entries)
+            children.setdefault((u, cur), []).append((grown[pos], pos, k))
+        for (u, cur), expected in children.items():
+            top = max(cur, default=0)
+            accepted = [
+                (letter, at, count)
+                for letter in range(n + 1) for at in range(n) for count in range(n + 1)
+                if harness._extends_listing(
+                    cur, top, cur[:at] + bytes((letter,)) + cur[at:], at, count)]
+            assert sorted(accepted) == sorted(expected), str(u)
+
+
+def test_unscan_inverts_the_scan():
+    # on every area sequence with n <= 9; and on every a/b word with n <= 6
+    # and words with other bytes or lengths, a listing it returns scans
+    # back to the word, so a reading that is no scan gets none
+    for n in range(0, 10):
         for word in enumerate_dyck(n):
-            s = area_sequence_from_word(word)
-            path = str(word_from_area_sequence(s)).encode()
-            key = sum(map(getitem, bits, s.entries)) >> 1 ^ top
-            assert key == harness._image_key(path, n)
+            s = area_sequence_from_word(word).entries
+            assert harness._unscan(path_text(zeta_scan(s)), n) == bytes(s), s
+    for n in range(0, 7):
+        words = [bytes(w) for w in product(b"ab", repeat=2 * n)]
+        odd = [w[:-1] for w in words[1:]] + [w + b"a" for w in words[:64]] + [
+            w.replace(b"a", b"c", 1) for w in words[:64]]
+        for word in words + odd:
+            for size in {n, n + 1, max(n - 1, 0)}:
+                back = harness._unscan(word, size)
+                assert back is None or path_text(zeta_scan(tuple(back))) == word, word
+        assert sum(harness._unscan(w, n) is not None for w in words) == catalan(n)
 
 
 def _reading_at(ranks, reading):
@@ -765,27 +801,27 @@ def _reading_at(ranks, reading):
 
 def test_duplicated_zeta_image_within_one_shard_is_reported(monkeypatch):
     # at jobs = 2 the shards hold ranks 0..6 and 7..13; rank 12 (pred
-    # 0,1,2,2) gets the zeta image of rank 10 (pred 0,1,1,2)
+    # 0,1,2,2) gets the zeta image of rank 10 (pred 0,1,1,2), which
+    # un-scans to rank 10's listing
     wrap_children(monkeypatch, _reading_at({12}, b"abaababb"))
     failure = _bijections_failure(monkeypatch)
-    assert failure.rank == 12
-    assert failure.equation == "zeta images pairwise distinct"
-    assert dict(failure.inputs) == {"image": "abaababb"}
-    assert (failure.lhs, failure.rhs) == ("rank 12", "already produced at rank 10")
+    assert failure == harness.Failure(
+        12, (("pred", "0,1,2,2"), ("q", "0,1,2,2")), "zeta(p(U)) un-scans to q(U)",
+        "0,1,2,1", "0,1,2,2")
 
 
 def test_zeta_reading_of_another_shape_repeats_no_image(monkeypatch):
     # rank 9 (pred 0,1,1,1) gets rank 3's reading aaabbbab with its first
     # and last steps swapped: its middle steps are rank 3's, but it is no
-    # path, so it is reported as such and not marked
+    # path, so it is reported as such, not as rank 3's listing
     wrap_children(monkeypatch, _reading_at({9}, b"baabbbaa"))
     failure = _bijections_failure(monkeypatch)
     assert failure == _no_path(9, "0,1,1,1", "0,1,1,1", "baabbbaa")
 
 
 def test_zeta_readings_of_another_shape_are_each_reported(monkeypatch):
-    # ranks 3 and 9 both get the reading one step short, aaabbba: two
-    # records, and no repeat
+    # ranks 3 and 9 both get the reading one step short, aaabbba: one
+    # record on each
     wrap_children(monkeypatch, _reading_at({3, 9}, b"aaabbba"))
     assert _bijections_failures(monkeypatch) == (
         _no_path(3, "0,0,0,3", "0,0,0,1", "aaabbba"),

@@ -264,6 +264,18 @@ def test_enumerate_uio_from_a_start_vector():
     assert [str(u) for u in enumerate_uio(3, [0, 1, 1])] == ["0,1,1", "0,1,2"]
 
 
+def test_enumerate_uio_yields_valid_orders():
+    # the stream builds its orders without UnitIntervalOrder's check: each
+    # equals the order the check builds from its vector, from the first
+    # order (n <= 9) and from every start (n <= 6)
+    for n in range(0, 10):
+        starts = [None] + ([u.pred for u in enumerate_uio(n)] if n <= 6 else [])
+        for start in starts:
+            for u in enumerate_uio(n, start):
+                assert type(u.pred) is tuple
+                assert u == UnitIntervalOrder(u.pred), str(u)
+
+
 def test_enumerate_uio_rejects_a_bad_start_vector():
     with pytest.raises(PreconditionError, match="size 2, expected 3"):
         enumerate_uio(3, (0, 1))
