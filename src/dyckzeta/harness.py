@@ -16,8 +16,10 @@ as data rather than raising:
 Every order of size n is extend(U, k) for exactly one pair (U, k) of size
 n - 1.  All four sweeps consume one stream over these pairs
 (_extension_children), which yields per child its listing q, a's path and
-the zeta reading of q, as bytes.  The bijections sweep checks each map's
-left inverse on each order alone, so it keeps no image and a failure is
+the zeta reading of q, as bytes, in one pass per parent: a parent
+re-inserts only the suffix its successor step changed, and its children
+share one anchor walk.  The bijections sweep checks each map's left
+inverse on each order alone, so it keeps no image and a failure is
 recorded on the rank that carries it.  The grevlex sweep holds each
 child's listing against grevlex_min of its pred vector, which merges the
 child's level blocks greedily and inserts nothing.  The objects
@@ -307,7 +309,12 @@ def _extension_children(m: int, lo: int, hi: int):
     The descent loops over the parents U and, at depth m, over each
     parent's children.  A stack holds, per depth i, the listing cur of
     elements 0..i - 1 and what is known of it: a new parent re-inserts only
-    its changed suffix, each child only its last letter.  zeta is read off
+    its changed suffix, each child only its last letter.  U is the
+    lexicographic successor of the parent before it, which raises the first
+    entry of U's last run and keeps every entry before it, so the suffix
+    starts there.  The children take their anchors in one pass: the level
+    does not fall as k rises, and within a level C rises by one per k, so a
+    child walks on from its elder sibling's anchor.  zeta is read off
     a listing as a/b text by Haglund's scan, where diagonal j keeps the
     letters j (read a) and j - 1 (read b).  Levels rise with the element
     index, so the letter L inserted into cur is cur's largest letter top or
@@ -325,33 +332,40 @@ def _extension_children(m: int, lo: int, hi: int):
     deletes = [bytes(range(n)).translate(None, keep) for keep in keeps]
     letters = [bytes((level,)) for level in range(n)]
     rights = [b"b" * j for j in range(n + 1)]
-    pred = [-1] * m             # the parent's vector; -1: nothing inserted yet
     lv = [0] * n                # lv[i]: level of element i
     # stack[i]: the listing cur of elements 0..i - 1, whether it is an area
     # sequence, a's path up to row i's UP step, and the readings of cur's
     # diagonals 0..top - 1 and 0..top
     stack = [(b"", True, b"", b"", b"")] * (n + 1)
     rank = lo
+    cap = 0                     # stack[0..cap] still fits the next parent
     for u, ks in _extension_pairs(m, lo):
-        d = 0
-        while d < m and u.pred[d] == pred[d]:
-            d += 1
-        pred[d:m] = u.pred[d:]
+        pred = u.pred           # unchanged before its last run (see above)
+        d = min(pred.index(pred[-1]), cap) if cap else 0
+        cap = m
         for i in range(d, n):
             cur, fit, path_i, below, through = stack[i]
             top = lv[i - 1] if i else 0
             last = pred[i - 1] if i else 0
+            walked = -1         # the level whose letters level - 1 were walked
             # depth i < m inserts the parent's element i, depth m each child's
             for p in (pred[i],) if i < m else ks[:hi - rank]:
                 pos = 0
                 if p:           # just after the C-th letter level - 1
                     level = lv[p - 1] + 1
-                    c = p - bisect_left(lv, level - 1, 0, p)
+                    if level != walked:     # lv rises: one first per level
+                        walked, steps, anchor = level, 0, 0
+                        first = bisect_left(lv, level - 1, 0, p)
+                    c = p - first
+                    if c < steps:           # siblings walk on; any other restarts
+                        steps = anchor = 0
                     try:
-                        for _ in range(c):
-                            pos = cur.index(level - 1, pos) + 1
+                        while steps < c:
+                            anchor = cur.index(level - 1, anchor) + 1
+                            steps += 1
                     except ValueError:      # cur lacks a letter level - 1
                         break
+                    pos = anchor
                 else:
                     level = 0
                 while pos < i and cur[pos] == level:    # then past a run of level
@@ -382,7 +396,7 @@ def _extension_children(m: int, lo: int, hi: int):
             # the listing cur is corrupt, an insertion found no anchor in it:
             # U's children left have no listing, and no later parent reuses
             # the stack past depth i
-            pred[i:] = [-1] * (m - i)
+            cap = i
             for k in (range(p, ks.stop) if i == m else ks)[:hi - rank]:
                 yield rank, u, k, cur, None, None, False, None, None, through, top
                 rank += 1
@@ -415,7 +429,7 @@ def check_induction_step(
 
 def _induction_shard(n: int, lo: int, hi: int):
     """The induction step for the pairs of rank lo..hi - 1."""
-    failures = []
+    failures, parent = [], None
     rank = lo - 1              # rank + 1 - lo: the children drawn
     for rank, u, k, cur, grown, pos, fit, _, reading, through, top in _extension_children(
         n, lo, hi
@@ -423,16 +437,17 @@ def _induction_shard(n: int, lo: int, hi: int):
         if grown is None:
             failures += _induction_failures(rank, u, k) or [_unanchored(rank, u, k, cur)]
             continue
+        if u is not parent:
+            # zeta(q(U)) ends in diagonal top + 1, read b
+            parent, zeta_q = u, through + b"b" * cur.count(top)
+            kept = zeta_q.rstrip(b"b")
+            t, largest = len(zeta_q) - len(kept), max(cur)
         r, s = _peak_parameters(cur, grown, pos, k)
-        # zeta(q(U)) ends in diagonal top + 1, read b; then
-        # add_final_peak(zeta(q(U)), r): an UP step before the
-        # last r RIGHT steps, and one more RIGHT step at the end
-        zeta_q = through + b"b" * cur.count(top)
-        kept = zeta_q.rstrip(b"b")
-        t = len(zeta_q) - len(kept)
+        # add_final_peak(zeta(q(U)), r): an UP step before the last r RIGHT
+        # steps, and one more RIGHT step at the end
         expected = kept + b"b" * (t - r) + b"a" + b"b" * (r + 1)
         if r != s or reading != expected or not (
-                fit and _extends_listing(cur, max(cur), grown, pos, k)):
+                fit and _extends_listing(cur, largest, grown, pos, k)):
             failures += _induction_failures(rank, u, k) or [Failure(
                 rank,
                 (("pred", str(u)), ("k", str(k)),
@@ -556,12 +571,6 @@ def _is_a_path(path: bytes, n: int, steps: int) -> bool:
         return False
 
 
-def _step_bits(n: int) -> list[tuple[int, ...]]:
-    """bits[j][s]: step 2j - s of a path of size n read as binary, i.e. bit
-    2n - 1 - 2j + s.  The j-th a of a(U) is step j + pred[j]: s = j - pred[j]."""
-    return [tuple(1 << (2 * n - 1 - 2 * j + s) for s in range(j + 1)) for j in range(n)]
-
-
 def _extends_listing(cur: bytes, top: int, grown: bytes, pos: int, k: int) -> bool:
     """Whether grown is cur, whose largest letter is top, with a letter L
     inserted at pos that keeps the area rule, is the last maximal letter
@@ -587,8 +596,7 @@ def _bijections_shard(n: int, lo: int, hi: int):
     sweep rests on no sweep of another size.  zeta: a reading equal to a's
     path is a's image, as the theorem says; any other must un-scan to q.
     """
-    failures = []
-    bits, parent = _step_bits(n), None
+    failures, parent = [], None
     rank = lo - 1              # rank + 1 - lo: the orders drawn
     for rank, u, k, cur, grown, pos, _, path, reading, _, _ in _extension_children(
         n - 1, lo, hi
@@ -599,11 +607,12 @@ def _bijections_shard(n: int, lo: int, hi: int):
                 rank, child) or _unanchored(rank, u, k, cur)))
             continue
         if u is not parent:
-            parent, base = u, sum(bits[j][j - p] for j, p in enumerate(u.pred))
+            # the j-th a is step j + pred[j], bit 2n - 1 - j - pred[j]
+            parent, base = u, sum(1 << (2 * n - 1 - j - p) for j, p in enumerate(u.pred))
             inverted = _is_area_sequence(cur) and _order_of(cur) == u.pred
             top = max(cur, default=0)
         # the last a is step n - 1 + k
-        if not _is_a_path(path, n, base + bits[-1][n - 1 - k]):
+        if not _is_a_path(path, n, base + (1 << (n - k))):
             failures.append(_a_failure(rank, extend(u, k), path))
         if not (inverted and _extends_listing(cur, top, grown, pos, k)):
             failures.append(_q_failure(rank, u, k, cur, grown, pos))

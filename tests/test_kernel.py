@@ -26,6 +26,7 @@ to one job, run in this process, so a wrapper that records the stream
 sees all of it; only verify in the CLI defaults to the usable CPUs.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -33,6 +34,7 @@ from hypothesis import example, given, strategies as st
 
 from dyckzeta import (
     AreaSequence,
+    PreconditionError,
     ValidationError,
     a_inverse,
     a_map,
@@ -355,6 +357,70 @@ def test_shards_restart_the_prefix_stack_at_any_rank():
     n = 5
     for lo in range(catalan(n)):
         assert harness._theorem_shard(n, lo, catalan(n)) == (catalan(n) - lo, [])
+
+
+def test_successor_changes_the_vector_from_its_last_run_on():
+    # the stream re-inserts a parent from the first entry of its last run:
+    # enumerate_uio's successor keeps every entry before it
+    for n in range(1, 11):
+        preds = [u.pred for u in enumerate_uio(n)]
+        for before, after in zip(preds, preds[1:]):
+            first = next(j for j, (x, y) in enumerate(zip(before, after)) if x != y)
+            assert first == after.index(after[-1]), (before, after)
+
+
+def test_parents_after_an_unanchored_insertion_reinsert_their_listings(monkeypatch):
+    # make each parent of size 5, in turn, find no anchor at each depth i
+    # of its changed suffix whose element has a predecessor: its children
+    # get no listing, and every later parent, even one whose changed suffix
+    # starts past i, still yields q_map's listings, not the stale stack's
+    where = [None]
+    rewrite_kernel(monkeypatch, {"c": "c += 99 * (where[0] == (pred, i))"}, where=where)
+    children = extension_pairs(5)
+    for u in enumerate_uio(5):
+        for i in range(u.pred.index(u.pred[-1]), 5):
+            if not u.pred[i]:
+                continue
+            where[0] = (u.pred, i)
+            stream = list(harness._extension_children(5, 0, len(children)))
+            assert [(v, k) for _, v, k, *_ in stream] == children
+            for _, v, k, _, grown, *_ in stream:
+                if v == u:
+                    assert grown is None
+                else:
+                    assert grown == bytes(q_map(extend(v, k))[0].entries), (u, i, v, k)
+
+
+def test_stream_positions_are_the_insertions_last():
+    # the siblings' shared anchor walk puts each new letter where the
+    # insertion run of the child on its own puts it
+    for n in range(1, 10):
+        for _, u, k, _, grown, pos, *_ in harness._extension_children(
+                n - 1, 0, catalan(n)):
+            listing, _, _, positions = _insert_all(extend(u, k))
+            assert (grown, pos) == (bytes(listing), positions[-1]), (str(u), k)
+
+
+def test_anchor_walk_agrees_with_a_fresh_one_for_any_c(monkeypatch):
+    # siblings of one level walk on from the last anchor while C rises; with
+    # C swapped pairwise (1, 2, 3, 4 -> 2, 1, 4, 3) it also falls, and each
+    # insertion must still land where a walk from the start puts it, or
+    # find no anchor where that walk finds none
+    seen = []
+    rewrite_kernel(monkeypatch, {
+        "c": "c = c + 1 if c % 2 else c - 1\n_seen.append([cur, level, c, None])",
+        "grown": "if p: _seen[-1][3] = pos",
+    }, _seen=seen)
+    for n in range(1, 9):
+        for _ in harness._extension_children(n - 1, 0, catalan(n)):
+            pass
+    assert any(pos is None for *_, pos in seen)
+    for cur, level, c, pos in seen:
+        if pos is None:
+            with pytest.raises(PreconditionError):
+                partlist._insertion_point(cur, level, c)
+        else:
+            assert pos == partlist._insertion_point(cur, level, c), (cur, level, c)
 
 
 _MUTATIONS = [
@@ -732,6 +798,22 @@ def test_a_check_accepts_exactly_the_vector_the_path_reads():
                 for j in range(n) for p in range(n + 1)}
             accepted = [v for v, t in others.items() if harness._is_a_path(path, n, t)]
             assert accepted == [pred]
+
+
+def test_a_bits_of_a_child_are_its_parents_plus_one():
+    # the bijections shard sums the parent's steps once and adds the
+    # child's last a, bit n - k; together they read a(child) as binary
+    binary = bytes.maketrans(b"ab", b"10")
+    for n in range(1, 9):
+        for _, u, k, *_ in harness._extension_children(n - 1, 0, catalan(n)):
+            word = str(a_map(extend(u, k))).encode()
+            assert _steps(u.pred, n) + (1 << (n - k)) == int(word.translate(binary), 2)
+
+
+def test_bijections_shard_checks_one_rank_at_size_255():
+    rng = random.Random(255)
+    for rank in (0, catalan(255) - 1, *(rng.randrange(catalan(255)) for _ in range(3))):
+        assert harness._bijections_shard(255, rank, rank + 1) == (1, [])
 
 
 def test_a_check_refuses_other_bytes_and_lengths():
