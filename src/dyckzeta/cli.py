@@ -172,10 +172,7 @@ def _pred_of_word(line: str) -> tuple[int, ...]:
 # ----------------------------------------------------------------- verify
 
 def _cmd_verify(args) -> int:
-    check = {"theorem": harness.check_theorem,
-             "induction": harness.check_induction_step,
-             "bijections": harness.check_bijections,
-             "grevlex": harness.check_grevlex}[args.check]
+    check = harness.CHECKS[args.check]
     jobs = args.jobs if args.jobs is not None else harness._usable_cpus()
     report = check(args.n, jobs=jobs, max_n=args.max_n)
     if args.json:
@@ -319,11 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     mp.set_defaults(func=_cmd_map)
 
     verify = sub.add_parser("verify", help="run one verification check")
-    verify.add_argument(
-        "--check",
-        required=True,
-        choices=("theorem", "induction", "bijections", "grevlex"),
-    )
+    verify.add_argument("--check", required=True, choices=harness.CHECKS)
     verify.add_argument("--n", type=int, required=True)
     verify.add_argument(
         "--jobs",

@@ -23,10 +23,13 @@ inverse on each order alone, so it keeps no image and a failure is
 recorded on the rank that carries it.  The grevlex sweep holds each
 child's listing against grevlex_min of its pred vector, which merges the
 child's level blocks greedily and inserts nothing.  The objects
-(a_map, p_map, q_map, zeta, ...) are the re-check: an instance the stream
-flags is checked again on them, and a flag they do not confirm is
-reported as a disagreement of the kernel.  Each check has one code path,
-its shard function, which the CLI runs too.
+(a_map, p_map, q_map, zeta, ...) are the re-check.  Each shard is one
+predicate on the stream's tuple, false for a child with no anchor, and an
+object oracle for each order it flags, which starts with _area_failure
+and gives the order's records.  An order the oracle finds nothing wrong
+with gets the one record of the kernel disagreeing with the objects
+(_kernel_failure).  Each check has one code path, its shard function,
+which the CLI runs too (CHECKS).
 
 Work shards by contiguous enumeration-rank ranges, so reports are
 deterministic for a fixed n regardless of worker count.  A shard of ranks
@@ -237,50 +240,57 @@ def _theorem_shard(n: int, lo: int, hi: int):
     extension pairs of size n - 1 with the same ranks."""
     failures = []
     rank = lo - 1              # rank + 1 - lo: the children drawn
-    for rank, u, k, cur, grown, _, fit, path, reading, _, _ in _extension_children(
-        n - 1, lo, hi
-    ):
+    for child in _extension_children(n - 1, lo, hi):
+        rank, u, k, _, _, _, fit, path, reading, _, _ = child
         if fit and reading == path:
             continue
-        child = extend(u, k)
-        failures.append(_theorem_failure(rank, child) or (
-            _unanchored(rank, u, k, cur) if grown is None else Failure(
-                rank, (("pred", str(child)), ("q", _csv(grown))),
-                "kernel agrees with a_map, p_map and zeta",
-                reading.decode(), path.decode(),
-            )))
+        failures += _theorem_failures(rank, extend(u, k)) or [_kernel_failure(child)]
     return rank + 1 - lo, failures
 
 
-def _theorem_failure(rank, u) -> Optional[Failure]:
-    """The Failure for a(U) != zeta(p(U)) on the objects, or None."""
+def _theorem_failures(rank, u) -> list[Failure]:
+    """The Failure of a(U) == zeta(p(U)) on the objects, if any."""
     bad = _area_failure(rank, u)
     if bad is not None:
-        return bad
+        return [bad]
     left, p_word = a_map(u), p_map(u)
-    right = zeta(p_word)
-    if left == right:
-        return None
+    if left == (right := zeta(p_word)):
+        return []
     inputs = (("pred", str(u)), ("q", str(q_map(u)[0])), ("p_word", str(p_word)))
-    return Failure(rank, inputs, "a(U) == zeta(p(U))", str(left), str(right))
+    return [Failure(rank, inputs, "a(U) == zeta(p(U))", str(left), str(right))]
 
 
-def _area_failure(rank, u, listing=None) -> Optional[Failure]:
-    """The Failure for a q(U), `listing` or else the objects' own, that the
-    objects cannot build, or that is no area sequence, or None.  p_map and
-    q_map refuse such a listing, so the object re-checks ask this first."""
+def _area_failure(rank, u) -> Optional[Failure]:
+    """The Failure for a q(U) that the objects cannot build, or that is no
+    area sequence, or None.  p_map and q_map refuse such a listing, so each
+    object oracle asks this first."""
     try:
-        listing = _insert_all(u)[0] if listing is None else listing
+        listing = _insert_all(u)[0]
         AreaSequence(tuple(listing))
     except PreconditionError as exc:    # an insertion finds no anchor
         return Failure(rank, (("pred", str(u)),), "q(U) is defined", "no anchor",
                        str(exc))
     except ValidationError as exc:
-        return Failure(
-            rank, (("pred", str(u)), ("q", _csv(listing))),
-            "q(U) is a valid area sequence", _csv(listing), str(exc),
-        )
+        return Failure(rank, (("pred", str(u)), ("q", _csv(listing))),
+                       "q(U) is a valid area sequence", _csv(listing), str(exc))
     return None
+
+
+def _kernel_failure(child) -> Failure:
+    """The one record of the kernel disagreeing with the objects, for the
+    stream's tuple `child` of a pair (U, k) whose order the check's oracle
+    finds nothing wrong with: the stream's listing, its new letter's place,
+    a's path and zeta reading, or the listing cur it found no anchor in,
+    against q_map's, a_map's and zeta(p_map)'s."""
+    rank, u, k, cur, grown, pos, _, path, reading, _, _ = child
+    order = extend(u, k)
+    listing, trace = q_map(order)
+    kernel = (f"no anchor in {_csv(cur)}" if grown is None else
+              f"q={_csv(grown)} pos={pos} a={path.decode()} zeta={reading.decode()}")
+    return Failure(
+        rank, (("pred", str(u)), ("k", str(k))),
+        "kernel agrees with q_map, a_map and zeta(p_map)", kernel,
+        f"q={listing} pos={trace.positions[-1]} a={a_map(order)} zeta={zeta(p_map(order))}")
 
 
 # -------------------------------------------------------- extension pairs
@@ -405,14 +415,6 @@ def _extension_children(m: int, lo: int, hi: int):
             break
 
 
-def _unanchored(rank, u, k, cur) -> Failure:
-    """The kernel's disagreement for the pair (U, k), whose objects find
-    nothing wrong: it found no anchor for an insertion into cur."""
-    return Failure(
-        rank, (("pred", str(u)), ("k", str(k))), "kernel finds every insertion's anchor",
-        f"no anchor in {_csv(cur)}", _csv(_insert_all(extend(u, k))[0]))
-
-
 # -------------------------------------------------------------- induction
 
 def check_induction_step(
@@ -431,32 +433,26 @@ def _induction_shard(n: int, lo: int, hi: int):
     """The induction step for the pairs of rank lo..hi - 1."""
     failures, parent = [], None
     rank = lo - 1              # rank + 1 - lo: the children drawn
-    for rank, u, k, cur, grown, pos, fit, _, reading, through, top in _extension_children(
-        n, lo, hi
-    ):
-        if grown is None:
-            failures += _induction_failures(rank, u, k) or [_unanchored(rank, u, k, cur)]
-            continue
+    for child in _extension_children(n, lo, hi):
+        rank, u, k, cur, grown, pos, fit, _, reading, through, top = child
         if u is not parent:
             # zeta(q(U)) ends in diagonal top + 1, read b
             parent, zeta_q = u, through + b"b" * cur.count(top)
             kept = zeta_q.rstrip(b"b")
             t, largest = len(zeta_q) - len(kept), max(cur)
-        r, s = _peak_parameters(cur, grown, pos, k)
-        # add_final_peak(zeta(q(U)), r): an UP step before the last r RIGHT
-        # steps, and one more RIGHT step at the end
-        expected = kept + b"b" * (t - r) + b"a" + b"b" * (r + 1)
-        if r != s or reading != expected or not (
-                fit and _extends_listing(cur, largest, grown, pos, k)):
-            failures += _induction_failures(rank, u, k) or [Failure(
-                rank,
-                (("pred", str(u)), ("k", str(k)),
-                 ("q", _csv(cur)), ("q_ext", _csv(grown))),
-                "kernel agrees with q_map, p_map, a_map and zeta",
-                f"pos={pos} r={r} zeta={reading.decode()}",
-                f"s={s} zeta(p(U))+r={expected.decode()}",
-            )]
+        if fit and _extends_listing(cur, largest, grown, pos, k) and _adds_peak(
+                reading, kept, t, _peak_parameters(cur, grown, pos, k)):
+            continue
+        failures += _induction_failures(rank, u, k) or [_kernel_failure(child)]
     return rank + 1 - lo, failures
+
+
+def _adds_peak(reading, kept, t, peak) -> bool:
+    """Whether the peak parameters (r, s) agree and reading is
+    add_final_peak(kept + t b's, r): an UP step before the last r RIGHT
+    steps, and one more RIGHT step at the end."""
+    r, s = peak
+    return r == s and reading == kept + b"b" * (t - r) + b"a" + b"b" * (r + 1)
 
 
 def _induction_failures(rank, u, k) -> list[Failure]:
@@ -598,66 +594,42 @@ def _bijections_shard(n: int, lo: int, hi: int):
     """
     failures, parent = [], None
     rank = lo - 1              # rank + 1 - lo: the orders drawn
-    for rank, u, k, cur, grown, pos, _, path, reading, _, _ in _extension_children(
-        n - 1, lo, hi
-    ):
-        if grown is None:
-            child = extend(u, k)
-            failures += filter(None, (_a_failure(rank, child), _area_failure(
-                rank, child) or _unanchored(rank, u, k, cur)))
-            continue
+    for child in _extension_children(n - 1, lo, hi):
+        rank, u, k, cur, grown, pos, _, path, reading, _, _ = child
         if u is not parent:
             # the j-th a is step j + pred[j], bit 2n - 1 - j - pred[j]
             parent, base = u, sum(1 << (2 * n - 1 - j - p) for j, p in enumerate(u.pred))
             inverted = _is_area_sequence(cur) and _order_of(cur) == u.pred
             top = max(cur, default=0)
         # the last a is step n - 1 + k
-        if not _is_a_path(path, n, base + (1 << (n - k))):
-            failures.append(_a_failure(rank, extend(u, k), path))
-        if not (inverted and _extends_listing(cur, top, grown, pos, k)):
-            failures.append(_q_failure(rank, u, k, cur, grown, pos))
-        if reading != path and (back := _unscan(reading, n)) != grown:
-            inputs = (("pred", str(extend(u, k))), ("q", _csv(grown)))
-            failures.append(Failure(rank, inputs, "zeta(p(U)) is a Dyck path",
-                                    reading.decode(), f"no Dyck path of size {n}")
-                            if _dyck_pred(reading, n) is None else  # back: a listing
-                            Failure(rank, inputs, "zeta(p(U)) un-scans to q(U)",
-                                    _csv(back), _csv(grown)))
+        if inverted and grown is not None and _extends_listing(cur, top, grown, pos, k) and (
+                _is_a_path(path, n, base + (1 << (n - k)))
+                and (reading == path or _unscan(reading, n) == grown)):
+            continue
+        failures += _bijections_failures(rank, extend(u, k)) or [_kernel_failure(child)]
     return rank + 1 - lo, failures
 
 
-def _a_failure(rank, child, path=None) -> Optional[Failure]:
-    """The Failure for a_inverse(a(U)) != U on the objects; else, for a path
-    the stream gave, the kernel's disagreement; else None."""
-    word = a_map(child)
-    back = a_inverse(word)
-    if back != child:
-        return Failure(rank, (("pred", str(child)), ("a_word", str(word))),
-                       "a_inverse(a(U)) == U", str(back), str(child))
-    if path is not None:
-        pred = _dyck_pred(path, child.n)
-        return Failure(rank, (("pred", str(child)), ("a_path", path.decode())),
-                       "kernel agrees with a_map and a_inverse",
-                       "no order" if pred is None else _csv(pred), str(child))
-    return None
-
-
-def _q_failure(rank, u, k, cur, grown, pos) -> Failure:
-    """The Failure for a child whose listing the q check refuses: the
-    listing's or the objects' own, if it is no area sequence or, for the
-    objects', has another poset; else the kernel's disagreement."""
-    child = extend(u, k)
-    bad = _area_failure(rank, child, grown) or _area_failure(rank, child)
+def _bijections_failures(rank, u) -> list[Failure]:
+    """The Failures of the left inverses on the objects: a_inverse(a(U)) is
+    U, q(U) is an area sequence whose poset is U (_order_of), and zeta(p(U))
+    un-scans to q(U); empty if they hold."""
+    bad = _area_failure(rank, u)
     if bad is not None:
-        return bad
-    listing, _, _, positions = _insert_all(child)
-    if (order := _order_of(listing)) != child.pred:
-        return Failure(rank, (("pred", str(child)), ("q", _csv(listing))),
-                       "the poset of q(U) is U", _csv(order), str(child))
-    return Failure(
-        rank, (("pred", str(u)), ("k", str(k)), ("q", _csv(cur))),
-        "kernel agrees with q_map and _order_of",
-        f"{_csv(grown)} pos={pos}", f"{_csv(listing)} pos={positions[-1]}")
+        return [bad]
+    failures, word, listing = [], a_map(u), q_map(u)[0]
+    if (back := a_inverse(word)) != u:
+        failures.append(Failure(rank, (("pred", str(u)), ("a_word", str(word))),
+                                "a_inverse(a(U)) == U", str(back), str(u)))
+    inputs = (("pred", str(u)), ("q", str(listing)))
+    if (order := _order_of(listing.entries)) != u.pred:
+        failures.append(Failure(rank, inputs, "the poset of q(U) is U", _csv(order), str(u)))
+    scanned = _unscan(str(zeta(p_map(u))).encode(), u.n)
+    if scanned != bytes(listing.entries):
+        failures.append(Failure(rank, inputs, "zeta(p(U)) un-scans to q(U)",
+                                "no listing" if scanned is None else _csv(scanned),
+                                str(listing)))
+    return failures
 
 
 # ---------------------------------------------------------------- grevlex
@@ -677,13 +649,24 @@ def _grevlex_shard(n: int, lo: int, hi: int):
     grevlex_min."""
     failures = []
     rank = lo - 1              # rank + 1 - lo: the children drawn
-    for rank, u, k, cur, grown, *_ in _extension_children(n - 1, lo, hi):
-        if grown is None:
-            failures.append(
-                _area_failure(rank, extend(u, k)) or _unanchored(rank, u, k, cur))
-        elif (minimum := grevlex_min(pred := u.pred + (k,))) != grown:
-            failures.append(Failure(
-                rank, (("pred", _csv(pred)),), "grevlex_min_search(U) == q(U)",
-                _csv(minimum), _csv(grown),
-            ))
+    for child in _extension_children(n - 1, lo, hi):
+        rank, u, k, _, grown, *_ = child
+        if grevlex_min(u.pred + (k,)) == grown:
+            continue
+        failures += _grevlex_failures(rank, extend(u, k)) or [_kernel_failure(child)]
     return rank + 1 - lo, failures
+
+
+def _grevlex_failures(rank, u) -> list[Failure]:
+    """The Failure of grevlex_min(U) == q(U) on the objects, if any."""
+    bad = _area_failure(rank, u)
+    if bad is not None:
+        return [bad]
+    listing, minimum = q_map(u)[0], grevlex_min(u.pred)
+    return [] if minimum == bytes(listing.entries) else [Failure(
+        rank, (("pred", str(u)),), "grevlex_min(U) == q(U)", _csv(minimum), str(listing))]
+
+
+#: check name -> its sweep, keyed like DEFAULT_CEILINGS: verify's --check choices
+CHECKS = {"theorem": check_theorem, "induction": check_induction_step,
+          "bijections": check_bijections, "grevlex": check_grevlex}

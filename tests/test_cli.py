@@ -169,12 +169,22 @@ def test_verify_exit_one_on_failures(capsys, monkeypatch):
         (Failure(0, (("pred", "0,0"),), "a(U) == zeta(p(U))", "x", "y"),),
         0.0,
     )
-    monkeypatch.setattr(
-        cli.harness, "check_theorem", lambda n, jobs=1, max_n=None: failing
+    monkeypatch.setitem(
+        cli.harness.CHECKS, "theorem", lambda n, jobs=1, max_n=None: failing
     )
     code, out, _ = run(capsys, "verify", "--check", "theorem", "--n", "2")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_offers_exactly_the_harness_checks():
+    # one table of checks: --check's choices, verify's dispatch and the
+    # ceilings share its keys
+    (verbs,) = [a for a in cli.build_parser()._actions if a.dest == "verb"]
+    (check,) = [a for a in verbs.choices["verify"]._actions if a.dest == "check"]
+    assert list(check.choices) == list(cli.harness.CHECKS) == list(
+        cli.harness.DEFAULT_CEILINGS)
+    assert cli.harness.CHECKS["induction"] is cli.harness.check_induction_step
 
 
 def test_verify_ceiling_is_usage_error(capsys):
@@ -219,8 +229,8 @@ def test_verify_jobs_env_default(capsys, monkeypatch):
     monkeypatch.setenv("DYCKZETA_JOBS", "2")
     monkeypatch.setattr(cli.harness.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
-    for name in ("check_theorem", "check_induction_step", "check_bijections"):
-        monkeypatch.setattr(cli.harness, name,
+    for check in ("theorem", "induction", "bijections"):
+        monkeypatch.setitem(cli.harness.CHECKS, check,
                             lambda n, jobs=1, max_n=None: seen.append(jobs) or passing)
     for check in ("theorem", "induction", "bijections"):
         code, out, _ = run(capsys, "verify", "--check", check, "--n", "4")

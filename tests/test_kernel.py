@@ -19,11 +19,14 @@ the insertion run.
 Fault tests patch the names the code looks up, wrap the stream to
 corrupt or watch what it yields (helpers.wrap_children), or rewrite the
 insertion, whose steps have no names (helpers.rewrite_kernel), and check
-the exact record each fault yields; four mutations of the insertion must
-each be flagged, and the two that change listings flag the same orders
-in the grevlex sweep as in the theorem sweep.  The library checks default
-to one job, run in this process, so a wrapper that records the stream
-sees all of it; only verify in the CLI defaults to the usable CPUs.
+the exact record each fault yields: a fault the objects share gets the
+objects' equation, and one of the kernel alone gets the one kernel record
+(harness._kernel_failure) in every sweep that flags it.  Four mutations of
+the insertion must each be flagged, and the two that change listings flag
+the same orders in the grevlex sweep as in the theorem sweep.  The
+library checks default to one job, run in this process, so a wrapper that
+records the stream sees all of it; only verify in the CLI defaults to the
+usable CPUs.
 """
 
 import random
@@ -179,6 +182,20 @@ def test_kernel_area_rule_is_area_sequences_rule():
             assert harness._is_area_sequence(s) == accepted, s
 
 
+#: the equation of the one record of the kernel disagreeing with the objects
+KERNEL = "kernel agrees with q_map, a_map and zeta(p_map)"
+
+
+def _differs(failure):
+    """The fields of a kernel record whose sides differ: field -> (the
+    stream's value, the objects' value)."""
+    assert failure.equation == KERNEL, failure
+    stream, objects = (dict(field.split("=") for field in side.split())
+                       for side in (failure.lhs, failure.rhs))
+    return {key: (stream[key], value) for key, value in objects.items()
+            if stream[key] != value}
+
+
 def test_corrupted_scan_is_reported_as_kernel_disagreement(monkeypatch):
     n, bad_rank = 5, 17
     bad = q_map(list(enumerate_uio(n))[bad_rank])[0].entries
@@ -192,9 +209,8 @@ def test_corrupted_scan_is_reported_as_kernel_disagreement(monkeypatch):
     assert report.instances_checked == catalan(n)
     (failure,) = report.failures
     assert failure.rank == bad_rank
-    assert failure.equation == "kernel agrees with a_map, p_map and zeta"
-    assert dict(failure.inputs)["q"] == ",".join(map(str, bad))
-    assert failure.lhs != failure.rhs
+    assert failure.lhs.startswith("q=" + ",".join(map(str, bad)) + " ")
+    assert list(_differs(failure)) == ["zeta"]
 
 
 def _insert_replacing(monkeypatch, good, bad=None, pos=None, objects=False):
@@ -230,8 +246,9 @@ def test_listing_that_is_no_area_sequence_is_reported(monkeypatch, n, pred, good
     assert zeta_scan(bad) == zeta_scan(good)
     (failure,) = check_theorem(n).failures
     assert failure.rank == catalan(n) - 1
-    assert failure.equation == "kernel agrees with a_map, p_map and zeta"
-    assert dict(failure.inputs) == {"pred": pred, "q": ",".join(map(str, bad))}
+    parent, _, k = pred.rpartition(",")
+    assert dict(failure.inputs) == {"pred": parent, "k": k}
+    assert _differs(failure) == {"q": tuple(",".join(map(str, w)) for w in (bad, good))}
 
 
 @pytest.mark.parametrize("check, n, pred, good, bad, rhs", [
@@ -312,17 +329,16 @@ def test_unanchored_kernel_insertion_is_a_kernel_disagreement(monkeypatch):
     # re-inserts from there instead of reusing the stack the first left
     _insert_replacing(monkeypatch, (0, 1), (0, 2))
     failures = check_theorem(5).failures
-    assert [(f.rank, f.inputs, f.lhs, f.rhs) for f in failures[-5:]] == [
-        (rank, (("pred", pred), ("k", str(k))), "no anchor in 0,2", q)
+    assert [(f.rank, f.inputs, f.lhs, f.rhs.split()[0]) for f in failures[-5:]] == [
+        (rank, (("pred", pred), ("k", str(k))), "no anchor in 0,2", "q=" + q)
         for rank, pred, k, q in [
             (37, "0,1,2,2", 2, "0,1,2,2,2"), (38, "0,1,2,2", 3, "0,1,2,3,2"),
             (39, "0,1,2,2", 4, "0,1,2,2,3"), (40, "0,1,2,3", 3, "0,1,2,3,3"),
             (41, "0,1,2,3", 4, "0,1,2,3,4"),
         ]
     ]
-    assert {f.equation for f in failures[-5:]} == {
-        "kernel finds every insertion's anchor"
-    }
+    assert {f.equation for f in failures[-5:]} == {KERNEL}
+    assert failures[-1].rhs == "q=0,1,2,3,4 pos=4 a=ababababab zeta=ababababab"
 
 
 def test_grevlex_reports_an_unanchored_kernel_insertion_as_the_theorem_does(monkeypatch):
@@ -332,22 +348,29 @@ def test_grevlex_reports_an_unanchored_kernel_insertion_as_the_theorem_does(monk
     _insert_replacing(monkeypatch, (0, 1), (0, 2))
     grevlex, theorem = check_grevlex(5).failures, check_theorem(5).failures
     assert [f.rank for f in grevlex] == [f.rank for f in theorem]
-    anchor = "kernel finds every insertion's anchor"
-    records = [f for f in grevlex if f.equation == anchor]
-    assert records == [f for f in theorem if f.equation == anchor]
+    assert {f.equation for f in grevlex + theorem} == {KERNEL}
+    records = [f for f in grevlex if f.lhs.startswith("no anchor in ")]
+    assert records == [f for f in theorem if f.lhs.startswith("no anchor in ")]
     assert [f.rank for f in records] == [31, *range(33, 42)]
 
 
 def test_wrong_listing_fails_the_grevlex_check(monkeypatch):
-    # rank 5 (pred 0,0,1,2) gets q = 0,1,1,0 instead of its minimum 0,1,0,1
+    # rank 5 (pred 0,0,1,2) gets q = 0,1,1,0 instead of its minimum 0,1,0,1:
+    # from the kernel alone a kernel record, from the objects too the
+    # objects' equation
     _insert_replacing(monkeypatch, (0, 1, 0, 1), (0, 1, 1, 0))
+    (failure,) = check_grevlex(4).failures
+    assert (failure.rank, failure.inputs) == (5, (("pred", "0,0,1"), ("k", "2")))
+    assert _differs(failure) == {
+        "q": ("0,1,1,0", "0,1,0,1"), "zeta": ("aabaabbb", "aabababb")}
+    _insert_replacing(monkeypatch, (0, 1, 0, 1), (0, 1, 1, 0), objects=True)
     report = check_grevlex(4)
     assert report.instances_checked == catalan(4)
     (failure,) = report.failures
     assert failure.to_json_dict() == {
         "rank": 5,
         "inputs": {"pred": "0,0,1,2"},
-        "equation": "grevlex_min_search(U) == q(U)",
+        "equation": "grevlex_min(U) == q(U)",
         "lhs": "0,1,0,1",
         "rhs": "0,1,1,0",
     }
@@ -457,10 +480,8 @@ def test_kernel_mutations_are_flagged(monkeypatch, edits):
     assert report.failures
     assert check_theorem(8, jobs=2).failures == report.failures
     for failure in report.failures:
-        # flagged for a reading other than a(U)'s path, or for the listing
-        assert failure.equation == "kernel agrees with a_map, p_map and zeta"
-        listing = tuple(map(int, dict(failure.inputs)["q"].split(",")))
-        assert failure.lhs != failure.rhs or not harness._is_area_sequence(listing)
+        # the objects find nothing wrong, and the stream differs from them
+        assert _differs(failure), failure
     assert all(fit == full for fit, full in fits)
 
 
@@ -531,10 +552,10 @@ def test_induction_kernel_alone_catches(monkeypatch, rank, k, big, bad, pos):
     _insert_replacing(monkeypatch, big, bad, pos)
     (failure,) = check_induction_step(1).failures
     assert failure.rank == rank
-    assert failure.equation == "kernel agrees with q_map, p_map, a_map and zeta"
-    assert dict(failure.inputs) == {
-        "pred": "0", "k": str(k), "q": "0", "q_ext": ",".join(map(str, bad or big))
-    }
+    assert dict(failure.inputs) == {"pred": "0", "k": str(k)}
+    # (the stream reads 0,2's diagonal 1 through a table that has no letter 2)
+    assert _differs(failure) == ({"q": ("0,2", "0,1"), "zeta": ("ab\x02", "abab")}
+                                 if bad else {"pos": ("0", "1")})
 
 
 def test_induction_kernel_catches_a_listing_that_is_no_insertion(monkeypatch):
@@ -546,9 +567,8 @@ def test_induction_kernel_catches_a_listing_that_is_no_insertion(monkeypatch):
     read_zeta_by_scan(monkeypatch, lambda s: zeta_scan((0, 0, 1) if s == (0, 1, 1) else s))
     failures = check_induction_step(2).failures
     assert [f.rank for f in failures] == [2, 3]
-    assert {f.equation for f in failures} == {
-        "kernel agrees with q_map, p_map, a_map and zeta"
-    }
+    assert [_differs(f) for f in failures] == [
+        {"q": ("0,1,1", "0,0,1")}, {"zeta": ("aabbab", "abaabb")}]
 
 
 def test_induction_kernel_checks_r_equals_s(monkeypatch):
@@ -622,43 +642,44 @@ def _bijections_failure(monkeypatch):
     return failure
 
 
-def _no_path(rank, pred, q, reading):
-    """The record of a zeta reading that is no Dyck path of size 4."""
-    return harness.Failure(rank, (("pred", pred), ("q", q)), "zeta(p(U)) is a Dyck path",
-                           reading, "no Dyck path of size 4")
-
-
 def test_duplicated_zeta_image_is_reported(monkeypatch):
     # rank 9 (pred 0,1,1,1) gets the zeta image zeta(p(U)) of rank 3
-    # (pred 0,0,0,3), a Dyck path that un-scans to rank 3's listing
+    # (pred 0,0,0,3), a Dyck path that un-scans to rank 3's listing; the
+    # objects find nothing wrong
     first = str(zeta(p_map(parse_pred("0,0,0,3")))).encode()
     wrap_children(monkeypatch, lambda child: (
         child[:8] + (first,) + child[9:] if child[0] == 9 else child))
     failure = _bijections_failure(monkeypatch)
-    assert failure == harness.Failure(
-        9, (("pred", "0,1,1,1"), ("q", "0,1,1,1")), "zeta(p(U)) un-scans to q(U)",
-        "0,0,0,1", "0,1,1,1")
+    assert (failure.rank, failure.inputs) == (9, (("pred", "0,1,1"), ("k", "1")))
+    assert _differs(failure) == {"zeta": (first.decode(), "abaaabbb")}
 
 
 def test_duplicated_q_image_is_reported(monkeypatch):
     # rank 10 (q = 0,1,2,1) gets the listing of rank 2 (q = 0,0,1,0), which
-    # is no insertion into its parent's 0,1,1, while the objects find
-    # nothing wrong; the reading, which reuses the parent's prefix
-    # readings, is then no path
+    # is no insertion into its parent's 0,1,1; from the kernel alone its
+    # reading, which reuses the parent's prefix readings, is then no path,
+    # and the one record shows both
     _insert_replacing(monkeypatch, (0, 1, 2, 1), (0, 0, 1, 0))
-    failure, no_path = _bijections_failures(monkeypatch)
-    assert failure == harness.Failure(
-        10, (("pred", "0,1,1"), ("k", "2"), ("q", "0,1,1")),
-        "kernel agrees with q_map and _order_of", "0,0,1,0 pos=2", "0,1,2,1 pos=2")
-    assert no_path == _no_path(10, "0,1,1,2", "0,0,1,0", "abaab")
+    failure = _bijections_failure(monkeypatch)
+    assert (failure.rank, failure.inputs) == (10, (("pred", "0,1,1"), ("k", "2")))
+    assert _differs(failure) == {"q": ("0,0,1,0", "0,1,2,1"), "zeta": ("abaab", "abaababb")}
+    # from the objects too, q(U) has another poset
+    _insert_replacing(monkeypatch, (0, 1, 2, 1), (0, 0, 1, 0), objects=True)
+    assert _bijections_failure(monkeypatch) == harness.Failure(
+        10, (("pred", "0,1,1,2"), ("q", "0,0,1,0")), "the poset of q(U) is U",
+        "0,0,0,2", "0,1,1,2")
 
 
 def test_q_listing_that_is_no_area_sequence_is_reported(monkeypatch):
-    # rank 5 (pred 0,0,1,2, q = 0,1,0,1) gets a listing that climbs by 2,
-    # and its reading is then no path
+    # rank 5 (pred 0,0,1,2, q = 0,1,0,1) gets a listing that climbs by 2:
+    # from the kernel alone a kernel record, from the objects too the
+    # objects' refusal
     _insert_replacing(monkeypatch, (0, 1, 0, 1), (0, 1, 0, 2))
-    failure, no_path = _bijections_failures(monkeypatch)
-    assert no_path == _no_path(5, "0,0,1,2", "0,1,0,2", "aababb")
+    failure = _bijections_failure(monkeypatch)
+    assert (failure.rank, failure.inputs) == (5, (("pred", "0,0,1"), ("k", "2")))
+    assert _differs(failure) == {"q": ("0,1,0,2", "0,1,0,1"), "zeta": ("aababb", "aabababb")}
+    _insert_replacing(monkeypatch, (0, 1, 0, 1), (0, 1, 0, 2), objects=True)
+    failure = _bijections_failure(monkeypatch)
     assert failure.rank == 5
     assert failure.equation == "q(U) is a valid area sequence"
     assert dict(failure.inputs) == {"pred": "0,0,1,2", "q": "0,1,0,2"}
@@ -679,7 +700,7 @@ def test_listing_a_wrong_fit_passes_is_recorded_not_raised(monkeypatch):
     # the stream raises grown's last letter by 2 at ranks 3 mod 7 and still
     # says it fits; the q check reads the listing, not fit, so it names
     # each corrupted rank once (204 at n = 8) and no other, at both job
-    # counts: as no area sequence where it is none, else as no insertion
+    # counts, and the objects find nothing wrong: a kernel record each
     monkeypatch.setattr(
         harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
     )
@@ -690,8 +711,7 @@ def test_listing_a_wrong_fit_passes_is_recorded_not_raised(monkeypatch):
             assert report.instances_checked == catalan(n)
             assert [f.rank for f in report.failures] == [
                 rank for rank in range(catalan(n)) if rank % 7 == 3], (n, jobs)
-            assert {f.equation for f in report.failures} == {
-                "q(U) is a valid area sequence", "kernel agrees with q_map and _order_of"}
+            assert {f.equation for f in report.failures} == {KERNEL}
 
 
 def test_grevlex_names_exactly_the_listings_a_wrong_fit_passes(monkeypatch):
@@ -703,24 +723,52 @@ def test_grevlex_names_exactly_the_listings_a_wrong_fit_passes(monkeypatch):
         assert report.instances_checked == catalan(n)
         assert [f.rank for f in report.failures] == [
             rank for rank in range(catalan(n)) if rank % 7 == 3]
-        assert {f.equation for f in report.failures} == {"grevlex_min_search(U) == q(U)"}
+        assert {f.equation for f in report.failures} == {KERNEL}
 
 
-def _read_pred_wrong(monkeypatch, path, wrong):
-    """Make the per-order a-check refuse `path` and the bytes inverse,
-    which gives the record's lhs, send it to `wrong`."""
-    inner, check = harness._dyck_pred, harness._is_a_path
-    monkeypatch.setattr(harness, "_dyck_pred",
-                        lambda p, n: wrong if p == path else inner(p, n))
+#: the in-kernel lift: right after the area rule is read, a child's last
+#: letter rises by 2 at the ranks 3 mod 7 where it stays below n, so the
+#: reading is taken off the lifted listing
+_LIFT_IN_KERNEL = {"grown_fit": "if i == m and rank % 7 == 3 and grown[-1] + 2 < n: "
+                                "grown = grown[:-1] + letters[grown[-1] + 2]"}
+
+
+def test_a_listing_lifted_in_the_kernel_is_named_by_bijections_and_grevlex(monkeypatch):
+    # 6, 18, 60 and 203 ranks at n = 5..8, each named once with a kernel
+    # record, at both job counts; the theorem sweep, which trusts the
+    # kernel's area rule, misses some (58 of 60 flagged at n = 7)
+    rewrite_kernel(monkeypatch, _LIFT_IN_KERNEL)
+    monkeypatch.setattr(
+        harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+    )
+    for n in range(5, 9):
+        lifted = [rank for rank in range(3, catalan(n), 7)
+                  if q_map(parse_pred(",".join(map(str, unrank_uio(n, rank)))))[0].entries[-1]
+                  + 2 < n]
+        assert len(lifted) == {5: 6, 6: 18, 7: 60, 8: 203}[n]
+        for check in (check_bijections, check_grevlex):
+            for jobs in (1, 2):
+                report = check(n, jobs=jobs)
+                assert report.instances_checked == catalan(n)
+                assert [f.rank for f in report.failures] == lifted, (check, n, jobs)
+                assert {f.equation for f in report.failures} == {KERNEL}
+        if n == 7:
+            theorem = {f.rank for f in check_theorem(n).failures}
+            assert theorem < set(lifted) and len(theorem) == 58
+
+
+def _refuse_path(monkeypatch, path):
+    """Make the per-order a-check refuse `path`."""
+    check = harness._is_a_path
     monkeypatch.setattr(harness, "_is_a_path",
                         lambda p, n, steps: p != path and check(p, n, steps))
 
 
 def test_a_inverse_mismatch_is_reported(monkeypatch):
-    # the bytes inverse and a_inverse both send a(U) for U = 0,0,2,2
-    # (rank 7) to 0,0,2,3
+    # the a-check refuses a(U) for U = 0,0,2,2 (rank 7), and a_inverse
+    # sends it to 0,0,2,3
     word, wrong = a_map(parse_pred("0,0,2,2")), parse_pred("0,0,2,3")
-    _read_pred_wrong(monkeypatch, str(word).encode(), wrong.pred)
+    _refuse_path(monkeypatch, str(word).encode())
     monkeypatch.setattr(
         harness, "a_inverse", lambda d: wrong if d == word else a_inverse(d)
     )
@@ -732,36 +780,32 @@ def test_a_inverse_mismatch_is_reported(monkeypatch):
 
 
 def test_bytes_inverse_the_objects_do_not_confirm_is_a_kernel_disagreement(monkeypatch):
-    _read_pred_wrong(monkeypatch, b"aabbaabb", (0, 0, 2, 3))
+    # the a-check alone refuses rank 7's path: the objects find nothing
+    # wrong, and the kernel record shows a stream that agrees with them
+    _refuse_path(monkeypatch, b"aabbaabb")
     failure = _bijections_failure(monkeypatch)
-    assert failure.rank == 7
-    assert failure.equation == "kernel agrees with a_map and a_inverse"
-    assert dict(failure.inputs) == {"pred": "0,0,2,2", "a_path": "aabbaabb"}
-    assert (failure.lhs, failure.rhs) == ("0,0,2,3", "0,0,2,2")
+    assert (failure.rank, failure.inputs) == (7, (("pred", "0,0,2"), ("k", "2")))
+    assert _differs(failure) == {}
+    assert " a=aabbaabb " in failure.lhs
 
 
 def test_a_path_the_bytes_inverse_refuses_is_a_kernel_disagreement(monkeypatch):
-    # rank 7's path loses its last step: the bytes inverse refuses it, and
-    # the short image, no path, is not marked
+    # rank 7's path loses its last step: the a-check refuses it
     wrap_children(monkeypatch, lambda child: (
         child[:7] + (child[7][:-1],) + child[8:] if child[0] == 7 else child))
     failure = _bijections_failure(monkeypatch)
-    assert failure.rank == 7
-    assert failure.equation == "kernel agrees with a_map and a_inverse"
-    assert dict(failure.inputs) == {"pred": "0,0,2,2", "a_path": "aabbaab"}
-    assert (failure.lhs, failure.rhs) == ("no order", "0,0,2,2")
+    assert (failure.rank, failure.inputs) == (7, (("pred", "0,0,2"), ("k", "2")))
+    assert _differs(failure) == {"a": ("aabbaab", "aabbaabb")}
 
 
 def test_a_path_that_dips_below_the_diagonal_is_a_kernel_disagreement(monkeypatch):
     # rank 7's path keeps its four a's and four b's but its fifth step dips
-    # below the diagonal: no order, and the image, no path, is not marked
+    # below the diagonal
     wrap_children(monkeypatch, lambda child: (
         child[:7] + (b"aabbbaab",) + child[8:] if child[0] == 7 else child))
     failure = _bijections_failure(monkeypatch)
-    assert failure.rank == 7
-    assert failure.equation == "kernel agrees with a_map and a_inverse"
-    assert dict(failure.inputs) == {"pred": "0,0,2,2", "a_path": "aabbbaab"}
-    assert (failure.lhs, failure.rhs) == ("no order", "0,0,2,2")
+    assert (failure.rank, failure.inputs) == (7, (("pred", "0,0,2"), ("k", "2")))
+    assert _differs(failure) == {"a": ("aabbbaab", "aabbaabb")}
 
 
 def test_pred_of_path_inverts_every_path():
@@ -887,25 +931,62 @@ def test_duplicated_zeta_image_within_one_shard_is_reported(monkeypatch):
     # un-scans to rank 10's listing
     wrap_children(monkeypatch, _reading_at({12}, b"abaababb"))
     failure = _bijections_failure(monkeypatch)
-    assert failure == harness.Failure(
-        12, (("pred", "0,1,2,2"), ("q", "0,1,2,2")), "zeta(p(U)) un-scans to q(U)",
-        "0,1,2,1", "0,1,2,2")
+    assert (failure.rank, failure.inputs) == (12, (("pred", "0,1,2"), ("k", "2")))
+    assert _differs(failure) == {"zeta": ("abaababb", "ababaabb")}
 
 
 def test_zeta_reading_of_another_shape_repeats_no_image(monkeypatch):
     # rank 9 (pred 0,1,1,1) gets rank 3's reading aaabbbab with its first
     # and last steps swapped: its middle steps are rank 3's, but it is no
-    # path, so it is reported as such, not as rank 3's listing
+    # path, and it is reported as the reading rank 9's stream gave
     wrap_children(monkeypatch, _reading_at({9}, b"baabbbaa"))
     failure = _bijections_failure(monkeypatch)
-    assert failure == _no_path(9, "0,1,1,1", "0,1,1,1", "baabbbaa")
+    assert (failure.rank, failure.inputs) == (9, (("pred", "0,1,1"), ("k", "1")))
+    assert _differs(failure) == {"zeta": ("baabbbaa", "abaaabbb")}
 
 
 def test_zeta_readings_of_another_shape_are_each_reported(monkeypatch):
     # ranks 3 and 9 both get the reading one step short, aaabbba: one
     # record on each
     wrap_children(monkeypatch, _reading_at({3, 9}, b"aaabbba"))
-    assert _bijections_failures(monkeypatch) == (
-        _no_path(3, "0,0,0,3", "0,0,0,1", "aaabbba"),
-        _no_path(9, "0,1,1,1", "0,1,1,1", "aaabbba"),
-    )
+    failures = _bijections_failures(monkeypatch)
+    assert [(f.rank, f.inputs) for f in failures] == [
+        (3, (("pred", "0,0,0"), ("k", "3"))), (9, (("pred", "0,1,1"), ("k", "1")))]
+    assert [_differs(f) for f in failures] == [
+        {"zeta": ("aaabbba", "aaabbbab")}, {"zeta": ("aaabbba", "abaaabbb")}]
+
+
+@pytest.mark.parametrize("check, size", [
+    (check_theorem, 0), (check_induction_step, -1), (check_bijections, 0),
+    (check_grevlex, 0)], ids=["theorem", "induction", "bijections", "grevlex"])
+def test_a_fault_of_the_kernel_alone_gets_only_kernel_records(monkeypatch, check, size):
+    # at n = 4 (induction: its pairs of size 3, whose children have the
+    # same ranks): a wrong listing at rank 5 (q = 0,1,1,0 for 0,1,0,1),
+    # _lift at ranks 3 and 10, and rank 3's reading at rank 9 are flagged
+    # wherever a sweep reads what they change, each with the one kernel
+    # record; the wrong listing from the objects too gets the objects'
+    # equation and no kernel record
+    n = 4 + size
+    faults = {
+        "listing": lambda mp: _insert_replacing(mp, (0, 1, 0, 1), (0, 1, 1, 0)),
+        "lift": lambda mp: wrap_children(mp, _lift),
+        "reading": lambda mp: wrap_children(mp, _reading_at({9}, b"aaabbbab")),
+    }
+    reads = {check_theorem: ("listing", "reading"), check_grevlex: ("listing", "lift")}
+    flagged = {"listing": [5], "lift": [3, 10], "reading": [9]}
+    for fault, setup in faults.items():
+        with monkeypatch.context() as patch:
+            setup(patch)
+            failures = check(n).failures
+        expected = flagged[fault] if fault in reads.get(check, faults) else []
+        assert [f.rank for f in failures] == expected, fault
+        assert all(_differs(f) for f in failures), fault
+    _insert_replacing(monkeypatch, (0, 1, 0, 1), (0, 1, 1, 0), objects=True)
+    failures = check(n).failures
+    assert {f.rank for f in failures} == {5}
+    assert {f.equation for f in failures} == {
+        check_theorem: {"a(U) == zeta(p(U))"},
+        check_induction_step: {"q(extend(U,k)) is q(U) with one letter inserted", "r == s"},
+        check_bijections: {"the poset of q(U) is U"},
+        check_grevlex: {"grevlex_min(U) == q(U)"},
+    }[check]
