@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import accumulate
 
 from .errors import PreconditionError, ValidationError
 from . import harness
@@ -20,20 +21,17 @@ from .lattice import (
     _UP,
     AreaSequence,
     DyckWord,
+    _csv,
     _text_of_area,
     area_sequence_from_area_set,
-    area_sequence_from_word,
     area_set_from_area_sequence,
     parse_area_sequence,
     parse_area_set,
     parse_word,
 )
-from .partlist import _walk
+from .partlist import _bound_listing, _walk
 from .uio import (
-    UnitIntervalOrder,
     _complement,
-    a_inverse,
-    a_map,
     enumerate_uio,
     parse_intervals,
     parse_pred,
@@ -55,9 +53,10 @@ def _jobs(text: str) -> int:
 # ------------------------------------------------------------- conversion
 
 #: source encoding -> its parser down to the area-sequence hub; orders cross
-#: over by the area bijection a_j = j - 1 - pred[j], with no path between
+#: over by the area bijection a_j = j - 1 - pred[j], with no path between,
+#: and so do words, read as orders by _pred_of_word
 _TO_AREA = {
-    "word": lambda text: area_sequence_from_word(parse_word(text)),
+    "word": lambda text: AreaSequence(_complement(_pred_of_word(text))),
     "areaseq": parse_area_sequence,
     "areaset": lambda text: area_sequence_from_area_set(parse_area_set(text)),
     "pred": lambda text: AreaSequence(_complement(parse_pred(text).pred)),
@@ -71,7 +70,7 @@ _FROM_AREA = {
     "word": lambda seq: _text_of_area(seq.entries),
     "areaseq": str,
     "areaset": lambda seq: str(area_set_from_area_sequence(seq)),
-    "pred": lambda seq: str(UnitIntervalOrder(_complement(seq.entries))),
+    "pred": lambda seq: _csv(_complement(seq.entries)),
 }
 
 
@@ -121,10 +120,10 @@ def _cmd_convert(args) -> int:
 
 def _apply_named_map(name: str, value: str) -> str:
     if name == "a":
-        return str(a_map(parse_pred(value)))
+        return _FROM_AREA["word"](_TO_AREA["pred"](value))
     if name == "zeta":
         return str(zeta(parse_word(value)))
-    return str(a_inverse(parse_word(value)))
+    return _csv(_pred_of_word(value))
 
 
 def _cmd_map(args) -> int:
@@ -152,21 +151,29 @@ def _images(name: str, values):
     return (text(AreaSequence(listing)) for listing in _walk(preds))
 
 
-#: the step letters U/R and 1/0 as a/b; harness._dyck_pred refuses any
-#: other byte
+#: the step letters U/R and 1/0 as a/b; _pred_of_word refuses any other byte
 _AB = bytes.maketrans(b"UR10", b"abab")
 
 
 def _pred_of_word(line: str) -> tuple[int, ...]:
-    """a^-1(word) of a step word, read off its a/b bytes by the order rule
-    (harness._dyck_pred); a line it refuses raises parse_word's error.
-    Each character is one byte ("?" if not ASCII), so the length is kept."""
-    pred = harness._dyck_pred(line.encode("ascii", "replace").translate(_AB),
-                              len(line) // 2)
-    if pred is None:
-        parse_word(line)
-        raise RuntimeError(f"parse_word accepts {line!r}, a line the order rule refuses")
-    return pred
+    """a^-1(word), the reader of every word line: pred[j] is the number of
+    b's before the j-th a of its a/b bytes, one per character ("?" if not
+    ASCII).  A Dyck path of size len // 2 has n a's and n b's, and stays on
+    or above the diagonal iff pred[j] <= j for every j (the b count peaks
+    just before the next a).  A line it refuses raises parse_word's error."""
+    path = line.encode("ascii", "replace").translate(_AB)
+    n = len(line) // 2
+    runs = path.split(b"a")
+    if len(runs) == n + 1 and path.count(b"b") == n and len(path) == 2 * n:
+        runs.pop()
+        pred = tuple(accumulate(map(len, runs)))
+        for j, p in enumerate(pred):
+            if p > j:
+                break
+        else:
+            return pred
+    parse_word(line)
+    raise RuntimeError(f"parse_word accepts {line!r}, a line the order rule refuses")
 
 
 # ----------------------------------------------------------------- verify
@@ -186,7 +193,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     """Print every order of size n, or every Dyck path as a(U) of the order
-    U of the same rank: in rank order, that is enumerate_dyck's order."""
+    U of the same rank: in rank order, that is enumerate_dyck's order.  n is
+    bounded as map bounds a line, before a block of lines is buffered."""
+    _bound_listing(args.n)
     orders = enumerate_uio(args.n)
     if args.kind == "dyck":
         _write_lines(_text_of_area(_complement(u.pred)) for u in orders)

@@ -22,14 +22,15 @@ share one anchor walk.  The bijections sweep checks each map's left
 inverse on each order alone, so it keeps no image and a failure is
 recorded on the rank that carries it.  The grevlex sweep holds each
 child's listing against grevlex_min of its pred vector, which merges the
-child's level blocks greedily and inserts nothing.  The objects
-(a_map, p_map, q_map, zeta, ...) are the re-check.  Each shard is one
-predicate on the stream's tuple, false for a child with no anchor, and an
-object oracle for each order it flags, which starts with _area_failure
-and gives the order's records.  An order the oracle finds nothing wrong
-with gets the one record of the kernel disagreeing with the objects
-(_kernel_failure).  Each check has one code path, its shard function,
-which the CLI runs too (CHECKS).
+child's level blocks greedily and inserts nothing.  The induction
+sweep's q check counts n - r letters below the new one: that count is
+its r == s.  The objects (a_map, p_map, q_map, zeta, ...) are the
+re-check.  Each shard is one predicate on the stream's tuple, false for a
+child with no anchor, and an object oracle for each order it flags, which
+starts with _area_failure and gives the order's records.  An order the
+oracle finds nothing wrong with gets the one record of the kernel
+disagreeing with the objects (_kernel_failure).  Each check has one code
+path, its shard function, which the CLI runs too (CHECKS).
 
 Work shards by contiguous enumeration-rank ranges, so reports are
 deterministic for a fixed n regardless of worker count.  A shard of ranks
@@ -48,19 +49,12 @@ import time
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
 from multiprocessing import active_children
 from operator import sub
 from typing import Iterator, Optional
 
 from .errors import PreconditionError, ValidationError
-from .lattice import (
-    AreaSequence,
-    _csv,
-    add_final_peak,
-    catalan,
-    final_maximal_peak,
-)
+from .lattice import AreaSequence, _csv, add_final_peak, catalan
 from .partlist import _bound_listing, _insert_all, _order_of, grevlex_min, p_map, q_map
 from .uio import (
     UnitIntervalOrder,
@@ -152,6 +146,7 @@ def _ceiling(check: str, n: int, max_n: Optional[int]) -> None:
         raise PreconditionError(
             f"{check} check capped at n = {ceiling}; pass max_n to raise it"
         )
+    _bound_listing(n)           # before catalan(n), which a huge n makes slow
 
 
 def _usable_cpus() -> int:
@@ -241,7 +236,7 @@ def _theorem_shard(n: int, lo: int, hi: int):
     failures = []
     rank = lo - 1              # rank + 1 - lo: the children drawn
     for child in _extension_children(n - 1, lo, hi):
-        rank, u, k, _, _, _, fit, path, reading, _, _ = child
+        rank, u, k, _, _, _, fit, path, reading, _ = child
         if fit and reading == path:
             continue
         failures += _theorem_failures(rank, extend(u, k)) or [_kernel_failure(child)]
@@ -282,15 +277,22 @@ def _kernel_failure(child) -> Failure:
     finds nothing wrong with: the stream's listing, its new letter's place,
     a's path and zeta reading, or the listing cur it found no anchor in,
     against q_map's, a_map's and zeta(p_map)'s."""
-    rank, u, k, cur, grown, pos, _, path, reading, _, _ = child
+    rank, u, k, cur, grown, pos, _, path, reading, _ = child
     order = extend(u, k)
     listing, trace = q_map(order)
     kernel = (f"no anchor in {_csv(cur)}" if grown is None else
-              f"q={_csv(grown)} pos={pos} a={path.decode()} zeta={reading.decode()}")
+              f"q={_csv(grown)} pos={pos} a={_ab_text(path)} "
+              f"zeta={_ab_text(reading)}")
     return Failure(
         rank, (("pred", str(u)), ("k", str(k))),
         "kernel agrees with q_map, a_map and zeta(p_map)", kernel,
         f"q={listing} pos={trace.positions[-1]} a={a_map(order)} zeta={zeta(p_map(order))}")
+
+
+def _ab_text(steps: bytes) -> str:
+    """The stream's a/b bytes as text, every other byte as \\xNN, so that a
+    stray byte can neither stop the decoding nor split a field=value."""
+    return "".join(chr(b) if b in b"ab" else f"\\x{b:02x}" for b in steps)
 
 
 # -------------------------------------------------------- extension pairs
@@ -310,11 +312,11 @@ def _extension_pairs(n: int, lo: int = 0) -> Iterator[tuple[UnitIntervalOrder, r
 def _extension_children(m: int, lo: int, hi: int):
     """Per child extend(U, k) of the pairs (U, k) of size m and rank
     lo..hi - 1, in rank order: (rank, U, k, cur, grown, pos, fit, path,
-    reading, through, top).  The bytes cur and grown are q(U) and
+    reading, through).  The bytes cur and grown are q(U) and
     q(extend(U, k)), its new letter at pos; fit says if grown is an area
     sequence; path is a(extend(U, k)), reading zeta of grown, and through
-    the reading of cur's diagonals 0..top, top being cur's largest letter.
-    With no anchor in cur, grown, pos, path and reading are None, fit False.
+    the reading of cur's diagonals 0..max(cur).  With no anchor in cur,
+    grown, pos, path and reading are None, fit False.
 
     The descent loops over the parents U and, at depth m, over each
     parent's children.  A stack holds, per depth i, the listing cur of
@@ -399,7 +401,7 @@ def _extension_children(m: int, lo: int, hi: int):
                 # its letters level, read b
                 reading = diagonal + rights[grown.count(level)]
                 path = row + rights[n - p]
-                yield rank, u, p, cur, grown, pos, grown_fit, path, reading, through, top
+                yield rank, u, p, cur, grown, pos, grown_fit, path, reading, through
                 rank += 1
             else:
                 continue
@@ -408,7 +410,7 @@ def _extension_children(m: int, lo: int, hi: int):
             # the stack past depth i
             cap = i
             for k in (range(p, ks.stop) if i == m else ks)[:hi - rank]:
-                yield rank, u, k, cur, None, None, False, None, None, through, top
+                yield rank, u, k, cur, None, None, False, None, None, through
                 rank += 1
             break
         if rank == hi:
@@ -430,29 +432,25 @@ def check_induction_step(
 
 
 def _induction_shard(n: int, lo: int, hi: int):
-    """The induction step for the pairs of rank lo..hi - 1."""
+    """The induction step for the pairs of rank lo..hi - 1.  The q check's
+    count n - #L - #(L - 1 after L) is n - r, so it holds iff r == s = n - k;
+    then the reading must be zeta(q(U)) with a final peak after s steps."""
     failures, parent = [], None
     rank = lo - 1              # rank + 1 - lo: the children drawn
     for child in _extension_children(n, lo, hi):
-        rank, u, k, cur, grown, pos, fit, _, reading, through, top = child
+        rank, u, k, cur, grown, pos, fit, _, reading, through = child
         if u is not parent:
             # zeta(q(U)) ends in diagonal top + 1, read b
-            parent, zeta_q = u, through + b"b" * cur.count(top)
+            parent, top = u, max(cur)
+            zeta_q = through + b"b" * cur.count(top)
             kept = zeta_q.rstrip(b"b")
-            t, largest = len(zeta_q) - len(kept), max(cur)
-        if fit and _extends_listing(cur, largest, grown, pos, k) and _adds_peak(
-                reading, kept, t, _peak_parameters(cur, grown, pos, k)):
+            t = len(zeta_q) - len(kept)
+        s = n - k
+        if fit and _extends_listing(cur, top, grown, pos, k) and (
+                reading == kept + b"b" * (t - s) + b"a" + b"b" * (s + 1)):
             continue
         failures += _induction_failures(rank, u, k) or [_kernel_failure(child)]
     return rank + 1 - lo, failures
-
-
-def _adds_peak(reading, kept, t, peak) -> bool:
-    """Whether the peak parameters (r, s) agree and reading is
-    add_final_peak(kept + t b's, r): an UP step before the last r RIGHT
-    steps, and one more RIGHT step at the end."""
-    r, s = peak
-    return r == s and reading == kept + b"b" * (t - r) + b"a" + b"b" * (r + 1)
 
 
 def _induction_failures(rank, u, k) -> list[Failure]:
@@ -472,20 +470,16 @@ def _induction_failures(rank, u, k) -> list[Failure]:
     def fail(equation, lhs, rhs):
         failures.append(Failure(rank, inputs, equation, str(lhs), str(rhs)))
 
-    # the listing gains exactly one letter, in final-maximal position
+    # the listing gains exactly one letter, in final-maximal position, so
+    # p(extend(U,k))'s final maximal peak sits in the inserted row
     without = q_big.entries[:pos] + q_big.entries[pos + 1:]
+    top = max(q_big.entries)
+    last_top = max(i for i, w in enumerate(q_big.entries) if w == top)
     if without != q_small.entries:
         fail("q(extend(U,k)) is q(U) with one letter inserted", _csv(without), q_small)
-    else:
-        top = max(q_big.entries)
-        last_top = max(i for i, w in enumerate(q_big.entries) if w == top)
-        if q_big.entries[pos] != top or pos != last_top:
-            fail("inserted letter is the last maximal letter",
-                 f"inserted at {pos}", f"last maximum at {last_top}")
-        row = final_maximal_peak(p_big).apex[1]
-        if row != pos + 1:
-            fail("final maximal peak of p(extend(U,k)) sits in the inserted row",
-                 f"apex row {row}", f"inserted row {pos + 1}")
+    elif q_big.entries[pos] != top or pos != last_top:
+        fail("inserted letter is the last maximal letter",
+             f"inserted at {pos}", f"last maximum at {last_top}")
 
     r, s = _peak_parameters(q_small.entries, q_big.entries, pos, k)
     for equation, got, path, t in (
@@ -519,22 +513,6 @@ def check_bijections(
     image is kept: C_n distinct Dyck paths of size n per map."""
     _ceiling("bijections", n, max_n)
     return _sweep("bijections", n, catalan(n), jobs, _bijections_shard)
-
-
-def _dyck_pred(path: bytes, n: int) -> Optional[tuple[int, ...]]:
-    """a_inverse on a/b bytes: pred[j] is the number of b's before the j-th
-    a.  None unless the path is a Dyck path of size n: n a's and n b's that
-    stay on or above the diagonal.  Between two a's the b count peaks just
-    before the next a, so they do iff pred[j] <= j for every j."""
-    runs = path.split(b"a")
-    if len(runs) != n + 1 or path.count(b"b") != n or len(path) != 2 * n:
-        return None
-    runs.pop()
-    pred = tuple(accumulate(map(len, runs)))
-    for j, p in enumerate(pred):
-        if p > j:
-            return None
-    return pred
 
 
 def _unscan(reading: bytes, n: int) -> Optional[bytes]:
@@ -595,7 +573,7 @@ def _bijections_shard(n: int, lo: int, hi: int):
     failures, parent = [], None
     rank = lo - 1              # rank + 1 - lo: the orders drawn
     for child in _extension_children(n - 1, lo, hi):
-        rank, u, k, cur, grown, pos, _, path, reading, _, _ = child
+        rank, u, k, cur, grown, pos, _, path, reading, _ = child
         if u is not parent:
             # the j-th a is step j + pred[j], bit 2n - 1 - j - pred[j]
             parent, base = u, sum(1 << (2 * n - 1 - j - p) for j, p in enumerate(u.pred))

@@ -390,7 +390,7 @@ def rewrite_kernel(monkeypatch, edits, **names):
 
 def wrap_children(monkeypatch, edit):
     """Pass each child that harness._extension_children yields, the tuple
-    (rank, U, k, cur, grown, pos, fit, path, reading, through, top), through
+    (rank, U, k, cur, grown, pos, fit, path, reading, through), through
     edit, which may record it and returns the tuple the sweep gets."""
     inner = harness._extension_children
     monkeypatch.setattr(

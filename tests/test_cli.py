@@ -193,6 +193,19 @@ def test_verify_ceiling_is_usage_error(capsys):
     assert "capped" in err
 
 
+@pytest.mark.parametrize("check", ["theorem", "induction", "bijections", "grevlex"])
+def test_verify_refuses_a_huge_n_before_counting_its_orders(capsys, monkeypatch, check):
+    # catalan(n) of a huge n takes minutes: the listing bound comes first
+    def catalan(n):
+        raise AssertionError(f"catalan({n}) computed")
+
+    monkeypatch.setattr(cli.harness, "catalan", catalan)
+    n = str(10 ** 7)
+    code, out, err = run(capsys, "verify", "--check", check, "--n", n, "--max-n", n)
+    assert (code, out) == (2, "")
+    assert err == f"error: listed orders have size <= 255, got {n}\n"
+
+
 def test_verify_grevlex_reports_are_equal_at_one_and_two_jobs(capsys, monkeypatch):
     # the letter lands one place further right at depth 4: a corruption
     # that does not depend on where a shard starts, flagged alike by both
@@ -305,6 +318,23 @@ def test_enumerate_uio_lines(capsys):
     code, out, _ = run(capsys, "enumerate", "--kind", "uio", "--n", "3")
     assert code == 0
     assert out.strip().split("\n") == ["0,0,0", "0,0,1", "0,0,2", "0,1,1", "0,1,2"]
+
+
+@pytest.mark.parametrize("kind", ["dyck", "uio"])
+def test_enumerate_refuses_a_size_past_the_listing_bound_before_enumerating(
+    capsys, monkeypatch, kind
+):
+    # map refuses such orders anyway; enumerate would buffer a block of
+    # lines of that size before writing any
+    def enumerate_uio(n):
+        raise AssertionError("a refused size was enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_uio", enumerate_uio)
+    top = partlist.LISTING_MAX_N
+    for n in (top + 1, 10 ** 7):
+        code, out, err = run(capsys, "enumerate", "--kind", kind, "--n", str(n))
+        assert (code, out) == (2, "")
+        assert err == f"error: listed orders have size <= {top}, got {n}\n"
 
 
 # ----------------------------------------------------------------- render
@@ -625,13 +655,18 @@ def test_unzeta_answers_every_short_line_as_the_objects_do(capsys, monkeypatch):
         0, "".join(expected[line][1] for line in paths), "")
 
 
-def test_unzeta_fails_loudly_where_the_order_rule_and_the_parser_disagree(
-    capsys, monkeypatch
+@pytest.mark.parametrize("argv", [
+    ("map", "--name", "unzeta"), ("map", "--name", "a-inverse"),
+    ("convert", "--from", "word", "--to", "areaseq"),
+], ids=["unzeta", "a-inverse", "convert"])
+def test_word_lines_fail_loudly_where_the_order_rule_and_the_parser_disagree(
+    capsys, monkeypatch, argv
 ):
-    # a line the bytes rule refuses but parse_word accepts is never printed
-    monkeypatch.setattr(harness, "_dyck_pred", lambda path, n: None)
-    with pytest.raises(RuntimeError, match="parse_word accepts 'ab'"):
-        run(capsys, "map", "--name", "unzeta", "ab")
+    # every word line is read by _pred_of_word: a line its bytes rule
+    # refuses but parse_word accepts is never printed
+    monkeypatch.setattr(cli, "parse_word", lambda line: None)
+    with pytest.raises(RuntimeError, match="parse_word accepts 'ba'"):
+        run(capsys, *argv, "ba")
     assert capsys.readouterr().out == ""
 
 

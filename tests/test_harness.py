@@ -109,7 +109,8 @@ def test_ceilings_guard_and_override():
 
 
 def test_byte_kernel_refuses_sizes_past_255():
-    # raised by the first shard, before any pair is drawn
+    # raised before any pair is drawn: by the size check for a size past
+    # 255, by the first shard for induction's children of size 256
     with pytest.raises(PreconditionError, match="size <= 255, got 256"):
         check_theorem(256, max_n=256)
     with pytest.raises(PreconditionError, match="size <= 255, got 256"):

@@ -10,12 +10,13 @@ insertion walk (partlist._walk).  Each piece is checked here against an
 independent computation: the stream's listings against q_map, its paths
 against a_map, its readings against Haglund's scan (zeta.zeta_scan) and
 zeta's diagonal reading, the induction consumer against the per-pair
-object body, the bijections check's bytes inverse (harness._dyck_pred)
-against a_inverse, its integer a-check (harness._is_a_path) against the
-vector _dyck_pred reads, its q check (harness._extends_listing) against
-every other insertion into the parent's listing, its un-scan
-(harness._unscan) against Haglund's scan, and the walk's listings against
-the insertion run.
+object body, the CLI's bytes inverse of a word line (cli._pred_of_word)
+against a_inverse, the bijections check's integer a-check
+(harness._is_a_path) against the vector _pred_of_word reads, its q check
+(harness._extends_listing) against every other insertion into the
+parent's listing and its count against the induction step's r, its
+un-scan (harness._unscan) against Haglund's scan, and the walk's listings
+against the insertion run.
 Fault tests patch the names the code looks up, wrap the stream to
 corrupt or watch what it yields (helpers.wrap_children), or rewrite the
 insertion, whose steps have no names (helpers.rewrite_kernel), and check
@@ -29,6 +30,7 @@ records the stream sees all of it; only verify in the CLI defaults to the
 usable CPUs.
 """
 
+import json
 import random
 from itertools import product
 
@@ -78,7 +80,7 @@ def test_extension_children_equal_the_object_maps():
     for n in range(1, 9):
         children = list(harness._extension_children(n - 1, 0, catalan(n)))
         assert len(children) == catalan(n)
-        for rank, u, k, _, grown, _, fit, path, reading, _, _ in children:
+        for rank, u, k, _, grown, _, fit, path, reading, _ in children:
             assert unrank_uio(n, rank) == u.pred + (k,)
             child = extend(u, k)
             assert fit and grown == bytes(q_map(child)[0].entries), str(child)
@@ -140,8 +142,8 @@ def test_induction_kernel_reads_zeta_of_q_off_the_prefixes(monkeypatch):
     seen = []
 
     def zeta_q(child):
-        _, u, _, cur, _, _, _, _, _, through, top = child
-        seen.append((u, cur, through + b"b" * cur.count(top)))
+        _, u, _, cur, _, _, _, _, _, through = child
+        seen.append((u, cur, through + b"b" * cur.count(max(cur))))
         return child
 
     wrap_children(monkeypatch, zeta_q)
@@ -211,6 +213,20 @@ def test_corrupted_scan_is_reported_as_kernel_disagreement(monkeypatch):
     assert failure.rank == bad_rank
     assert failure.lhs.startswith("q=" + ",".join(map(str, bad)) + " ")
     assert list(_differs(failure)) == ["zeta"]
+
+
+def test_kernel_record_escapes_bytes_other_than_a_and_b(monkeypatch):
+    # a reading may carry a letter the translate tables pass through: rank
+    # 3's reading ends in the bytes 2 and 0xc8, and the record of it, as
+    # text and as JSON, is printable ASCII with those bytes as \xNN
+    wrap_children(monkeypatch, lambda child: (
+        child[:8] + (child[8] + b"\x02\xc8",) + child[9:] if child[0] == 3 else child))
+    report = check_theorem(4)
+    (failure,) = report.failures
+    assert failure.rank == 3
+    assert _differs(failure) == {"zeta": ("aaabbbab\\x02\\xc8", "aaabbbab")}
+    for text in (*report.render_text().splitlines(), json.dumps(report.to_json_dict())):
+        assert text.isascii() and text.isprintable(), text
 
 
 def _insert_replacing(monkeypatch, good, bad=None, pos=None, objects=False):
@@ -553,8 +569,9 @@ def test_induction_kernel_alone_catches(monkeypatch, rank, k, big, bad, pos):
     (failure,) = check_induction_step(1).failures
     assert failure.rank == rank
     assert dict(failure.inputs) == {"pred": "0", "k": str(k)}
-    # (the stream reads 0,2's diagonal 1 through a table that has no letter 2)
-    assert _differs(failure) == ({"q": ("0,2", "0,1"), "zeta": ("ab\x02", "abab")}
+    # (the stream reads 0,2's diagonal 1 through a table that has no letter
+    # 2, and the record escapes the byte 2 it passes through)
+    assert _differs(failure) == ({"q": ("0,2", "0,1"), "zeta": ("ab\\x02", "abab")}
                                  if bad else {"pos": ("0", "1")})
 
 
@@ -571,17 +588,32 @@ def test_induction_kernel_catches_a_listing_that_is_no_insertion(monkeypatch):
         {"q": ("0,1,1", "0,0,1")}, {"zeta": ("aabbab", "abaabb")}]
 
 
-def test_induction_kernel_checks_r_equals_s(monkeypatch):
-    # s one too large for k = 0 leaves the listings and readings right, so
-    # only r == s can flag those pairs; the objects' re-check reads the same
-    # s, and reports r == s and the peak that a(U) gains after s steps
+def test_q_check_count_is_the_induction_steps_n_minus_r():
+    # on every pair with 1 <= n <= 8 (6 916 pairs), of the counts 0..n + 1
+    # the q check accepts only n - r, so in the induction sweep it holds iff
+    # r == s = n - k
+    for n in range(1, 9):
+        for _, u, k, cur, grown, pos, *_ in harness._extension_children(
+                n, 0, catalan(n + 1)):
+            r, s = _peak_parameters(cur, grown, pos, k)
+            accepted = [count for count in range(n + 2)
+                        if harness._extends_listing(cur, max(cur), grown, pos, count)]
+            assert accepted == [n - r] and r == s, (str(u), k)
+
+
+def test_induction_objects_check_r_equals_s(monkeypatch):
+    # s one too large for k = 0 leaves the listings and readings right: the
+    # objects' re-check reports r == s and the peak that a(U) gains after s
+    # steps, while the sweep, which reads r == s off the q check's count,
+    # does not call _peak_parameters and passes
     def peak_parameters(small, big, pos, k):
         r, s = _peak_parameters(small, big, pos, k)
         return r, s + (k == 0)
 
     monkeypatch.setattr(harness, "_peak_parameters", peak_parameters)
-    failures = check_induction_step(3).failures
     pairs = extension_pairs(3)
+    failures = [f for rank, (u, k) in enumerate(pairs)
+                for f in harness._induction_failures(rank, u, k)]
     flagged = [r for r, (_, k) in enumerate(pairs) if k == 0]
     assert [f.rank for f in failures] == [r for r in flagged for _ in range(2)]
     assert [(f.equation, f.lhs, f.rhs) for f in failures if f.rank == flagged[0]] == [
@@ -590,6 +622,7 @@ def test_induction_kernel_checks_r_equals_s(monkeypatch):
          "path has only 3"),
         ("r == s", "3", "4"),
     ]
+    assert check_induction_step(3).passed
 
 
 def test_induction_shard_restarts_at_any_rank():
@@ -811,13 +844,18 @@ def test_a_path_that_dips_below_the_diagonal_is_a_kernel_disagreement(monkeypatc
 def test_pred_of_path_inverts_every_path():
     for n in range(0, 10):
         for word in enumerate_dyck(n):
-            assert harness._dyck_pred(str(word).encode(), n) == a_inverse(word).pred
-    # a path of the wrong length, with another count of a's, with a byte
-    # other than a and b, or that dips below the diagonal is refused
-    for path, n in [(b"aabbab", 4), (b"aabbabb", 3), (b"aabbaabb", 3),
-                    (b"aaabab", 3), (b"abbbab", 3), (b"aabcab", 3), (b"", 1),
-                    (b"ba", 1), (b"abba", 2), (b"aabbbaab", 4), (b"aaabbbba", 4)]:
-        assert harness._dyck_pred(path, n) is None, path
+            text = str(word)
+            assert cli._pred_of_word(text) == a_inverse(word).pred
+            assert cli._pred_of_word(text.translate(str.maketrans("ab", "10"))) == (
+                a_inverse(word).pred)
+    assert cli._pred_of_word("U1aR0b") == (0, 0, 0)
+    # a line of odd length, with another count of a's, with a letter other
+    # than a/b, U/R and 1/0, or that dips below the diagonal is refused with
+    # parse_word's error
+    for line in ["a", "aab", "aabbabb", "aaabab", "abbbab", "aabcab", "ab b",
+                 "aébb", "ba", "abba", "aabbbaab", "aaabbbba"]:
+        with pytest.raises(ValidationError):
+            cli._pred_of_word(line)
 
 
 def _steps(pred, n):
@@ -834,7 +872,7 @@ def test_a_check_accepts_exactly_the_vector_the_path_reads():
         assert len(set(steps.values())) == len(steps)
         for word in enumerate_dyck(n):
             path = str(word).encode()
-            pred = harness._dyck_pred(path, n)
+            pred = cli._pred_of_word(str(word))
             # moving entry j from pred[j] to p moves the j-th a by p - pred[j] steps
             others = steps if n <= 7 else {
                 pred[:j] + (p,) + pred[j + 1:]: steps[pred]
@@ -867,7 +905,7 @@ def test_a_check_refuses_other_bytes_and_lengths():
     n = 4
     for word in enumerate_dyck(n):
         path = str(word).encode()
-        steps = _steps(harness._dyck_pred(path, n), n)
+        steps = _steps(cli._pred_of_word(str(word)), n)
         assert harness._is_a_path(path, n, steps)
         odd = [path[:-1], path + b"b", b"b" + path, path + b"a"] + [
             path[:i] + bytes((c,)) + path[i + 1:]
