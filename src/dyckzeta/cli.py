@@ -3,8 +3,8 @@
 Verbs: convert (between path/order encodings), map (apply a named
 bijection), verify (run a harness check), enumerate (stream objects one per
 line), render (draw a path).  Exit status: 0 success or verification passed,
-1 verification found failures, 2 usage or validation error, or
-interrupted (Ctrl-C).
+1 verification found failures, 2 usage or validation error, a sweep
+stopped short of a verdict (a worker died), or interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import os
 import sys
 from itertools import accumulate
 
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, SweepError, ValidationError
 from . import harness
 from .lattice import (
-    _UP,
+    _AB,
     AreaSequence,
     DyckWord,
     _csv,
@@ -151,10 +151,6 @@ def _images(name: str, values):
     return (text(AreaSequence(listing)) for listing in _walk(preds))
 
 
-#: the step letters U/R and 1/0 as a/b; _pred_of_word refuses any other byte
-_AB = bytes.maketrans(b"UR10", b"abab")
-
-
 def _pred_of_word(line: str) -> tuple[int, ...]:
     """a^-1(word), the reader of every word line: pred[j] is the number of
     b's before the j-th a of its a/b bytes, one per character ("?" if not
@@ -229,7 +225,7 @@ def render_ascii(d: DyckWord) -> str:
         canvas[2 * (n - i) + 1][2 * i - 1] = "/"
     x = y = 0
     for step in d.steps:
-        if step is _UP:
+        if step == "a":
             canvas[2 * (n - y) - 1][2 * x] = "|"
             y += 1
         else:
@@ -271,7 +267,7 @@ def render_svg(d: DyckWord, diagonals: bool = False) -> str:
     x = y = 0
     points.append("%s,%s" % px(x, y))
     for step in d.steps:
-        if step is _UP:
+        if step == "a":
             y += 1
         else:
             x += 1
@@ -365,7 +361,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValidationError, PreconditionError) as exc:
+    except (ValidationError, PreconditionError, SweepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

@@ -11,3 +11,7 @@ class ValidationError(ValueError):
 
 class PreconditionError(ValueError):
     """An operation was called with arguments outside its contract."""
+
+
+class SweepError(RuntimeError):
+    """A sweep stopped short of a verdict: a worker died or missed instances."""

@@ -47,13 +47,13 @@ import os
 import signal
 import time
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import active_children
 from operator import sub
 from typing import Iterator, Optional
 
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, SweepError, ValidationError
 from .lattice import AreaSequence, _csv, add_final_peak, catalan
 from .partlist import _bound_listing, _insert_all, _order_of, grevlex_min, p_map, q_map
 from .uio import (
@@ -67,13 +67,13 @@ from .uio import (
 from .zeta import _peak_parameters, zeta
 
 #: Per-check size ceilings keeping the full sweep under a minute on a 2-CPU VM
-#: (Python 3.11) at two jobs, which is verify's default there (the usable
-#: CPUs): theorem 15 took 37 s at jobs=2 and 66 s at jobs=1, induction 13 took
-#: 16 s at jobs=2 and 27 s at jobs=1, bijections 14 17 s at jobs=2 and 30 s at
-#: jobs=1, grevlex 14 13.6 s at jobs=2 and 26 s at jobs=1, at 19 MB peak RSS.
-#: Bijections 15 (38 s at jobs=2 where 14 took 11 s) and grevlex 15 (50 s)
-#: would pass a minute when the VM runs at half speed.  Raise via the max_n
-#: argument (or --max-n in the CLI).
+#: (Python 3.11.7) at two jobs, verify's default there (the usable CPUs), and
+#: at one.  At commit 2061212, two interleaved rounds: theorem 15 took
+#: 15.9-16.9 s at jobs=2 and 29.6-31.2 s at jobs=1, induction 13 5.9-8.3 s
+#: and 12.1-15.8 s, bijections 14 10.8-14.1 s and 20.6-20.8 s, grevlex 14
+#: 14.7-20.4 s and 30.7-33.0 s, at 19 MB peak RSS.  Bijections 15 (46 s at
+#: jobs=2) would pass a minute when the VM runs at half speed, and grevlex 15
+#: took 68 s.  Raise via the max_n argument (or --max-n in the CLI).
 DEFAULT_CEILINGS = {"theorem": 15, "induction": 13, "bijections": 14, "grevlex": 14}
 
 
@@ -179,7 +179,7 @@ def _sweep(check, n, total, jobs, shard):
     results = [shard(n, 0, total)] if len(bounds) == 1 else _pool_map(shard, n, bounds)
     count = sum(r[0] for r in results)
     if count != total:
-        raise RuntimeError(
+        raise SweepError(
             f"{check} enumeration truncated: saw {count} of {total} instances"
         )
     failures = sorted((f for r in results for f in r[1]), key=lambda f: f.rank)
@@ -193,7 +193,8 @@ def _pool_map(shard, n, bounds):
 
     Ctrl-C sends SIGINT to the whole process group.  The workers ignore it,
     so none of them prints a traceback; the parent stops the workers it
-    started and re-raises KeyboardInterrupt, which the CLI reports.
+    started and re-raises KeyboardInterrupt, which the CLI reports.  A
+    worker that dies breaks the pool, which stops the others: SweepError.
     """
     before = set(active_children())
     with ProcessPoolExecutor(
@@ -205,6 +206,8 @@ def _pool_map(shard, n, bounds):
             for worker in set(active_children()) - before:
                 worker.terminate()
             raise
+        except BrokenExecutor as exc:
+            raise SweepError(f"a worker process died: {exc}") from None
 
 
 def _ignore_sigint():

@@ -14,30 +14,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from math import comb
 from typing import Iterator, NamedTuple
 
 from .errors import PreconditionError, ValidationError
 
-
-class Step(Enum):
-    """One step of a lattice path; the textual letters are a = UP, b = RIGHT."""
-
-    UP = "a"
-    RIGHT = "b"
-
-
-#: the members bound once for the per-step loops (here, in zeta and in
-#: cli's renderers): an Enum class attribute lookup costs as much as 14
-#: module-global lookups
-_UP, _RIGHT = Step.UP, Step.RIGHT
-
-_STEP_FROM_CHAR = {
-    "a": Step.UP, "b": Step.RIGHT,
-    "U": Step.UP, "R": Step.RIGHT,
-    "1": Step.UP, "0": Step.RIGHT,
-}
+#: the one letter table: a = UP and b = RIGHT, also written U/R or 1/0, as
+#: bytes; parse_word and cli._pred_of_word read every word line through it
+_AB = bytes.maketrans(b"UR10", b"abab")
 
 
 def catalan(n: int) -> int:
@@ -49,25 +33,26 @@ def catalan(n: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class DyckWord:
-    """Immutable sequence of UP/RIGHT steps forming a Dyck path."""
+    """Immutable Dyck path held as its a/b text: a = UP, b = RIGHT."""
 
-    steps: tuple[Step, ...]
+    steps: str
 
     def __post_init__(self):
         steps = self.steps
-        if type(steps) is not tuple:
-            steps = tuple(steps)
-            object.__setattr__(self, "steps", steps)
+        if type(steps) is not str:
+            raise ValidationError(
+                f"steps must be a str of a/b letters, got {type(steps).__name__}"
+            )
         height = 0
         for idx, step in enumerate(steps):
-            if step is _UP:
+            if step == "a":
                 height += 1
-            elif step is _RIGHT and height:
+            elif step == "b" and height:
                 height -= 1
             else:
                 raise ValidationError(
                     f"path passes below the diagonal at step index {idx}"
-                    if step is _RIGHT
+                    if step == "b"
                     else f"step index {idx} is not an UP/RIGHT step"
                 )
         if height:
@@ -81,7 +66,7 @@ class DyckWord:
         return len(self.steps) // 2
 
     def __str__(self) -> str:
-        return "".join([step._value_ for step in self.steps])
+        return self.steps
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,18 +148,8 @@ class Peak(NamedTuple):
 
 
 def word_from_area_sequence(s: AreaSequence) -> DyckWord:
-    """Path whose row-j UP step sits at x = j - 1 - a_j.
-
-    So a_{j-1} + 1 - a_j RIGHT steps come before row j's UP step (none
-    before row 1), and a_n + 1 after the last one."""
-    steps: list[Step] = []
-    prev = -1
-    for a in s.entries:
-        steps += (_RIGHT,) * (prev + 1 - a)
-        steps.append(_UP)
-        prev = a
-    steps += (_RIGHT,) * (prev + 1)
-    return DyckWord(tuple(steps))
+    """Path whose row-j UP step sits at x = j - 1 - a_j."""
+    return DyckWord(_text_of_area(s.entries))
 
 
 def _word_of_area(entries: tuple[int, ...]) -> DyckWord:
@@ -184,11 +159,13 @@ def _word_of_area(entries: tuple[int, ...]) -> DyckWord:
 
 
 def _text_of_area(entries: tuple[int, ...]) -> str:
-    """The a/b text of word_from_area_sequence's path, with no DyckWord built.
+    """The a/b text of the path whose row-j UP step sits at x = j - 1 - a_j:
+    a_{j-1} + 1 - a_j RIGHT steps come before row j's UP step (none before
+    row 1), and a_n + 1 after the last one.
 
     For a valid area sequence it is a Dyck word by construction: a_j >= 0
-    puts row j's UP step at x = j - 1 - a_j, on or left of the diagonal, and
-    a_j <= a_{j-1} + 1 keeps each count of RIGHT steps non-negative."""
+    puts row j's UP step on or left of the diagonal, and a_j <= a_{j-1} + 1
+    keeps each count of RIGHT steps non-negative."""
     runs = []               # the RIGHT steps before each UP step, then after
     right = 0               # a_{j-1} + 1, with a_0 = -1
     for a in entries:
@@ -200,16 +177,10 @@ def _text_of_area(entries: tuple[int, ...]) -> str:
 
 def area_sequence_from_word(d: DyckWord) -> AreaSequence:
     """Per-row box count between the path and the diagonal, bottom row
-    first: row j's count is the height y - x at which its UP step starts."""
-    entries: list[int] = []
-    height = 0
-    for step in d.steps:
-        if step is _UP:
-            entries.append(height)
-            height += 1
-        else:
-            height -= 1
-    return AreaSequence(tuple(entries))
+    first: row j's count is the height y - x at which its UP step starts.
+    The UP step at word index i after j UP steps starts at j - (i - j)."""
+    ups = [i for i, step in enumerate(d.steps) if step == "a"]
+    return AreaSequence(tuple(2 * j - i for j, i in enumerate(ups)))
 
 
 def area_set_from_area_sequence(s: AreaSequence) -> AreaSet:
@@ -239,9 +210,9 @@ def peaks(d: DyckWord) -> tuple[Peak, ...]:
     found: list[Peak] = []
     x = y = 0
     for idx, step in enumerate(d.steps):
-        if step is _UP:
+        if step == "a":
             y += 1
-            if idx + 1 < len(d.steps) and d.steps[idx + 1] is _RIGHT:
+            if d.steps.startswith("b", idx + 1):
                 found.append(Peak(idx, (x, y), y - x))
         else:
             x += 1
@@ -273,18 +244,15 @@ def add_final_peak(d: DyckWord, t: int) -> DyckWord:
     """
     if t < 0:
         raise PreconditionError(f"trailing-step count must be non-negative, got {t}")
-    trailing = 0
-    for step in reversed(d.steps):
-        if step is not _RIGHT:
-            break
-        trailing += 1
+    steps = d.steps
+    trailing = len(steps) - len(steps.rstrip("b"))
     if t > trailing:
         raise PreconditionError(
             f"cannot place a final peak before {t} trailing right steps: "
             f"path has only {trailing}"
         )
-    cut = len(d.steps) - t
-    return DyckWord(d.steps[:cut] + (_UP,) + d.steps[cut:] + (_RIGHT,))
+    cut = len(steps) - t
+    return DyckWord(steps[:cut] + "a" + steps[cut:] + "b")
 
 
 def enumerate_dyck(n: int) -> Iterator[DyckWord]:
@@ -297,31 +265,27 @@ def enumerate_dyck(n: int) -> Iterator[DyckWord]:
     if n < 0:
         raise PreconditionError(f"size must be non-negative, got {n}")
 
-    def rec(prefix: list[Step], ups: int, rights: int) -> Iterator[DyckWord]:
+    def rec(prefix: str, ups: int, rights: int) -> Iterator[DyckWord]:
         if len(prefix) == 2 * n:
-            yield DyckWord(tuple(prefix))
+            yield DyckWord(prefix)
             return
         if ups < n:
-            prefix.append(_UP)
-            yield from rec(prefix, ups + 1, rights)
-            prefix.pop()
+            yield from rec(prefix + "a", ups + 1, rights)
         if rights < ups:
-            prefix.append(_RIGHT)
-            yield from rec(prefix, ups, rights + 1)
-            prefix.pop()
+            yield from rec(prefix + "b", ups, rights + 1)
 
-    return rec([], 0, 0)
+    return rec("", 0, 0)
 
 
 def parse_word(text: str) -> DyckWord:
     """Parse a step word over a/b (also accepted: U/R, 1/0)."""
-    steps = tuple(map(_STEP_FROM_CHAR.get, text))
-    if None in steps:
-        pos = steps.index(None)
+    path = text.encode("ascii", "replace").translate(_AB)  # a byte per letter
+    pos = len(path) - len(path.lstrip(b"ab"))
+    if pos < len(path):
         raise ValidationError(
             f"bad step letter {text[pos]!r} at position {pos}; expected a/b, U/R or 1/0"
         )
-    return DyckWord(steps)
+    return DyckWord(path.decode())
 
 
 def parse_area_sequence(text: str) -> AreaSequence:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .lattice import _RIGHT, _UP, DyckWord
+from .lattice import DyckWord
 from .partlist import p_map, q_map
 from .uio import UnitIntervalOrder, a_inverse, extend
 
@@ -84,28 +84,26 @@ def diagonal_decomposition(d: DyckWord) -> DiagonalDecomposition:
     if not d.steps:
         return DiagonalDecomposition(())
     buckets: list[list[str]] = [[]]
-    x = y = 0
+    height = 0              # y - x: the diagonal of the step's endpoint
     for step in d.steps:
-        if step is _UP:
-            y += 1
-            if y - x == len(buckets):
+        if step == "a":
+            height += 1
+            if height == len(buckets):
                 buckets.append([])
-            buckets[y - x].append("a")
         else:
-            x += 1
-            buckets[y - x].append("b")
-    return DiagonalDecomposition(tuple(tuple(b) for b in buckets))
+            height -= 1
+        buckets[height].append(step)    # an endpoint's label is its step
+    return DiagonalDecomposition(buckets)
+
+
+#: the reading's letters as steps: b -> UP (a), a -> RIGHT (b)
+_SWAP = str.maketrans("ab", "ba")
 
 
 def zeta(d: DyckWord) -> DyckWord:
     """Concatenate the diagonal buckets and reread b as UP, a as RIGHT."""
-    decomposition = diagonal_decomposition(d)
-    steps = tuple(
-        _UP if label == "b" else _RIGHT
-        for bucket in decomposition.per_diagonal
-        for label in bucket
-    )
-    return DyckWord(steps)
+    labels = "".join(map("".join, diagonal_decomposition(d).per_diagonal))
+    return DyckWord(labels.translate(_SWAP))
 
 
 def zeta_scan(entries: tuple[int, ...]) -> tuple[int, ...]:

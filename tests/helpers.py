@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from dyckzeta import (
     AreaSequence,
     PartListing,
-    Step,
     UnitIntervalOrder,
     ValidationError,
     grevlex_key,
@@ -271,13 +270,13 @@ def reference_area_check(entries):
 
 
 def reference_steps_check(steps):
-    """DyckWord's rule: UP/RIGHT steps, never more RIGHTs than UPs so far,
-    as many of each in all."""
+    """DyckWord's rule: UP (a) and RIGHT (b) letters, never more RIGHTs than
+    UPs so far, as many of each in all."""
     ups = rights = 0
     for idx, step in enumerate(steps):
-        if step is Step.UP:
+        if step == "a":
             ups += 1
-        elif step is Step.RIGHT:
+        elif step == "b":
             rights += 1
             if rights > ups:
                 raise ValidationError(

@@ -1,5 +1,6 @@
 import io
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -175,6 +176,37 @@ def test_verify_exit_one_on_failures(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--check", "theorem", "--n", "2")
     assert code == 1
     assert "FAIL" in out
+
+
+_THEOREM_SHARD = harness._theorem_shard
+
+
+def _dying_shard(n, lo, hi):
+    """The theorem shard, except that the worker whose ranks start past 0
+    dies at once, as a worker killed by the system would."""
+    if lo > 0:
+        os._exit(3)
+    return _THEOREM_SHARD(n, lo, hi)
+
+
+def test_verify_with_a_dead_worker_is_an_error_not_a_failure(capsys, monkeypatch):
+    # status 1 means counterexamples; a sweep that lost a worker has no
+    # verdict, so it exits 2 with one error line, and no worker outlives it
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_theorem_shard", _dying_shard)
+    code, out, err = run(capsys, "verify", "--check", "theorem", "--n", "6",
+                         "--jobs", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a worker process died: ") and err.count("\n") == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_with_a_truncated_enumeration_is_an_error(capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_theorem_shard", lambda n, lo, hi: (hi - lo - 1, []))
+    code, out, err = run(capsys, "verify", "--check", "theorem", "--n", "4",
+                         "--jobs", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: theorem enumeration truncated: saw 13 of 14 instances\n"
 
 
 def test_verify_offers_exactly_the_harness_checks():

@@ -55,6 +55,7 @@ from dyckzeta import (
     harness,
     p_map,
     parse_pred,
+    parse_word,
     q_map,
     unrank_uio,
     word_from_area_sequence,
@@ -856,6 +857,28 @@ def test_pred_of_path_inverts_every_path():
                  "aébb", "ba", "abba", "aabbbaab", "aaabbbba"]:
         with pytest.raises(ValidationError):
             cli._pred_of_word(line)
+
+
+def _verdict(read, line):
+    """read(line), or the message of the ValidationError it raises."""
+    try:
+        return read(line)
+    except ValidationError as exc:
+        return f"refused: {exc}"
+
+
+def test_word_readers_share_one_letter_table():
+    # the CLI's bytes reader and parse_word then a_inverse accept the same
+    # lines with the same vector, and refuse the rest with the same message
+    alphabet = "abUR10xé"
+    accepted = 0
+    for length in range(7):
+        for letters in product(alphabet, repeat=length):
+            line = "".join(letters)
+            got = _verdict(cli._pred_of_word, line)
+            assert got == _verdict(lambda text: a_inverse(parse_word(text)).pred, line)
+            accepted += isinstance(got, tuple)
+    assert accepted == sum(catalan(n) * 3 ** (2 * n) for n in range(4))
 
 
 def _steps(pred, n):

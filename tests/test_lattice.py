@@ -5,7 +5,6 @@ from dyckzeta import (
     AreaSequence,
     AreaSet,
     DyckWord,
-    Step,
     ValidationError,
     PreconditionError,
     add_final_peak,
@@ -220,7 +219,7 @@ def test_final_and_final_maximal_peak():
     assert final_peak(word).apex == (4, 5)
     assert final_maximal_peak(word).apex == (2, 4)
     with pytest.raises(PreconditionError):
-        final_peak(DyckWord(()))
+        final_peak(DyckWord(""))
 
 
 def test_every_nonempty_word_has_a_peak():
@@ -247,7 +246,7 @@ def test_add_final_peak_apex_position():
         for word in enumerate_dyck(n):
             trailing = 0
             for step in reversed(word.steps):
-                if step is not Step.RIGHT:
+                if step != "b":
                     break
                 trailing += 1
             for t in range(trailing + 1):

@@ -9,7 +9,9 @@ the same message from both.
 
 from itertools import product
 
-from dyckzeta import AreaSequence, DyckWord, Step, UnitIntervalOrder, ValidationError
+import pytest
+
+from dyckzeta import AreaSequence, DyckWord, UnitIntervalOrder, ValidationError
 
 from helpers import reference_area_check, reference_pred_check, reference_steps_check
 
@@ -41,7 +43,7 @@ def test_integer_constructors_match_the_reference_checks():
 
 def test_dyck_word_matches_the_reference_check():
     messages = set()
-    for steps in _tuples((Step.UP, Step.RIGHT, "a"), 8):
+    for steps in map("".join, _tuples("abx", 8)):
         got = _verdict(DyckWord, steps)
         assert got == _verdict(reference_steps_check, steps), steps
         messages.add(got and got.split(" ")[0])
@@ -52,4 +54,12 @@ def test_dyck_word_matches_the_reference_check():
 def test_constructors_keep_their_input_as_a_tuple():
     assert UnitIntervalOrder([0, 1]).pred == (0, 1)
     assert AreaSequence([0, 1]).entries == (0, 1)
-    assert DyckWord([Step.UP, Step.RIGHT]).steps == (Step.UP, Step.RIGHT)
+
+
+def test_dyck_word_refuses_what_is_not_a_str():
+    # a path is its a/b text: a list, tuple or bytes of letters is refused
+    # at the boundary, not stored
+    for steps in (["a", "b"], ("a", "b"), b"ab", None):
+        with pytest.raises(ValidationError, match="must be a str"):
+            DyckWord(steps)
+    assert DyckWord("ab").steps == "ab" == str(DyckWord("ab"))
