@@ -95,6 +95,8 @@ def _write_lines(lines, from_stdin=False) -> None:
     lines, or per line if the lines come `from_stdin` and stdin is a
     terminal, so that each typed line is answered.  Lines made before an
     exception are written before it propagates."""
+    if sys.stdout is None or from_stdin and sys.stdin is None:
+        raise PreconditionError(f"std{'out' if sys.stdout is None else 'in'} is closed")
     size = 1 if from_stdin and sys.stdin.isatty() else LINE_BLOCK
     write = sys.stdout.write
     block = []
@@ -118,37 +120,61 @@ def _cmd_convert(args) -> int:
 
 # ------------------------------------------------------------------- maps
 
-def _apply_named_map(name: str, value: str) -> str:
-    if name == "a":
-        return _FROM_AREA["word"](_TO_AREA["pred"](value))
-    if name == "zeta":
-        return str(zeta(parse_word(value)))
-    return _csv(_pred_of_word(value))
-
-
 def _cmd_map(args) -> int:
-    """Print the image of each value, one line each, in input order.
-
-    q, p and unzeta = zeta_inverse = p o a^-1 print q(U), or its path, from
-    one insertion walk over the lines' pred vectors (partlist._walk):
-    consecutive lines whose vectors share a prefix, as sorted input does,
-    re-insert only the rest.  unzeta reads the pred vector a^-1(word) off
-    the line's bytes (_pred_of_word), with no path object.  Each q(U) is
-    checked as an area sequence, whose path is then a Dyck word.
-    """
-    _write_lines(_images(args.name, _each_value(args.value)), args.value is None)
+    _write_lines(_apply_named_map(args.name, _each_value(args.value)),
+                 args.value is None)
     return 0
 
 
-def _images(name: str, values):
-    if name in ("p", "q"):
-        preds = (parse_pred(value).pred for value in values)
-    elif name == "unzeta":
-        preds = map(_pred_of_word, values)
-    else:
-        return (_apply_named_map(name, value) for value in values)
-    text = _FROM_AREA["areaseq" if name == "q" else "word"]
-    return (text(AreaSequence(listing)) for listing in _walk(preds))
+def _apply_named_map(name: str, values):
+    """The image of each value under the named map, in input order: q, p and
+    unzeta = zeta_inverse = p o a^-1 read q(U) or its path off one insertion
+    walk (partlist._walk), and check as an AreaSequence only what it does not."""
+    if name == "a":
+        return map(_FROM_AREA["word"], map(_TO_AREA["pred"], values))
+    if name == "zeta":
+        return (str(zeta(parse_word(value))) for value in values)
+    if name == "a-inverse":
+        return map(_csv, map(_pred_of_word, values))
+    steps = _kept_prefixes(map(_pred_of_word, values)) if name == "unzeta" else _preds(values)
+    if name == "q":
+        return (_csv(s if path is not None else AreaSequence(s).entries)
+                for s, path in _walk(steps))
+    return (path or _text_of_area(AreaSequence(s).entries) for s, path in _walk(steps))
+
+
+def _kept_prefixes(rows):
+    """(d, row) per row, d the length of the prefix it keeps from the one before."""
+    prev = ()
+    for row in rows:
+        d, top = 0, min(len(row), len(prev))
+        while d < top and row[d] == prev[d]:
+            d += 1
+        yield d, row
+        prev = row
+
+
+def _preds(values):
+    """(d, pred) per pred line, pred one list that keeps the d entries of the
+    tokens kept from the line before and reads the others as plain ASCII
+    digits in pred[j - 1]..j, or else the line's parse_pred vector or error."""
+    pred = []
+    for d, tokens in _kept_prefixes(line.split(",") if line else [] for line in values):
+        digits = "".join(rest := tokens[d:])
+        try:                # an empty token, or one past int()'s digit limit
+            suffix = list(map(int, rest)) if digits.isdigit() and digits.isascii() else ()
+        except ValueError:
+            suffix = ()
+        low = pred[d - 1] if d else 0
+        for j, p in enumerate(suffix, d):
+            if not low <= p <= j:
+                suffix = ()
+                break
+            low = p
+        if len(suffix) != len(rest):
+            suffix = parse_pred(",".join(tokens)).pred[d:]
+        pred[d:] = suffix
+        yield d, pred
 
 
 def _pred_of_word(line: str) -> tuple[int, ...]:

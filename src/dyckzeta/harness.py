@@ -176,7 +176,12 @@ def _sweep(check, n, total, jobs, shard):
     """
     start = time.perf_counter()
     bounds = _shard_bounds(total, jobs)
-    results = [shard(n, 0, total)] if len(bounds) == 1 else _pool_map(shard, n, bounds)
+    try:
+        results = [shard(n, 0, total)] if len(bounds) == 1 else _pool_map(shard, n, bounds)
+    except (PreconditionError, SweepError, ValidationError):
+        raise                   # the CLI's errors already
+    except Exception as exc:    # a fault in the sweep, not a counterexample
+        raise SweepError(f"{check} shard raised {type(exc).__name__}: {exc}") from exc
     count = sum(r[0] for r in results)
     if count != total:
         raise SweepError(

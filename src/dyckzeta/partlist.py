@@ -23,6 +23,7 @@ from .uio import UnitIntervalOrder
 #: The largest order listed: levels < n are bytes in the sweeps and
 #: grevlex_min, and map's walk keeps a listing per prefix of a line.
 LISTING_MAX_N = 255
+_LETTERS = tuple(bytes((level,)) for level in range(LISTING_MAX_N))    # _walk's, per level
 
 
 def _bound_listing(n: int) -> None:
@@ -287,36 +288,39 @@ def _insert_all(u: UnitIntervalOrder) -> tuple[tuple[int, ...], list, list, list
     return cur, lv, cs, positions
 
 
-def _walk(preds: Iterable[Sequence[int]]) -> Iterator[tuple[int, ...]]:
-    """q(U), unchecked, for each pred vector of a stream.
-
-    The vectors come in any order, with repeats, and sizes up to
-    LISTING_MAX_N; a longer one is refused before it is walked.  Each
-    re-inserts only the elements past the prefix it shares with the
-    previous one, so a stream in lexicographic order (the preorder of the
-    tree of rightmost extensions, which is enumerate_uio's order) costs
-    about 1.4 insertions per order at n = 10, against n for a lone q_map.
-    """
-    prev = ()
-    lv = []                         # lv[i]: level of element i
-    listings = [()]                 # listings[i]: the listing of elements 0..i-1
-    for pred in preds:
-        n = len(pred)
-        _bound_listing(n)
-        d = 0
-        try:                        # the common prefix ends with the shorter vector
-            while pred[d] == prev[d]:
-                d += 1
-        except IndexError:
-            pass
-        if n >= len(listings):      # the longest vector so far
-            grow = n + 1 - len(listings)
-            listings += [()] * grow
-            lv += [0] * grow
-        for i in range(d, n):
-            listings[i + 1], lv[i], _, _ = _insert(listings[i], lv, pred[i])
-        prev = pred
-        yield listings[n]
+def _walk(steps: Iterable[tuple[int, Sequence[int]]]) -> Iterator[tuple[bytes, str | None]]:
+    """q(U) as bytes, unchecked, and the a/b text of its path if it is known
+    to be an area sequence (else None), per (d, pred) of a stream: pred
+    vectors in any order and of any size up to LISTING_MAX_N (a longer one
+    is refused before it is walked), each keeping the first d entries of the
+    one before, so that only pred[d:] is inserted, as _insert does.  A
+    letter x put into an area sequence at pos, after a letter up - 1 (up = 0
+    at the start) and before a letter down (0 at the end), keeps it one iff
+    x <= up and down <= x + 1, and turns the path's up - down RIGHT steps
+    at 2 pos - up into up - x, an UP step and x + 1 - down."""
+    lv = [0] * LISTING_MAX_N                        # lv[i]: level of element i
+    stack = [(b"", "")] * (LISTING_MAX_N + 1)       # stack[i]: the listing of
+    for d, pred in steps:                           # elements 0..i - 1, its path
+        _bound_listing(n := len(pred))
+        for i, p in enumerate(pred[d:], d):
+            cur, path = stack[i]
+            level = lv[p - 1] + 1 if p else 0
+            c = p - bisect_left(lv, level - 1, 0, p)
+            parts = cur.split(_LETTERS[level - 1], c) if c else (cur,)
+            if len(parts) <= c:     # fewer than C letters level - 1: the objects' error
+                _insertion_point(cur, level, c)
+            pos = i - len(parts[-1])                # just after the C-th one
+            while pos < i and cur[pos] == level:    # then past a run of level
+                pos += 1
+            grown = cur[:pos] + _LETTERS[level] + cur[pos:]
+            x = grown[pos]                          # the letter written
+            up = grown[pos - 1] + 1 if pos else 0
+            down = grown[pos + 1] if pos < i else 0
+            at = 2 * pos - up
+            path = None if path is None or x > up or down > x + 1 else (
+                path[:at] + "b" * (up - x) + "a" + "b" * (x + 1 - down) + path[at + up - down:])
+            stack[i + 1], lv[i] = (grown, path), level
+        yield stack[n]
 
 
 def q_map(u: UnitIntervalOrder) -> tuple[PartListing, InsertionTrace]:

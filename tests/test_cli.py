@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dyckzeta
 
@@ -22,6 +23,7 @@ from dyckzeta import (
     a_inverse,
     area_sequence_from_word,
     area_set_from_area_sequence,
+    catalan,
     enumerate_dyck,
     enumerate_uio,
     a_map,
@@ -38,7 +40,7 @@ from dyckzeta import (
 from dyckzeta import cli, partlist
 from dyckzeta.cli import main
 from dyckzeta.lattice import AREA_SET_TEXT_MAX_N
-from helpers import rewrite_kernel
+from helpers import pred_vectors, rewrite_kernel
 
 
 def run(capsys, *argv):
@@ -199,6 +201,33 @@ def test_verify_with_a_dead_worker_is_an_error_not_a_failure(capsys, monkeypatch
     assert (code, out) == (2, "")
     assert err.startswith("error: a worker process died: ") and err.count("\n") == 1
     assert multiprocessing.active_children() == []
+
+
+def _raising_shard(n, lo, hi):
+    """The theorem shard, except that the last shard (at two jobs, the one
+    whose ranks start past 0) raises, as a fault in the sweep's code would."""
+    if hi == catalan(n):
+        raise IndexError("index out of range")
+    return _THEOREM_SHARD(n, lo, hi)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_with_a_shard_that_raises_is_an_error_not_a_failure(capsys, monkeypatch, jobs):
+    # at one job the shard runs in this process, at two in a worker: either
+    # way the sweep has no verdict, so one error line, status 2, no child left
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_theorem_shard", _raising_shard)
+    code, out, err = run(capsys, "verify", "--check", "theorem", "--n", "6",
+                         "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err == "error: theorem shard raised IndexError: index out of range\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_a_shard_error_keeps_its_cause():
+    with pytest.raises(dyckzeta.SweepError) as caught:
+        harness._sweep("theorem", 6, 132, 1, lambda n, lo, hi: ().index(0))
+    assert isinstance(caught.value.__cause__, ValueError)
 
 
 def test_verify_with_a_truncated_enumeration_is_an_error(capsys, monkeypatch):
@@ -457,10 +486,11 @@ def test_map_walk_is_bounded_before_a_line_is_walked(capsys, monkeypatch, name, 
     assert code == 0
     assert out.count("\n") == 1 and len(out) > top
 
-    def insert(*args):
-        raise AssertionError("a refused line was walked")
+    class Unwalked:
+        def __getitem__(self, level):
+            raise AssertionError("a refused line was walked")
 
-    monkeypatch.setattr(partlist, "_insert", insert)
+    monkeypatch.setattr(partlist, "_LETTERS", Unwalked())   # every insertion reads it
     code, out, err = run(capsys, "map", "--name", name, line(top + 1))
     assert (code, out) == (2, "")
     assert err == f"error: listed orders have size <= {top}, got {top + 1}\n"
@@ -676,7 +706,7 @@ def test_unzeta_answers_every_short_line_as_the_objects_do(capsys, monkeypatch):
     # every line through the code each of those runs
     for line in lines:
         try:
-            got = 0, f"{next(cli._images('unzeta', [line]))}\n", ""
+            got = 0, f"{next(cli._apply_named_map('unzeta', [line]))}\n", ""
         except dyckzeta.ValidationError as exc:
             got = 2, "", f"error: {exc}\n"
         assert got == expected[line], line
@@ -714,6 +744,87 @@ def test_map_refuses_a_token_past_the_digit_limit(capsys):
     assert err == "error: entry 1 is too long to read: 5000 characters\n"
 
 
+def read_last(lines):
+    """The last line's vector as the map's pred reader reads it after the
+    lines before it, or the message of the line it refuses."""
+    try:
+        return [tuple(pred) for _, pred in cli._preds(lines)][-1]
+    except dyckzeta.ValidationError as exc:
+        return str(exc)
+
+
+def parse_verdict(line):
+    try:
+        return parse_pred(line).pred
+    except dyckzeta.ValidationError as exc:
+        return str(exc)
+
+
+#: one-character tokens: digits, what int() takes beside them (a sign, an
+#: underscore, a space, non-ASCII digits), and the empty token
+READER_TOKENS = ["0", "1", "2", "3", "-", "+", "_", " ", "\u0661", "\u00b2", ""]
+
+
+def test_pred_reader_accepts_exactly_what_parse_pred_accepts():
+    # every line of up to 3 tokens, read alone and after each line that
+    # keeps a prefix of it: the same vector or the same message
+    lines = {",".join(t) for k in range(4) for t in product(READER_TOKENS, repeat=k)}
+    before = ["0", "0,0", "0,1", "0,0,0", "0,1,1", "0,1,2", "0,0,1,1"]
+    accepted = 0
+    for line in sorted(lines):
+        verdict = parse_verdict(line)
+        accepted += type(verdict) is tuple
+        assert read_last([line]) == verdict, line
+        for prev in before:
+            assert read_last([prev, line]) == verdict, (prev, line)
+    assert accepted == 1 + 1 + 2 + 5     # C_n orders of size n <= 3, and ""
+
+
+@pytest.mark.parametrize("lines, verdict", [
+    (["0,1,2", "0,1,0"], "pred[3] = 0 breaks weak monotonicity (pred[2] = 1)"),
+    (["0,0,0", "0,0,3"], "pred[3] = 3 outside 0..2"),
+    (["0,1,1", "0,1,-0"], "pred[3] = 0 breaks weak monotonicity (pred[2] = 1)"),
+    (["0,1", "-0,1"], (0, 1)),
+    (["0,1", "0,-0,-0"], (0, 0, 0)),
+    (["0,1,2", "0,1,007"], "pred[3] = 7 outside 0..2"),
+    (["0,0", "0,01,002"], (0, 1, 2)),
+    (["0,0", "00,00"], (0, 0)),
+    (["0,0", "0," + "9" * 5000], "entry 2 is too long to read: 5000 characters"),
+    (["0,0", "0,0,"], "entry 3 is not an integer: ''"),
+    (["0,0", "0,0,1,"], "entry 4 is not an integer: ''"),
+    (["0," * 300 + "0", "0," * 300 + "x"], "entry 301 is not an integer: 'x'"),
+])
+def test_pred_reader_edge_cases(lines, verdict):
+    # a changed suffix read against the kept prefix, a changed bound, "-0"
+    # and leading zeros, a token past int()'s digit limit, a trailing comma
+    assert parse_verdict(lines[-1]) == verdict
+    assert read_last(lines) == read_last(lines[-1:]) == verdict
+
+
+def test_a_bad_line_past_the_listing_bound_gets_its_own_message(capsys, monkeypatch):
+    # a bad token on a line of 256 entries is the parser's error; a clean
+    # line of 256 entries is refused by the walk's bound
+    top = partlist.LISTING_MAX_N
+    stream = ",".join(["0"] * top) + "\n" + ",".join(["0"] * top + ["x"]) + "\n"
+    code, out, err = map_stdin(capsys, monkeypatch, "p", stream)
+    assert (code, out.count("\n"), err) == (2, 1, f"error: entry {top + 1} is not an integer: 'x'\n")
+    stream = ",".join(["0"] * top) + "\n" + ",".join(["0"] * (top + 1)) + "\n"
+    code, out, err = map_stdin(capsys, monkeypatch, "p", stream)
+    assert (code, out.count("\n")) == (2, 1)
+    assert err == f"error: listed orders have size <= {top}, got {top + 1}\n"
+
+
+@settings(max_examples=200)
+@given(st.lists(pred_vectors(max_n=8), max_size=16), st.randoms(use_true_random=False))
+def test_streamed_p_and_q_equal_the_object_maps_on_any_stream(orders, rng):
+    # mixed sizes, shuffled, each order repeated at once and again later
+    stream = orders + rng.sample(orders, len(orders))
+    stream = [u for u in stream for _ in range(rng.randint(1, 2))]
+    lines = [str(u) for u in stream]
+    assert list(cli._apply_named_map("p", lines)) == [str(p_map(u)) for u in stream]
+    assert list(cli._apply_named_map("q", lines)) == [str(q_map(u)[0]) for u in stream]
+
+
 def test_streamed_map_over_mixed_sizes_stops_at_a_bad_line(capsys, monkeypatch):
     # sizes up and down, a repeat, the empty order, a shorter line that
     # changes a prefix a longer one then extends, then a line that is no
@@ -727,15 +838,12 @@ def test_streamed_map_over_mixed_sizes_stops_at_a_bad_line(capsys, monkeypatch):
 
 
 def test_streamed_map_checks_each_listing_as_an_area_sequence(capsys, monkeypatch):
-    # the walk's insertion turns q(0,1) = 0,1 into 0,2: the output line is
+    # the walk's insertion writes level 1 as 2, so q(0,1) = 0,1 comes out
+    # 0,2: the walk's flag reads the letter it wrote, and the output line is
     # refused by AreaSequence after the lines before it, for p and for q
-    real_insert = partlist._insert
-
-    def insert(cur, lv, p):
-        grown, level, c, pos = real_insert(cur, lv, p)
-        return ((0, 2) if grown == (0, 1) else grown), level, c, pos
-
-    monkeypatch.setattr(partlist, "_insert", insert)
+    letters = list(partlist._LETTERS)
+    letters[1] = letters[2]
+    monkeypatch.setattr(partlist, "_LETTERS", tuple(letters))
     for name, first in (("p", "abab\n"), ("q", "0,0\n")):
         code, out, err = map_stdin(capsys, monkeypatch, name, "0,0\n0,1\n0,0\n")
         assert (code, out) == (2, first)
@@ -827,6 +935,25 @@ def test_an_unbuffered_enumerate_into_a_closed_pipe_exits_0_quietly():
     enum.stdout.close()
     _, err = enum.communicate(timeout=60)
     assert (enum.returncode, err, first) == (0, b"", b"0,0,0,0,0,0,0,0,0,0\n")
+
+
+@pytest.mark.parametrize("stream, argv", [
+    ("stdin", ("map", "--name", "p")),
+    ("stdin", ("convert", "--from", "pred", "--to", "word")),
+    ("stdout", ("enumerate", "--kind", "uio", "--n", "3")),
+], ids=["map", "convert", "enumerate"])
+def test_a_closed_stdin_or_stdout_is_a_usage_error(capsys, monkeypatch, stream, argv):
+    # Python sets sys.stdin or sys.stdout to None when its descriptor is
+    # closed at start-up (dyckzeta map --name p <&-): one error line, status 2
+    monkeypatch.setattr(sys, stream, None)
+    code = main(list(argv))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {stream} is closed\n"
+
+
+def test_a_closed_stdin_is_not_read_for_a_value_on_the_command_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", None)
+    assert run(capsys, "map", "--name", "p", "0,1") == (0, "aabb\n", "")
 
 
 def test_map_over_words_strips_crlf(capsys, monkeypatch):

@@ -33,6 +33,7 @@ usable CPUs.
 import json
 import random
 from itertools import product
+from os.path import commonprefix
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -62,6 +63,7 @@ from dyckzeta import (
     zeta,
 )
 from dyckzeta import cli, partlist
+from dyckzeta.lattice import _text_of_area
 from dyckzeta.partlist import _insert_all
 from dyckzeta.zeta import _peak_parameters, zeta_scan
 
@@ -107,9 +109,72 @@ def test_kernel_listings_equal_q_map(monkeypatch):
 def test_walk_over_any_stream_equals_insert_all(orders):
     # sizes 0..8 in any order, with repeats and shorter or empty vectors
     # (in the example, 0,0 changes a prefix that 0,0,1,1 then extends past
-    # the shorter vector): the walk gives each vector its own insertion run
-    listings = list(partlist._walk(u.pred for u in orders))
-    assert listings == [_insert_all(u)[0] for u in orders]
+    # the shorter vector): the walk gives each vector its own insertion run,
+    # whether it is told the whole prefix kept from the vector before or
+    # less, and each listing's path is p's
+    preds = [u.pred for u in orders]
+    expected = [(bytes(_insert_all(u)[0]), str(p_map(u))) for u in orders]
+    for less in (0, 1, 9):
+        steps = ((d - min(d, less), pred) for d, pred in kept_prefixes(preds))
+        assert list(partlist._walk(steps)) == expected
+
+
+def kept_prefixes(preds):
+    """(d, pred) per vector, d the length of the prefix it shares with the
+    vector before (the empty one for the first)."""
+    return [(len(commonprefix([pred, prev])), pred) for pred, prev in zip(preds, [()] + preds)]
+
+
+def flags_and_rule(preds):
+    """Whether the walk gives a path for each listing of a stream (each
+    path _text_of_area's), and the area rule of the listings."""
+    walked = list(partlist._walk(kept_prefixes(preds)))
+    assert len(walked) == len(preds)
+    for s, path in walked:
+        assert path in (None, _text_of_area(s)), s
+    return [path is not None for _, path in walked], [
+        harness._is_area_sequence(s) for s, _ in walked]
+
+
+@pytest.mark.parametrize("top", [1, 2, 3, 4])
+def test_walk_gives_a_path_exactly_to_the_area_sequences_it_makes(monkeypatch, top):
+    # the walk writes level `top` as another letter, over every order of
+    # size <= 8 whose levels stop there (so that no insertion anchors on a
+    # letter `top`): its listings break the area rule going into the letter
+    # or out of it, and are grown from listings that do or do not; those
+    # that keep it get their path, and no other
+    preds = [u.pred for n in range(9) for u in enumerate_uio(n)
+             if max(_insert_all(u)[1], default=0) <= top]
+    seen = set()
+    for letter in range(top + 2):
+        letters = list(partlist._LETTERS)
+        letters[top] = partlist._LETTERS[letter]
+        monkeypatch.setattr(partlist, "_LETTERS", tuple(letters))
+        flags, rule = flags_and_rule(preds)
+        assert flags == rule, letter
+        seen.update(rule)
+    assert seen == {True, False}
+
+
+@given(st.lists(st.lists(st.integers(0, 7), max_size=8), max_size=16))
+@example([[0, 1, 0]])
+def test_walk_gives_a_path_only_to_area_sequences(vectors):
+    # vectors with pred[j] <= j, orders or not, and C one short: insertions
+    # land early, and most listings are no area sequences; a path comes only
+    # with one, and is its path.  A later, lower letter can mend a listing
+    # (0,1,0 walks 0, then 1,0, then 0,1,0): it gets no path, and the map
+    # checks it whole
+    preds = [tuple(min(p, j) for j, p in enumerate(v)) for v in vectors]
+    real = partlist.bisect_left
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partlist, "bisect_left",
+                      lambda a, x, lo, hi: min(real(a, x, lo, hi) + 1, hi))
+        try:
+            for listing, path in partlist._walk(kept_prefixes(preds)):
+                assert path is None or (
+                    harness._is_area_sequence(listing) and path == _text_of_area(listing))
+        except PreconditionError:   # an insertion found no anchor
+            pass
 
 
 def test_translate_reading_and_kernel_paths_equal_the_oracles(monkeypatch):
