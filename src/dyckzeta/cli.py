@@ -32,6 +32,8 @@ from .lattice import (
 from .partlist import _bound_listing, _walk
 from .uio import (
     _complement,
+    _kept_prefixes,
+    _preds,
     enumerate_uio,
     parse_intervals,
     parse_pred,
@@ -121,15 +123,14 @@ def _cmd_convert(args) -> int:
 # ------------------------------------------------------------------- maps
 
 def _cmd_map(args) -> int:
-    _write_lines(_apply_named_map(args.name, _each_value(args.value)),
-                 args.value is None)
+    _write_lines(_apply_named_map(args.name, _each_value(args.value)), args.value is None)
     return 0
 
 
 def _apply_named_map(name: str, values):
-    """The image of each value under the named map, in input order: q, p and
-    unzeta = zeta_inverse = p o a^-1 read q(U) or its path off one insertion
-    walk (partlist._walk), and check as an AreaSequence only what it does not."""
+    """Each value's image under the named map, in input order: q, p and unzeta
+    = zeta_inverse = p o a^-1 read q(U) off one insertion walk (_walk), and
+    check as an AreaSequence only a listing the walk does not vouch for."""
     if name == "a":
         return map(_FROM_AREA["word"], map(_TO_AREA["pred"], values))
     if name == "zeta":
@@ -137,44 +138,8 @@ def _apply_named_map(name: str, values):
     if name == "a-inverse":
         return map(_csv, map(_pred_of_word, values))
     steps = _kept_prefixes(map(_pred_of_word, values)) if name == "unzeta" else _preds(values)
-    if name == "q":
-        return (_csv(s if path is not None else AreaSequence(s).entries)
-                for s, path in _walk(steps))
-    return (path or _text_of_area(AreaSequence(s).entries) for s, path in _walk(steps))
-
-
-def _kept_prefixes(rows):
-    """(d, row) per row, d the length of the prefix it keeps from the one before."""
-    prev = ()
-    for row in rows:
-        d, top = 0, min(len(row), len(prev))
-        while d < top and row[d] == prev[d]:
-            d += 1
-        yield d, row
-        prev = row
-
-
-def _preds(values):
-    """(d, pred) per pred line, pred one list that keeps the d entries of the
-    tokens kept from the line before and reads the others as plain ASCII
-    digits in pred[j - 1]..j, or else the line's parse_pred vector or error."""
-    pred = []
-    for d, tokens in _kept_prefixes(line.split(",") if line else [] for line in values):
-        digits = "".join(rest := tokens[d:])
-        try:                # an empty token, or one past int()'s digit limit
-            suffix = list(map(int, rest)) if digits.isdigit() and digits.isascii() else ()
-        except ValueError:
-            suffix = ()
-        low = pred[d - 1] if d else 0
-        for j, p in enumerate(suffix, d):
-            if not low <= p <= j:
-                suffix = ()
-                break
-            low = p
-        if len(suffix) != len(rest):
-            suffix = parse_pred(",".join(tokens)).pred[d:]
-        pred[d:] = suffix
-        yield d, pred
+    text = _csv if name == "q" else _text_of_area
+    return (text(s if known else AreaSequence(s).entries) for s, known in _walk(steps))
 
 
 def _pred_of_word(line: str) -> tuple[int, ...]:

@@ -288,22 +288,20 @@ def _insert_all(u: UnitIntervalOrder) -> tuple[tuple[int, ...], list, list, list
     return cur, lv, cs, positions
 
 
-def _walk(steps: Iterable[tuple[int, Sequence[int]]]) -> Iterator[tuple[bytes, str | None]]:
-    """q(U) as bytes, unchecked, and the a/b text of its path if it is known
-    to be an area sequence (else None), per (d, pred) of a stream: pred
-    vectors in any order and of any size up to LISTING_MAX_N (a longer one
-    is refused before it is walked), each keeping the first d entries of the
-    one before, so that only pred[d:] is inserted, as _insert does.  A
-    letter x put into an area sequence at pos, after a letter up - 1 (up = 0
-    at the start) and before a letter down (0 at the end), keeps it one iff
-    x <= up and down <= x + 1, and turns the path's up - down RIGHT steps
-    at 2 pos - up into up - x, an UP step and x + 1 - down."""
+def _walk(steps: Iterable[tuple[int, Sequence[int]]]) -> Iterator[tuple[bytes, bool]]:
+    """q(U) as bytes, unchecked, and whether it is known to be an area
+    sequence, per (d, pred) of a stream: pred vectors in any order and of
+    any size up to LISTING_MAX_N (a longer one is refused before it is
+    walked), each keeping the first d entries of the one before, so that
+    only pred[d:] is inserted, as _insert does.  A letter x put into an area
+    sequence keeps it one iff x is at most one more than the letter before
+    it (0 at the start) and the letter after it at most one more than x."""
     lv = [0] * LISTING_MAX_N                        # lv[i]: level of element i
-    stack = [(b"", "")] * (LISTING_MAX_N + 1)       # stack[i]: the listing of
-    for d, pred in steps:                           # elements 0..i - 1, its path
+    stack = [(b"", True)] * (LISTING_MAX_N + 1)     # stack[i]: the listing of
+    for d, pred in steps:                           # elements 0..i - 1, its flag
         _bound_listing(n := len(pred))
         for i, p in enumerate(pred[d:], d):
-            cur, path = stack[i]
+            cur, known = stack[i]
             level = lv[p - 1] + 1 if p else 0
             c = p - bisect_left(lv, level - 1, 0, p)
             parts = cur.split(_LETTERS[level - 1], c) if c else (cur,)
@@ -314,12 +312,9 @@ def _walk(steps: Iterable[tuple[int, Sequence[int]]]) -> Iterator[tuple[bytes, s
                 pos += 1
             grown = cur[:pos] + _LETTERS[level] + cur[pos:]
             x = grown[pos]                          # the letter written
-            up = grown[pos - 1] + 1 if pos else 0
-            down = grown[pos + 1] if pos < i else 0
-            at = 2 * pos - up
-            path = None if path is None or x > up or down > x + 1 else (
-                path[:at] + "b" * (up - x) + "a" + "b" * (x + 1 - down) + path[at + up - down:])
-            stack[i + 1], lv[i] = (grown, path), level
+            known = known and x <= (grown[pos - 1] + 1 if pos else 0) and (
+                pos == i or grown[pos + 1] <= x + 1)
+            stack[i + 1], lv[i] = (grown, known), level
         yield stack[n]
 
 

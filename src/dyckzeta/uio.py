@@ -249,6 +249,41 @@ def parse_pred(text: str) -> UnitIntervalOrder:
     return UnitIntervalOrder(_parse_int_vector(text))
 
 
+def _kept_prefixes(rows):
+    """(d, row) per row, d the length of the prefix it keeps from the one before."""
+    prev = ()
+    for row in rows:
+        d, top = 0, min(len(row), len(prev))
+        while d < top and row[d] == prev[d]:
+            d += 1
+        yield d, row
+        prev = row
+
+
+def _preds(values):
+    """(d, pred) per pred line of map's stream, pred one list that keeps the
+    d entries of the tokens kept from the line before and reads the others
+    as plain ASCII digits under the order rule pred[j - 1] <= pred[j] <= j;
+    any other token or entry gets the line's parse_pred vector or error."""
+    pred = []
+    for d, tokens in _kept_prefixes(line.split(",") if line else [] for line in values):
+        digits = "".join(rest := tokens[d:])
+        try:                # an empty token, or one past int()'s digit limit
+            suffix = list(map(int, rest)) if digits.isdigit() and digits.isascii() else ()
+        except ValueError:
+            suffix = ()
+        low = pred[d - 1] if d else 0
+        for j, p in enumerate(suffix, d):
+            if not low <= p <= j:
+                suffix = ()
+                break
+            low = p
+        if len(suffix) != len(rest):
+            suffix = parse_pred(",".join(tokens)).pred[d:]
+        pred[d:] = suffix
+        yield d, pred
+
+
 def parse_intervals(text: str) -> IntervalConfiguration:
     """Parse a JSON list of {"num": ..., "den": ...} left endpoints."""
     try:

@@ -37,7 +37,7 @@ from dyckzeta import (
     zeta,
     zeta_inverse,
 )
-from dyckzeta import cli, partlist
+from dyckzeta import cli, partlist, uio
 from dyckzeta.cli import main
 from dyckzeta.lattice import AREA_SET_TEXT_MAX_N
 from helpers import pred_vectors, rewrite_kernel
@@ -748,7 +748,7 @@ def read_last(lines):
     """The last line's vector as the map's pred reader reads it after the
     lines before it, or the message of the line it refuses."""
     try:
-        return [tuple(pred) for _, pred in cli._preds(lines)][-1]
+        return [tuple(pred) for _, pred in uio._preds(lines)][-1]
     except dyckzeta.ValidationError as exc:
         return str(exc)
 

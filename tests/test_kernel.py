@@ -63,7 +63,6 @@ from dyckzeta import (
     zeta,
 )
 from dyckzeta import cli, partlist
-from dyckzeta.lattice import _text_of_area
 from dyckzeta.partlist import _insert_all
 from dyckzeta.zeta import _peak_parameters, zeta_scan
 
@@ -111,9 +110,9 @@ def test_walk_over_any_stream_equals_insert_all(orders):
     # (in the example, 0,0 changes a prefix that 0,0,1,1 then extends past
     # the shorter vector): the walk gives each vector its own insertion run,
     # whether it is told the whole prefix kept from the vector before or
-    # less, and each listing's path is p's
+    # less, and vouches for each listing as an area sequence
     preds = [u.pred for u in orders]
-    expected = [(bytes(_insert_all(u)[0]), str(p_map(u))) for u in orders]
+    expected = [(bytes(_insert_all(u)[0]), True) for u in orders]
     for less in (0, 1, 9):
         steps = ((d - min(d, less), pred) for d, pred in kept_prefixes(preds))
         assert list(partlist._walk(steps)) == expected
@@ -126,23 +125,20 @@ def kept_prefixes(preds):
 
 
 def flags_and_rule(preds):
-    """Whether the walk gives a path for each listing of a stream (each
-    path _text_of_area's), and the area rule of the listings."""
+    """The walk's flag for each listing of a stream, and the area rule of
+    the listings."""
     walked = list(partlist._walk(kept_prefixes(preds)))
     assert len(walked) == len(preds)
-    for s, path in walked:
-        assert path in (None, _text_of_area(s)), s
-    return [path is not None for _, path in walked], [
-        harness._is_area_sequence(s) for s, _ in walked]
+    return [known for _, known in walked], [harness._is_area_sequence(s) for s, _ in walked]
 
 
 @pytest.mark.parametrize("top", [1, 2, 3, 4])
-def test_walk_gives_a_path_exactly_to_the_area_sequences_it_makes(monkeypatch, top):
+def test_walk_flags_exactly_the_area_sequences_it_makes(monkeypatch, top):
     # the walk writes level `top` as another letter, over every order of
     # size <= 8 whose levels stop there (so that no insertion anchors on a
     # letter `top`): its listings break the area rule going into the letter
     # or out of it, and are grown from listings that do or do not; those
-    # that keep it get their path, and no other
+    # that keep it are flagged, and no other
     preds = [u.pred for n in range(9) for u in enumerate_uio(n)
              if max(_insert_all(u)[1], default=0) <= top]
     seen = set()
@@ -158,21 +154,19 @@ def test_walk_gives_a_path_exactly_to_the_area_sequences_it_makes(monkeypatch, t
 
 @given(st.lists(st.lists(st.integers(0, 7), max_size=8), max_size=16))
 @example([[0, 1, 0]])
-def test_walk_gives_a_path_only_to_area_sequences(vectors):
+def test_walk_flags_only_area_sequences(vectors):
     # vectors with pred[j] <= j, orders or not, and C one short: insertions
-    # land early, and most listings are no area sequences; a path comes only
-    # with one, and is its path.  A later, lower letter can mend a listing
-    # (0,1,0 walks 0, then 1,0, then 0,1,0): it gets no path, and the map
-    # checks it whole
+    # land early, and most listings are no area sequences; only one is
+    # flagged.  A later, lower letter can mend a listing (0,1,0 walks 0,
+    # then 1,0, then 0,1,0): it is not flagged, and the map checks it whole
     preds = [tuple(min(p, j) for j, p in enumerate(v)) for v in vectors]
     real = partlist.bisect_left
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(partlist, "bisect_left",
                       lambda a, x, lo, hi: min(real(a, x, lo, hi) + 1, hi))
         try:
-            for listing, path in partlist._walk(kept_prefixes(preds)):
-                assert path is None or (
-                    harness._is_area_sequence(listing) and path == _text_of_area(listing))
+            for listing, known in partlist._walk(kept_prefixes(preds)):
+                assert not known or harness._is_area_sequence(listing)
         except PreconditionError:   # an insertion found no anchor
             pass
 
