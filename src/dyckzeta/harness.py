@@ -141,6 +141,8 @@ class VerificationReport:
 def _ceiling(check: str, n: int, max_n: Optional[int]) -> None:
     if n < 1:
         raise PreconditionError(f"{check} check needs n >= 1, got {n}")
+    if max_n is not None and max_n < 1:
+        raise PreconditionError(f"{check} check needs max_n >= 1, got {max_n}")
     ceiling = DEFAULT_CEILINGS[check] if max_n is None else max_n
     if n > ceiling:
         raise PreconditionError(

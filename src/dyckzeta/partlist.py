@@ -296,14 +296,17 @@ def _walk(steps: Iterable[tuple[int, Sequence[int]]]) -> Iterator[tuple[bytes, b
     only pred[d:] is inserted, as _insert does.  A letter x put into an area
     sequence keeps it one iff x is at most one more than the letter before
     it (0 at the start) and the letter after it at most one more than x."""
-    lv = [0] * LISTING_MAX_N                        # lv[i]: level of element i
+    # lv[i]: the level of element i; first[x]: the first element of level x,
+    # kept right below a kept prefix as levels only grow; lv[-1] = -1 and
+    # first[-1] = 0 give an element with no predecessor level 0 and C = 0
+    lv, first = [0] * LISTING_MAX_N + [-1], [0] * (LISTING_MAX_N + 1)
     stack = [(b"", True)] * (LISTING_MAX_N + 1)     # stack[i]: the listing of
     for d, pred in steps:                           # elements 0..i - 1, its flag
         _bound_listing(n := len(pred))
         for i, p in enumerate(pred[d:], d):
             cur, known = stack[i]
-            level = lv[p - 1] + 1 if p else 0
-            c = p - bisect_left(lv, level - 1, 0, p)
+            level = lv[p - 1] + 1
+            c = p - first[level - 1]
             parts = cur.split(_LETTERS[level - 1], c) if c else (cur,)
             if len(parts) <= c:     # fewer than C letters level - 1: the objects' error
                 _insertion_point(cur, level, c)
@@ -314,6 +317,8 @@ def _walk(steps: Iterable[tuple[int, Sequence[int]]]) -> Iterator[tuple[bytes, b
             x = grown[pos]                          # the letter written
             known = known and x <= (grown[pos - 1] + 1 if pos else 0) and (
                 pos == i or grown[pos + 1] <= x + 1)
+            if lv[i - 1] != level:
+                first[level] = i
             stack[i + 1], lv[i] = (grown, known), level
         yield stack[n]
 

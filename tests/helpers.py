@@ -353,20 +353,12 @@ def pred_vectors(draw, max_n=12):
 _KERNEL = harness._extension_children
 
 
-def rewrite_kernel(monkeypatch, edits, **names):
-    """Swap harness._extension_children for a copy that runs more statements.
-
-    The stream inlines the insertion, so a test faults or watches one of its
-    steps by rewriting it: `edits` maps the target of an assignment in the
-    stream, as source text such as "grown", to statements run right after
-    that assignment, which must occur exactly once.  Edits add up over
-    calls within one test; wrap_children comes after them.  `names` are set
-    on harness for those statements to call; monkeypatch undoes all of it.
-    """
-    current = harness._extension_children
-    assert current is _KERNEL or hasattr(current, "edits"), "rewrite before wrapping"
-    edits = {**getattr(current, "edits", {}), **edits}
-    tree = ast.parse(textwrap.dedent(inspect.getsource(_KERNEL)))
+def rewritten(fn, edits, namespace):
+    """fn compiled again in namespace (its globals) with more statements:
+    `edits` maps the target of an assignment in fn, as source text such as
+    "grown", to statements run right after that assignment, which must
+    occur exactly once."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
     sites = []
     for node in ast.walk(tree):
         for block in (getattr(node, "body", None), getattr(node, "orelse", None)):
@@ -378,13 +370,28 @@ def rewrite_kernel(monkeypatch, edits, **names):
     assert sorted(target for _, target, _ in sites) == sorted(edits), sites
     for idx, target, block in sorted(sites, key=lambda site: -site[0]):
         block[idx + 1:idx + 1] = ast.parse(edits[target]).body
+    scope = {}
+    code = compile(ast.fix_missing_locations(tree), f"<rewritten {fn.__name__}>", "exec")
+    exec(code, namespace, scope)
+    return scope[fn.__name__]
+
+
+def rewrite_kernel(monkeypatch, edits, **names):
+    """Swap harness._extension_children for a copy that runs more statements.
+
+    The stream inlines the insertion, so a test faults or watches one of its
+    steps by rewriting it (see rewritten).  Edits add up over calls within
+    one test; wrap_children comes after them.  `names` are set on harness
+    for those statements to call; monkeypatch undoes all of it.
+    """
+    current = harness._extension_children
+    assert current is _KERNEL or hasattr(current, "edits"), "rewrite before wrapping"
+    edits = {**getattr(current, "edits", {}), **edits}
     for name, value in names.items():
         monkeypatch.setattr(harness, name, value, raising=False)
-    scope = {}
-    code = compile(ast.fix_missing_locations(tree), "<rewritten kernel>", "exec")
-    exec(code, vars(harness), scope)
-    scope["_extension_children"].edits = edits
-    monkeypatch.setattr(harness, "_extension_children", scope["_extension_children"])
+    kernel = rewritten(_KERNEL, edits, vars(harness))
+    kernel.edits = edits
+    monkeypatch.setattr(harness, "_extension_children", kernel)
 
 
 def wrap_children(monkeypatch, edit):

@@ -295,6 +295,22 @@ def test_verify_refuses_fewer_than_one_job(capsys, check, jobs):
     assert f"needs at least 1 worker, got {jobs}" in err
 
 
+@pytest.mark.parametrize("max_n", ["0", "-5"])
+def test_verify_refuses_a_ceiling_below_one(capsys, max_n):
+    code, out, err = run(capsys, "verify", "--check", "theorem", "--n", "3",
+                         "--max-n", max_n)
+    assert (code, out) == (2, "")
+    assert f"argument --max-n: needs a ceiling of at least 1, got {max_n}\n" in err
+
+
+def test_verify_takes_a_ceiling_of_one(capsys):
+    code, out, err = run(capsys, "verify", "--check", "theorem", "--n", "1", "--max-n", "1")
+    assert (code, err) == (0, "") and "PASS" in out
+    code, out, err = run(capsys, "verify", "--check", "theorem", "--n", "2", "--max-n", "1")
+    assert (code, out, err) == (2, "", "error: theorem check capped at n = 1; "
+                                       "pass max_n to raise it\n")
+
+
 def test_verify_jobs_env_default(capsys, monkeypatch):
     # the default is the usable CPUs: three of them ask each pooled check for
     # three jobs, and a stale DYCKZETA_JOBS in the environment changes nothing
@@ -926,6 +942,68 @@ def test_a_pipe_of_unbuffered_processes_prints_the_in_process_output(
     assert out.count(b"\n") == 429
 
 
+#: A process that registers an atexit probe before it imports the package,
+#: so that the probe runs last (atexit runs its handlers last-in first-out),
+#: after any handler main registers.  It runs `calls` through cli.main, with
+#: gc.freeze counting its calls, and the probe prints on stderr whether the
+#: objects alive at exit were frozen and how many times freeze ran.
+EXIT_PROBE = """
+import atexit, gc, sys
+freezes, freeze = [], gc.freeze
+gc.freeze = lambda: freezes.append(1) or freeze()
+atexit.register(lambda: print(gc.get_freeze_count() > 0, len(freezes), file=sys.stderr))
+{imports}
+for argv in {calls}:
+    dyckzeta.cli.main(argv)
+"""
+
+
+@pytest.mark.parametrize("imports, calls, err", [
+    ("import dyckzeta", [], "False 0\n"),
+    ("import dyckzeta.cli", [], "False 0\n"),
+    ("import dyckzeta.cli", [["render", "ab"]], "True 1\n"),
+    ("import dyckzeta.cli", [["render", "ab"], ["map", "--name", "p", "0"]], "True 1\n"),
+], ids=["import-package", "import-cli", "main", "main-twice"])
+def test_only_a_cli_verb_freezes_the_objects_at_exit_once(imports, calls, err):
+    # the interpreter's exit collections then skip every object alive at
+    # exit; importing the library changes nothing about collection
+    src = os.path.dirname(os.path.dirname(dyckzeta.__file__))
+    code = EXIT_PROBE.format(imports=imports, calls=calls)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stderr.decode()) == (0, err)
+    assert done.stdout == b"".join(b"+-+\n|/\n+ +\n" if argv[0] == "render" else b"ab\n"
+                                   for argv in calls)
+
+
+@pytest.mark.parametrize("into", ["pipe", "file"])
+def test_a_pipe_of_processes_that_freeze_at_exit_loses_no_line(tmp_path, into):
+    # buffered stdout, flushed at exit after the freeze: every line of
+    # p(U) for the 1 430 orders of size 8 arrives, into a pipe or a file
+    enum = cli_process("enumerate", "--kind", "uio", "--n", "8", stdout=subprocess.PIPE)
+    with open(tmp_path / "p", "wb") as file:
+        mapper = cli_process("map", "--name", "p", stdin=enum.stdout,
+                             stdout=subprocess.PIPE if into == "pipe" else file,
+                             stderr=subprocess.PIPE)
+        enum.stdout.close()
+        out, err = mapper.communicate(timeout=60)
+    if into == "file":
+        out = (tmp_path / "p").read_bytes()
+    assert (enum.wait(timeout=60), mapper.returncode, err) == (0, 0, b"")
+    assert out.decode() == "".join(f"{p_map(u)}\n" for u in enumerate_uio(8))
+    assert out.count(b"\n") == 1430
+
+
+@pytest.mark.parametrize("n, status, err", [
+    ("4", 0, b""), ("0", 2, b"error: theorem check needs n >= 1, got 0\n")])
+def test_verify_as_a_process_keeps_its_exit_status(n, status, err):
+    done = cli_process("verify", "--check", "theorem", "--n", n, "--jobs", "1",
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    stdout, stderr = done.communicate(timeout=60)
+    assert (done.returncode, stderr) == (status, err)
+    assert (b" PASS\n" in stdout) == (status == 0)
+
+
 def test_an_unbuffered_enumerate_into_a_closed_pipe_exits_0_quietly():
     # read one line and close the pipe, as `| head -n 1` does; the 16 796
     # lines at n = 10 outgrow the pipe, so later blocks meet a closed pipe
@@ -941,7 +1019,9 @@ def test_an_unbuffered_enumerate_into_a_closed_pipe_exits_0_quietly():
     ("stdin", ("map", "--name", "p")),
     ("stdin", ("convert", "--from", "pred", "--to", "word")),
     ("stdout", ("enumerate", "--kind", "uio", "--n", "3")),
-], ids=["map", "convert", "enumerate"])
+    ("stdout", ("verify", "--check", "theorem", "--n", "3")),
+    ("stdout", ("render", "aabb")),
+], ids=["map", "convert", "enumerate", "verify", "render"])
 def test_a_closed_stdin_or_stdout_is_a_usage_error(capsys, monkeypatch, stream, argv):
     # Python sets sys.stdin or sys.stdout to None when its descriptor is
     # closed at start-up (dyckzeta map --name p <&-): one error line, status 2
@@ -949,6 +1029,37 @@ def test_a_closed_stdin_or_stdout_is_a_usage_error(capsys, monkeypatch, stream, 
     code = main(list(argv))
     assert code == 2
     assert capsys.readouterr().err == f"error: {stream} is closed\n"
+
+
+class BadDescriptor:
+    """A std stream whose descriptor was closed at start-up and reused by a
+    file the interpreter opened for reading: every write fails."""
+
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+    def flush(self):
+        raise OSError(9, "Bad file descriptor")
+
+
+def interrupted(n, jobs=1, max_n=None):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("stderr", [None, BadDescriptor()], ids=["none", "bad-fd"])
+@pytest.mark.parametrize("argv", [
+    ("map", "--name", "p", "0,5"),
+    ("verify", "--check", "theorem", "--n", "0"),
+    ("verify", "--check", "grevlex", "--n", "3"),
+    ("map", "--name", "r", "0"),
+], ids=["validation", "precondition", "interrupted", "usage"])
+def test_an_error_with_stderr_closed_exits_2_and_writes_nothing_to_stdout(
+    capsys, monkeypatch, stderr, argv
+):
+    monkeypatch.setitem(cli.harness.CHECKS, "grevlex", interrupted)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(list(argv)) == 2
+    assert capsys.readouterr() == ("", "")
 
 
 def test_a_closed_stdin_is_not_read_for_a_value_on_the_command_line(capsys, monkeypatch):

@@ -108,6 +108,22 @@ def test_ceilings_guard_and_override():
     assert check_theorem(3, max_n=3).passed
 
 
+@pytest.mark.parametrize("check", [check_theorem, check_induction_step,
+                                   check_bijections, check_grevlex])
+@pytest.mark.parametrize("max_n", [0, -5])
+def test_a_ceiling_below_one_is_refused(check, max_n):
+    with pytest.raises(PreconditionError, match=f"needs max_n >= 1, got {max_n}$"):
+        check(1, max_n=max_n)
+
+
+@pytest.mark.parametrize("check", [check_theorem, check_induction_step,
+                                   check_bijections, check_grevlex])
+def test_a_ceiling_of_one_runs_size_one_only(check):
+    assert check(1, max_n=1).passed
+    with pytest.raises(PreconditionError, match="capped at n = 1"):
+        check(2, max_n=1)
+
+
 def test_byte_kernel_refuses_sizes_past_255():
     # raised before any pair is drawn: by the size check for a size past
     # 255, by the first shard for induction's children of size 256

@@ -41,6 +41,7 @@ from hypothesis import example, given, strategies as st
 from dyckzeta import (
     AreaSequence,
     PreconditionError,
+    UnitIntervalOrder,
     ValidationError,
     a_inverse,
     a_map,
@@ -72,6 +73,7 @@ from helpers import (
     pred_vectors,
     read_zeta_by_scan,
     rewrite_kernel,
+    rewritten,
     wrap_children,
 )
 
@@ -116,6 +118,29 @@ def test_walk_over_any_stream_equals_insert_all(orders):
     for less in (0, 1, 9):
         steps = ((d - min(d, less), pred) for d, pred in kept_prefixes(preds))
         assert list(partlist._walk(steps)) == expected
+
+
+@given(st.lists(pred_vectors(max_n=8), max_size=12), st.randoms(use_true_random=False))
+@example([parse_pred(text) for text in ("0,1,2,3,3,3", "0,1,1", "0,1,1,1,2,5,5")],
+         random.Random(0))
+def test_walk_reads_each_c_from_its_level_table_as_bisect_counts_it(orders, rng):
+    # mixed sizes, then shuffled and repeated: every insertion's C, read
+    # off the table of each level's first element that the walk keeps
+    # across lines, counts the predecessors one level lower as bisect does
+    # (in the example, 0,1,1 keeps levels 0 and 1 of 0,1,2,3,3,3, and the
+    # next line writes levels 2 and 3 again, further right, and reads them)
+    preds = [u.pred for u in orders]
+    shuffled = rng.sample(preds, len(preds))
+    stream = preds + shuffled + shuffled[:3]
+    counts = []
+    walk = rewritten(partlist._walk, {
+        "c": "counts.append((c, p - bisect_left(lv, level - 1, 0, p)))"},
+        {**vars(partlist), "counts": counts})
+    steps = kept_prefixes(stream)
+    assert list(walk(steps)) == [(bytes(_insert_all(UnitIntervalOrder(pred))[0]), True)
+                                 for pred in stream]
+    assert len(counts) == sum(len(pred) - d for d, pred in steps)
+    assert all(c == count for c, count in counts)
 
 
 def kept_prefixes(preds):
