@@ -183,8 +183,24 @@ def area_sequence_from_word(d: DyckWord) -> AreaSequence:
     return AreaSequence(tuple(2 * j - i for j, i in enumerate(ups)))
 
 
+#: Largest box count area_set_from_area_sequence builds.  The count is the
+#: sum of the entries, quadratic in n: the staircase word of 2 000 a's then
+#: 2 000 b's names about 2 million boxes and took 7.6 s and 420 MB to
+#: convert, 99 681 boxes 0.41 s and 37 MB (Python 3.11, 2-CPU VM).
+AREA_SET_MAX_BOXES = 100_000
+
+
 def area_set_from_area_sequence(s: AreaSequence) -> AreaSet:
-    """Row j holds the a_j boxes (j - a_j, j), ..., (j - 1, j)."""
+    """Row j holds the a_j boxes (j - a_j, j), ..., (j - 1, j).
+
+    The box count, sum(a_j), must be at most AREA_SET_MAX_BOXES, checked
+    before any box is built.
+    """
+    total = sum(s.entries)
+    if total > AREA_SET_MAX_BOXES:
+        raise PreconditionError(
+            f"area sets are limited to {AREA_SET_MAX_BOXES} boxes, got {total}"
+        )
     boxes = {
         (i, j)
         for j, a in enumerate(s.entries, start=1)
@@ -217,14 +233,6 @@ def peaks(d: DyckWord) -> tuple[Peak, ...]:
         else:
             x += 1
     return tuple(found)
-
-
-def final_peak(d: DyckWord) -> Peak:
-    """Last peak of the path."""
-    all_peaks = peaks(d)
-    if not all_peaks:
-        raise PreconditionError("the empty path has no peaks")
-    return all_peaks[-1]
 
 
 def final_maximal_peak(d: DyckWord) -> Peak:

@@ -10,10 +10,8 @@ q_map builds it one element at a time.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError, ValidationError
@@ -92,73 +90,6 @@ class Poset:
     def relation_count(self) -> int:
         return sum(row.count(True) for row in self.below)
 
-    def covers(self, i: int, j: int) -> bool:
-        """True iff i is below j with nothing strictly between them."""
-        return self.holds(i, j) and not any(
-            self.holds(i, k) and self.holds(k, j) for k in range(1, self.n + 1)
-        )
-
-
-def poset_to_json(p: Poset, covers: bool = False) -> str:
-    """Serialize as a JSON relation list [[i,j],...], sorted.
-
-    With covers=True only the covering pairs are emitted; otherwise the full
-    relation.
-    """
-    keep = p.covers if covers else p.holds
-    pairs = [
-        [i, j]
-        for i in range(1, p.n + 1)
-        for j in range(1, p.n + 1)
-        if keep(i, j)
-    ]
-    return json.dumps({"n": p.n, "relations": pairs, "covers": covers})
-
-
-#: Largest n poset_from_json accepts.  Its transitive closure and the
-#: Poset checks are cubic in n: a 200-element chain given by its covers
-#: parses in about 0.33 s (Python 3.11, 2-CPU VM).
-POSET_JSON_MAX_N = 200
-
-
-def poset_from_json(text: str) -> Poset:
-    """Parse the output of poset_to_json; covering input is closed
-    transitively before the poset invariants are checked.
-
-    n must be an integer in 0..POSET_JSON_MAX_N (200), checked before
-    anything of size n is allocated.
-    """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad poset JSON: {exc}") from None
-    if (
-        not isinstance(raw, dict)
-        or not isinstance(raw.get("n"), int)
-        or not isinstance(raw.get("relations"), list)
-    ):
-        raise ValidationError('poset JSON must be {"n": ..., "relations": [[i,j],...]}')
-    n = raw["n"]
-    if isinstance(n, bool) or not 0 <= n <= POSET_JSON_MAX_N:
-        raise ValidationError(
-            f"poset size must be an integer in 0..{POSET_JSON_MAX_N}, got {n!r}"
-        )
-    below = [[False] * n for _ in range(n)]
-    for pair in raw["relations"]:
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(type(e) is int and 1 <= e <= n for e in pair)
-        ):
-            raise ValidationError(f"bad relation pair {pair!r}")
-        below[pair[0] - 1][pair[1] - 1] = True
-    if raw.get("covers"):       # Warshall: one pass per intermediate k
-        for k, through in enumerate(below):
-            for row in below:
-                if row[k]:
-                    row[:] = map(or_, row, through)
-    return Poset(n, tuple(tuple(row) for row in below))
-
 
 @dataclass(frozen=True, slots=True)
 class InsertionTrace:
@@ -209,15 +140,6 @@ def poset_of(w: PartListing) -> Poset:
     return Poset(n, tuple(below))
 
 
-def poset_from_uio(u: UnitIntervalOrder) -> Poset:
-    """The order u as a relation matrix on the same labels."""
-    below = [
-        tuple(i + 1 <= u.pred[j] for j in range(u.n))
-        for i in range(u.n)
-    ]
-    return Poset(u.n, tuple(below))
-
-
 def _insertion_point(entries: tuple[int, ...], level: int, c: int) -> int:
     """Index at which one copy of `level` is inserted.
 
@@ -225,12 +147,6 @@ def _insertion_point(entries: tuple[int, ...], level: int, c: int) -> int:
     c = 0), then advance past the contiguous run of letters equal to `level`
     beginning there.  Occurrences of `level` elsewhere are not skipped.
     """
-    if level < 0:
-        raise PreconditionError(f"level must be non-negative, got {level}")
-    if c < 0:
-        raise PreconditionError(f"count must be non-negative, got {c}")
-    if level == 0 and c != 0:
-        raise PreconditionError("no letter below 0 exists, so c must be 0 at level 0")
     pos = 0
     try:
         for _ in range(c):
@@ -241,16 +157,6 @@ def _insertion_point(entries: tuple[int, ...], level: int, c: int) -> int:
     while pos < len(entries) and entries[pos] == level:
         pos += 1
     return pos
-
-
-def q_step(q_prev: PartListing, level: int, c: int) -> PartListing:
-    """One insertion step: add a copy of `level` to q_prev.
-
-    See _insertion_point for the placement rule.
-    """
-    pos = _insertion_point(q_prev.entries, level, c)
-    e = q_prev.entries
-    return PartListing(e[:pos] + (level,) + e[pos:])
 
 
 def _insert(
@@ -330,7 +236,7 @@ def q_map(u: UnitIntervalOrder) -> tuple[PartListing, InsertionTrace]:
     than i's; since levels are weakly increasing these predecessors are a
     contiguous block of {1, ..., pred[i]}.  The finished listing is always a
     valid area sequence, and its poset is the original order up to the
-    relabeling of relabeled_poset.
+    relabeling that numbers its elements by (value, position) (_order_of).
     """
     cur, lv, cs, positions = _insert_all(u)
     AreaSequence(cur)   # the finished listing must be an area sequence
@@ -341,35 +247,6 @@ def q_map(u: UnitIntervalOrder) -> tuple[PartListing, InsertionTrace]:
 def p_map(u: UnitIntervalOrder) -> DyckWord:
     """Path whose area sequence is the listing produced by q_map."""
     return _word_of_area(_insert_all(u)[0])
-
-
-def f_permutation(w: PartListing) -> tuple[int, ...]:
-    """Number positions by increasing entry value, ties left to right.
-
-    All positions holding 0 get 1, 2, ... left to right, then the positions
-    holding 1, and so on; entry i of the result is the number assigned to
-    position i.
-    """
-    by_value = sorted(range(w.n), key=lambda i: (w.entries[i], i))
-    f = [0] * w.n
-    for number, pos in enumerate(by_value, start=1):
-        f[pos] = number
-    return tuple(f)
-
-
-def relabeled_poset(w: PartListing) -> Poset:
-    """Transport poset_of(w) along f_permutation: i below j iff their
-    preimages compare in the listing's poset."""
-    base = poset_of(w)
-    f = f_permutation(w)
-    preimage = [0] * w.n            # preimage[label - 1] = 0-based position
-    for pos, label in enumerate(f):
-        preimage[label - 1] = pos
-    below = [
-        tuple(base.below[preimage[i]][preimage[j]] for j in range(w.n))
-        for i in range(w.n)
-    ]
-    return Poset(w.n, tuple(below))
 
 
 def _degrees(p: Poset) -> list[tuple[int, int]]:
@@ -418,42 +295,20 @@ def is_isomorphic(p1: Poset, p2: Poset) -> bool:
     return backtrack(0)
 
 
-def grevlex_key(w: PartListing) -> tuple[int, tuple[int, ...]]:
-    """Sort key realizing graded reverse lexicographic order."""
-    return (sum(w.entries), tuple(-x for x in w.entries))
-
-
-def grevlex_compare(w1: PartListing, w2: PartListing) -> int:
-    """-1, 0 or 1 as w1 is smaller, equal or larger in grevlex order.
-
-    Sums compare first; on a tie the listing with the LARGER entry at the
-    first differing position is the smaller one.
-    """
-    if w1.n != w2.n:
-        raise PreconditionError(
-            f"grevlex compares equal-length listings, got {w1.n} and {w2.n}"
-        )
-    k1, k2 = grevlex_key(w1), grevlex_key(w2)
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
-
-
 def _order_of(w: Sequence[int]) -> tuple[int, ...]:
     """The pred vector of the unit interval order that poset_of(w) is
     isomorphic to: the sorted sizes of the down-sets, where the entry x at
     position p lies above the entries <= x - 2 and the entries x - 1
     before p.
 
-    Number the elements by (value, position), f_permutation's order.  The
-    down-set of x at p is then a prefix: every entry <= x - 2, then the
-    entries x - 1 before p, which come first among the x - 1.  The prefixes
-    grow along the order: an x after p has no fewer x - 1 before it, and
-    the down-set of an x + 1 or more holds every entry <= x - 1.  So
-    relabeled_poset(w) is the unit interval order whose pred vector lists
-    these sizes in that order, which is the sorted one.  The C_n pred
+    Number the elements by (value, position): the 0s left to right, then
+    the 1s, and so on.  The down-set of x at p is then a prefix: every
+    entry <= x - 2, then the entries x - 1 before p, which come first among
+    the x - 1.  The prefixes grow along the order: an x after p has no fewer
+    x - 1 before it, and the down-set of an x + 1 or more holds every entry
+    <= x - 1.  So poset_of(w), so renumbered, is the unit interval order
+    whose pred vector lists these sizes in that order, which is the sorted
+    one (tests/helpers.py's relabeled_poset renumbers it).  The C_n pred
     vectors give the C_n orders up to isomorphism, so two listings have
     isomorphic posets exactly when their vectors are equal.  So _order_of
     inverts q, and the bijections sweep checks q by it.

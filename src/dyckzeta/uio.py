@@ -13,10 +13,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from operator import sub
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import PreconditionError, ValidationError
 from .lattice import (
@@ -27,12 +26,6 @@ from .lattice import (
     area_sequence_from_word,
     catalan,
 )
-
-
-class Relation(Enum):
-    BELOW = "below"
-    ABOVE = "above"
-    INCOMPARABLE = "incomparable"
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,11 +77,6 @@ class IntervalConfiguration:
                     f"{self.lefts[idx - 1]}"
                 )
 
-    @classmethod
-    def normalized(cls, lefts: Iterable[Fraction | int]) -> "IntervalConfiguration":
-        """Sort endpoints; ties keep their input order (stable)."""
-        return cls(tuple(sorted(_exact(x) for x in lefts)))
-
     @property
     def n(self) -> int:
         return len(self.lefts)
@@ -111,20 +99,6 @@ def uio_from_intervals(config: IntervalConfiguration) -> UnitIntervalOrder:
     lefts = config.lefts
     pred = tuple(bisect_left(lefts, left - 1) for left in lefts)
     return UnitIntervalOrder(pred)
-
-
-def relation(u: UnitIntervalOrder, i: int, j: int) -> Relation:
-    """How elements i and j compare in u (1-based, distinct)."""
-    for e in (i, j):
-        if not 1 <= e <= u.n:
-            raise PreconditionError(f"element {e} outside 1..{u.n}")
-    if i == j:
-        raise PreconditionError("relation() expects two distinct elements")
-    if i <= u.pred[j - 1]:
-        return Relation.BELOW
-    if j <= u.pred[i - 1]:
-        return Relation.ABOVE
-    return Relation.INCOMPARABLE
 
 
 def levels(u: UnitIntervalOrder) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ Both directions reuse the same two letters on purpose: the textual form of
 the input word and the diagonal reading share an alphabet, so worked strings
 can be compared letter for letter.
 
-On area sequences the same map is Haglund's scan (zeta_scan): for
+On area sequences the same map is Haglund's scan: for
 i = 0, 1, ..., max + 1, read the sequence left to right; an entry equal to i
 gives an UP step and an entry equal to i - 1 a RIGHT step.  It reads the
 same labels without drawing the path: on diagonal i ends the UP step (a) of
@@ -22,7 +22,8 @@ each row with a_j = i - 1, and for each row with a_j = i the RIGHT step (b)
 by which the path comes back down to diagonal i, in the same left-to-right
 order.  The extension stream in harness reads zeta this way, with
 bytes.translate; zeta's diagonal reading stays the independent oracle it
-is tested against.
+is tested against, beside the scan on tuples in tests/helpers.py
+(zeta_scan).
 
 zeta_inverse is p o a^-1 (p from partlist, a^-1 from uio): the paper's
 theorem a(U) = zeta(p(U)) leaves no separate inverse to compute.
@@ -104,26 +105,6 @@ def zeta(d: DyckWord) -> DyckWord:
     """Concatenate the diagonal buckets and reread b as UP, a as RIGHT."""
     labels = "".join(map("".join, diagonal_decomposition(d).per_diagonal))
     return DyckWord(labels.translate(_SWAP))
-
-
-def zeta_scan(entries: tuple[int, ...]) -> tuple[int, ...]:
-    """Area sequence of zeta of the path with area sequence `entries`.
-
-    Haglund's scan: for i = 0..max + 1, entries equal to i give UP steps and
-    entries equal to i - 1 give RIGHT steps, left to right; each UP step's
-    entry is the ups minus the rights before it.  `entries` must be an area
-    sequence; nothing is checked.
-    """
-    out = []
-    height = 0
-    for i in range(max(entries, default=-1) + 2):
-        for e in entries:
-            if e == i:
-                out.append(height)
-                height += 1
-            elif e == i - 1:
-                height -= 1
-    return tuple(out)
 
 
 def zeta_inverse(d: DyckWord) -> DyckWord:

@@ -16,16 +16,14 @@ from hypothesis import strategies as st
 from dyckzeta import (
     AreaSequence,
     PartListing,
+    Poset,
     UnitIntervalOrder,
     ValidationError,
-    grevlex_key,
     is_isomorphic,
-    poset_from_uio,
     poset_of,
 )
 from dyckzeta import harness
 from dyckzeta.partlist import _order_of
-from dyckzeta.zeta import zeta_scan
 
 
 def catalan_by_recurrence(up_to):
@@ -93,6 +91,75 @@ def strip_crossings(word):
             x += 1
             seqs[y - x + 1].append("d")
     return dict(seqs)
+
+
+# ------------------------------------------- definitional references
+# What partlist._order_of's lemma and the stream's readings are checked
+# against: each is the definition, written out with no shortcut.
+
+def poset_from_uio(u):
+    """The order u as a relation matrix on the same labels."""
+    below = [
+        tuple(i + 1 <= u.pred[j] for j in range(u.n))
+        for i in range(u.n)
+    ]
+    return Poset(u.n, tuple(below))
+
+
+def f_permutation(w):
+    """Number positions by increasing entry value, ties left to right.
+
+    All positions holding 0 get 1, 2, ... left to right, then the positions
+    holding 1, and so on; entry i of the result is the number assigned to
+    position i.
+    """
+    by_value = sorted(range(w.n), key=lambda i: (w.entries[i], i))
+    f = [0] * w.n
+    for number, pos in enumerate(by_value, start=1):
+        f[pos] = number
+    return tuple(f)
+
+
+def relabeled_poset(w):
+    """Transport poset_of(w) along f_permutation: i below j iff their
+    preimages compare in the listing's poset."""
+    base = poset_of(w)
+    f = f_permutation(w)
+    preimage = [0] * w.n            # preimage[label - 1] = 0-based position
+    for pos, label in enumerate(f):
+        preimage[label - 1] = pos
+    below = [
+        tuple(base.below[preimage[i]][preimage[j]] for j in range(w.n))
+        for i in range(w.n)
+    ]
+    return Poset(w.n, tuple(below))
+
+
+def grevlex_key(w):
+    """Sort key realizing graded reverse lexicographic order: sums compare
+    first; on a tie the listing with the larger entry at the first
+    differing position is the smaller one."""
+    return (sum(w.entries), tuple(-x for x in w.entries))
+
+
+def zeta_scan(entries):
+    """Area sequence of zeta of the path with area sequence `entries`.
+
+    Haglund's scan: for i = 0..max + 1, entries equal to i give UP steps and
+    entries equal to i - 1 give RIGHT steps, left to right; each UP step's
+    entry is the ups minus the rights before it.  `entries` must be an area
+    sequence; nothing is checked.
+    """
+    out = []
+    height = 0
+    for i in range(max(entries, default=-1) + 2):
+        for e in entries:
+            if e == i:
+                out.append(height)
+                height += 1
+            elif e == i - 1:
+                height -= 1
+    return tuple(out)
 
 
 def compositions(total, parts):

@@ -18,13 +18,11 @@ from dyckzeta import (
     parse_pred,
     parse_word,
     p_map,
-    poset_from_uio,
     q_map,
-    relabeled_poset,
     zeta,
     zeta_inverse,
 )
-from helpers import strip_crossings
+from helpers import poset_from_uio, relabeled_poset, strip_crossings
 
 
 def _report(num, message):

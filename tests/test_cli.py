@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -39,7 +40,7 @@ from dyckzeta import (
 )
 from dyckzeta import cli, partlist, uio
 from dyckzeta.cli import main
-from dyckzeta.lattice import AREA_SET_TEXT_MAX_N
+from dyckzeta.lattice import AREA_SET_MAX_BOXES, AREA_SET_TEXT_MAX_N
 from helpers import pred_vectors, rewrite_kernel
 
 
@@ -522,6 +523,23 @@ def test_convert_bounds_the_area_set_size_before_allocating(capsys):
                          f"n={top + 1}:")
     assert (code, out) == (2, "")
     assert f"area set size n = {top + 1} exceeds {top}" in err
+
+
+@pytest.mark.parametrize("source, text, boxes", [
+    ("word", "a" * 2000 + "b" * 2000, 1999000),
+    ("areaseq", ",".join(map(str, range(1000))), 499500),
+])
+def test_convert_bounds_the_box_count_before_allocating(capsys, source, text, boxes):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "convert", "--from", source, "--to", "areaset", text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == (f"error: area sets are limited to {AREA_SET_MAX_BOXES} boxes, "
+                   f"got {boxes}\n")
+    assert peak < 1_000_000
 
 
 def test_render_rejects_bad_word(capsys):

@@ -21,9 +21,8 @@ from dyckzeta import (
     unrank_uio,
     zeta,
 )
-from dyckzeta.zeta import zeta_scan
 
-from helpers import extension_pairs, read_zeta_by_scan
+from helpers import extension_pairs, read_zeta_by_scan, zeta_scan
 
 
 # ---------------------------------------------------------------- passing

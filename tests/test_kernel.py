@@ -8,7 +8,7 @@ grevlex sweep holds the stream's listings against partlist.grevlex_min.
 `dyckzeta map --name p|q|unzeta` reads q(U) from a prefix-sharing
 insertion walk (partlist._walk).  Each piece is checked here against an
 independent computation: the stream's listings against q_map, its paths
-against a_map, its readings against Haglund's scan (zeta.zeta_scan) and
+against a_map, its readings against Haglund's scan (helpers.zeta_scan) and
 zeta's diagonal reading, the induction consumer against the per-pair
 object body, the CLI's bytes inverse of a word line (cli._pred_of_word)
 against a_inverse, the bijections check's integer a-check
@@ -65,7 +65,7 @@ from dyckzeta import (
 )
 from dyckzeta import cli, partlist
 from dyckzeta.partlist import _insert_all
-from dyckzeta.zeta import _peak_parameters, zeta_scan
+from dyckzeta.zeta import _peak_parameters
 
 from helpers import (
     extension_pairs,
@@ -75,6 +75,7 @@ from helpers import (
     rewrite_kernel,
     rewritten,
     wrap_children,
+    zeta_scan,
 )
 
 

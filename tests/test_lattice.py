@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -14,14 +17,13 @@ from dyckzeta import (
     catalan,
     enumerate_dyck,
     final_maximal_peak,
-    final_peak,
     parse_area_sequence,
     parse_area_set,
     parse_word,
     peaks,
     word_from_area_sequence,
 )
-from dyckzeta.lattice import _text_of_area
+from dyckzeta.lattice import AREA_SET_MAX_BOXES, _text_of_area
 from helpers import (
     area_sequences,
     box_sets,
@@ -199,6 +201,33 @@ def test_area_set_emits_closed_sets(seq):
                 assert (i2, j2) in boxes
 
 
+def test_area_set_box_count_is_bounded_before_a_box_is_built():
+    # the staircase of 2 000 a's then 2 000 b's has 1 999 000 boxes
+    seq = area_sequence_from_word(parse_word("a" * 2000 + "b" * 2000))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(PreconditionError,
+                           match=f"limited to {AREA_SET_MAX_BOXES} boxes, got 1999000"):
+            area_set_from_area_sequence(seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2
+    assert peak < 100_000
+
+
+def test_area_set_at_the_box_bound_converts():
+    # 0, 1, ..., 446 holds 99 681 boxes, and a last row of 319 makes 100 000
+    seq = AreaSequence(tuple(range(447)) + (319,))
+    assert sum(seq.entries) == AREA_SET_MAX_BOXES
+    area = area_set_from_area_sequence(seq)
+    assert len(area.boxes) == AREA_SET_MAX_BOXES
+    assert area_sequence_from_area_set(area) == seq
+    with pytest.raises(PreconditionError, match="got 100001"):
+        area_set_from_area_sequence(AreaSequence(seq.entries[:-1] + (320,)))
+
+
 # ------------------------------------------------------------------ peaks
 
 def test_peaks_worked_example():
@@ -216,10 +245,10 @@ def test_peaks_trivial():
 
 def test_final_and_final_maximal_peak():
     word = parse_word("aabbaabbab")
-    assert final_peak(word).apex == (4, 5)
+    assert peaks(word)[-1].apex == (4, 5)
     assert final_maximal_peak(word).apex == (2, 4)
     with pytest.raises(PreconditionError):
-        final_peak(DyckWord(""))
+        final_maximal_peak(DyckWord(""))
 
 
 def test_every_nonempty_word_has_a_peak():
@@ -238,7 +267,7 @@ def test_add_final_peak_simple_cases():
     assert str(add_final_peak(parse_word("ab"), 0)) == "abab"
     grown = add_final_peak(parse_word("aabb"), 1)
     assert str(grown) == "aababb"
-    assert final_peak(grown).apex == (1, 3)
+    assert peaks(grown)[-1].apex == (1, 3)
 
 
 def test_add_final_peak_apex_position():
@@ -252,7 +281,7 @@ def test_add_final_peak_apex_position():
             for t in range(trailing + 1):
                 grown = add_final_peak(word, t)
                 assert grown.n == n + 1
-                assert final_peak(grown).apex == (n - t, n + 1)
+                assert peaks(grown)[-1].apex == (n - t, n + 1)
 
 
 def test_add_final_peak_rejects_excess_t():

@@ -1,4 +1,3 @@
-import json
 import random
 from itertools import combinations, product
 
@@ -16,33 +15,29 @@ from dyckzeta import (
     catalan,
     enumerate_uio,
     extend,
-    f_permutation,
     final_maximal_peak,
-    grevlex_compare,
-    grevlex_key,
     grevlex_min_search,
     is_isomorphic,
     p_map,
     parse_pred,
-    poset_from_json,
-    poset_from_uio,
     poset_of,
-    poset_to_json,
     q_map,
-    q_step,
-    relabeled_poset,
     unrank_uio,
 )
 from dyckzeta import partlist, uio
-from dyckzeta.partlist import POSET_JSON_MAX_N, grevlex_min
+from dyckzeta.partlist import _insertion_point, grevlex_min
 import helpers
 from helpers import (
     compositions,
+    f_permutation,
+    grevlex_key,
     grevlex_min_brute_force,
     grevlex_minima,
     missing_values,
     normalized_listings,
+    poset_from_uio,
     pred_vectors,
+    relabeled_poset,
 )
 
 
@@ -86,75 +81,22 @@ def test_part_listing_rejects_negative():
         PartListing((0, -1))
 
 
-def test_poset_json_round_trip_full_and_covering():
-    p = poset_of(PartListing((0, 1, 2, 1, 0)))
-    assert poset_from_json(poset_to_json(p, covers=False)) == p
-    assert poset_from_json(poset_to_json(p, covers=True)) == p
+# ------------------------------------------------------- insertion point
+
+def test_insertion_point_worked_rows():
+    assert _insertion_point((0, 1, 0), 1, 1) == 2          # 0,1,1,0
+    assert _insertion_point((0, 1, 1, 0), 2, 1) == 2       # 0,1,2,1,0
+    assert _insertion_point((0,), 0, 0) == 1               # 0,0
 
 
-def test_poset_json_covers_round_trip_every_order():
-    for n in range(0, 7):
-        for u in enumerate_uio(n):
-            p = poset_from_uio(u)
-            assert poset_from_json(poset_to_json(p, covers=True)) == p, str(u)
-
-
-def test_poset_json_covering_relations_are_minimal():
-    chain = poset_of(PartListing((0, 1, 2)))
-    import json as _json
-
-    blob = _json.loads(poset_to_json(chain, covers=True))
-    assert blob["relations"] == [[1, 2], [2, 3]]
-    full = _json.loads(poset_to_json(chain, covers=False))
-    assert full["relations"] == [[1, 2], [1, 3], [2, 3]]
-
-
-def test_poset_json_keeps_isolated_elements():
-    anti = poset_of(PartListing((0, 0, 0)))
-    assert poset_from_json(poset_to_json(anti)).n == 3
-
-
-def test_poset_json_rejects_garbage():
-    with pytest.raises(ValidationError, match="poset JSON"):
-        poset_from_json("[1,2]")
-    with pytest.raises(ValidationError, match="relation pair"):
-        poset_from_json('{"n": 2, "relations": [[0, 1]]}')
-    with pytest.raises(ValidationError, match="relation pair"):
-        poset_from_json('{"n": 2, "relations": [[true, 2]]}')
-
-
-@pytest.mark.parametrize("n", ["true", "-1", "201", "100000"])
-def test_poset_json_rejects_bad_size_before_allocating(n):
-    with pytest.raises(ValidationError, match="poset size"):
-        poset_from_json('{"n": %s, "relations": []}' % n)
-
-
-def test_poset_json_accepts_the_largest_size():
-    n = POSET_JSON_MAX_N
-    covers = [[i, i + 1] for i in range(1, n)]
-    chain = poset_from_json(json.dumps({"n": n, "relations": covers, "covers": True}))
-    assert chain.n == n
-    assert chain.relation_count() == n * (n - 1) // 2
-
-
-# ---------------------------------------------------------------- q_step
-
-def test_q_step_worked_rows():
-    assert q_step(PartListing((0, 1, 0)), 1, 1).entries == (0, 1, 1, 0)
-    assert q_step(PartListing((0, 1, 1, 0)), 2, 1).entries == (0, 1, 2, 1, 0)
-    assert q_step(PartListing((0,)), 0, 0).entries == (0, 0)
-
-
-def test_q_step_skips_run_after_anchor_only():
+def test_insertion_point_skips_run_after_anchor_only():
     # anchor after the first 0, then past the contiguous 1-run; the later 1 stays put
-    assert q_step(PartListing((0, 1, 1, 0, 1)), 1, 1).entries == (0, 1, 1, 1, 0, 1)
+    assert _insertion_point((0, 1, 1, 0, 1), 1, 1) == 3
 
 
-def test_q_step_preconditions():
-    with pytest.raises(PreconditionError, match="found only"):
-        q_step(PartListing((0, 0)), 2, 1)
-    with pytest.raises(PreconditionError, match="level 0"):
-        q_step(PartListing((0,)), 0, 1)
+def test_insertion_point_needs_c_letters_below():
+    with pytest.raises(PreconditionError, match="need 1 occurrences of 1, found only 0"):
+        _insertion_point((0, 0), 2, 1)
 
 
 # ------------------------------------------------------------------ q_map
@@ -294,21 +236,6 @@ def test_is_isomorphic_prunes_by_degree_but_still_checks_structure():
 
 # ---------------------------------------------------------------- grevlex
 
-def test_grevlex_compare_tie_break_is_reversed():
-    assert grevlex_compare(PartListing((1, 0)), PartListing((0, 1))) == -1
-    assert grevlex_compare(PartListing((0, 1)), PartListing((1, 0))) == 1
-
-
-def test_grevlex_compare_by_sum_first():
-    assert grevlex_compare(PartListing((0, 0)), PartListing((0, 1))) == -1
-    assert grevlex_compare(PartListing((0, 1)), PartListing((0, 1))) == 0
-
-
-def test_grevlex_compare_rejects_length_mismatch():
-    with pytest.raises(PreconditionError, match="equal-length"):
-        grevlex_compare(PartListing((0,)), PartListing((0, 1)))
-
-
 def test_grevlex_keys_sort_worked_sequence():
     listings = [PartListing(e) for e in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1))]
     ordered = sorted(listings, key=grevlex_key)
@@ -366,8 +293,9 @@ def test_grevlex_minima_search_no_isomorphism(monkeypatch):
     def refuse(*args):
         raise AssertionError("the grevlex oracle keys listings by their order")
 
-    for name in ("is_isomorphic", "poset_of", "poset_from_uio", "_degrees", "Poset"):
+    for name in ("is_isomorphic", "poset_of", "_degrees", "Poset"):
         monkeypatch.setattr(partlist, name, refuse)
+    monkeypatch.setattr(helpers, "poset_from_uio", refuse)
     assert grevlex_minima(orders) == expected
 
 
@@ -378,7 +306,7 @@ def test_grevlex_minima_never_insert(monkeypatch):
     def refuse(*args):
         raise AssertionError("the grevlex oracle must not use the insertion")
 
-    for name in ("_insert", "_insert_all", "_insertion_point", "q_map", "p_map", "q_step"):
+    for name in ("_insert", "_insert_all", "_insertion_point", "q_map", "p_map"):
         monkeypatch.setattr(partlist, name, refuse)
     assert grevlex_minima(orders) == expected
 
@@ -399,7 +327,7 @@ def test_grevlex_min_neither_inserts_nor_builds_posets(monkeypatch):
         raise AssertionError("grevlex_min reads the order's level blocks only")
 
     for name in ("_insert", "_insert_all", "_insertion_point", "q_map", "p_map",
-                 "q_step", "poset_of", "poset_from_uio", "Poset", "is_isomorphic"):
+                 "poset_of", "Poset", "is_isomorphic"):
         monkeypatch.setattr(partlist, name, refuse)
     monkeypatch.setattr(uio, "levels", refuse)
     assert [grevlex_min(u.pred) for u in orders] == expected

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from dyckzeta import (
     IntervalConfiguration,
     PreconditionError,
-    Relation,
     UnitIntervalOrder,
     ValidationError,
     a_inverse,
@@ -19,7 +18,6 @@ from dyckzeta import (
     levels,
     parse_intervals,
     parse_pred,
-    relation,
     uio_from_intervals,
     unrank_uio,
 )
@@ -57,11 +55,6 @@ def test_intervals_reject_unsorted():
         IntervalConfiguration((Fraction(2), Fraction(1)))
 
 
-def test_intervals_normalized_sorts():
-    config = IntervalConfiguration.normalized((Fraction(2), 0, Fraction(1)))
-    assert config.lefts == (Fraction(0), Fraction(1), Fraction(2))
-
-
 def test_parse_intervals_json():
     config = parse_intervals('[{"num":0,"den":1},{"num":2,"den":3}]')
     assert config.lefts == (Fraction(0), Fraction(2, 3))
@@ -97,32 +90,14 @@ def test_uio_from_intervals_extremes():
 
 @given(st.lists(st.fractions(min_value=0, max_value=20, max_denominator=8), max_size=9))
 def test_uio_from_intervals_matches_pairwise_comparison(lefts):
-    config = IntervalConfiguration.normalized(lefts)
+    config = IntervalConfiguration(tuple(sorted(lefts)))
     u = uio_from_intervals(config)
     for i in range(1, u.n + 1):
         for j in range(1, u.n + 1):
             if i == j:
                 continue
             strictly_left = config.lefts[i - 1] + 1 < config.lefts[j - 1]
-            assert (relation(u, i, j) is Relation.BELOW) == strictly_left
-
-
-# --------------------------------------------------------------- relation
-
-def test_relation_worked_example():
-    u = uio_from_intervals(FIVE)
-    assert relation(u, 3, 5) is Relation.BELOW
-    assert relation(u, 5, 3) is Relation.ABOVE
-    assert relation(u, 4, 5) is Relation.INCOMPARABLE
-    assert relation(u, 2, 1) is Relation.INCOMPARABLE
-
-
-def test_relation_rejects_bad_elements():
-    u = parse_pred("0,1")
-    with pytest.raises(PreconditionError, match="outside"):
-        relation(u, 0, 1)
-    with pytest.raises(PreconditionError, match="distinct"):
-        relation(u, 2, 2)
+            assert (i <= u.pred[j - 1]) == strictly_left
 
 
 # ----------------------------------------------------------------- levels
@@ -168,7 +143,7 @@ def test_a_map_area_set_is_incomparability_set():
                 (x, y)
                 for x in range(1, n + 1)
                 for y in range(x + 1, n + 1)
-                if relation(u, x, y) is Relation.INCOMPARABLE
+                if not (x <= u.pred[y - 1] or y <= u.pred[x - 1])
             }
             assert drawn_boxes(str(a_map(u))) == incomparable
 
@@ -212,7 +187,7 @@ def test_extend_worked_example():
     grown = extend(u, 2)
     assert grown.pred == (0, 1, 1, 2, 2)
     incomparable_with_new = [
-        i for i in range(1, 5) if relation(grown, i, 5) is Relation.INCOMPARABLE
+        i for i in range(1, 5) if not (i <= grown.pred[4] or 5 <= grown.pred[i - 1])
     ]
     assert len(incomparable_with_new) == 2
 
@@ -237,7 +212,7 @@ def test_extend_relation_to_new_element():
                 grown = extend(u, k)
                 assert grown.pred[:n] == u.pred
                 for i in range(1, n + 1):
-                    below = relation(grown, i, n + 1) is Relation.BELOW
+                    below = i <= grown.pred[n]
                     assert below == (i <= k)
 
 
