@@ -35,8 +35,8 @@ from .partlist import _bound_listing, _walk
 from .uio import (
     _complement,
     _kept_prefixes,
+    _lex_steps,
     _preds,
-    enumerate_uio,
     parse_intervals,
     parse_pred,
     uio_from_intervals,
@@ -182,13 +182,26 @@ def _cmd_verify(args) -> int:
 def _cmd_enumerate(args) -> int:
     """Print every order of size n, or every Dyck path as a(U) of the order
     U of the same rank: in rank order, that is enumerate_dyck's order.  n is
-    bounded as map bounds a line, before a block of lines is buffered."""
-    _bound_listing(args.n)
-    orders = enumerate_uio(args.n)
-    if args.kind == "dyck":
-        _write_lines(_text_of_area(_complement(u.pred)) for u in orders)
-    else:
-        _write_lines(map(str, orders))
+    bounded as map bounds a line, before a block of lines is buffered.  A
+    line is built depth by depth from the text of the prefix its successor
+    step keeps: text[i] is that of pred[:i], its comma text or a(U)'s path
+    up to row i's a, row j being b * (pred[j] - pred[j - 1]) then a (just a
+    for row 1, pred[0] being 0), and the path ends in b * (n - pred[n - 1])."""
+    _bound_listing(n := args.n)
+    steps, dyck = _lex_steps(n), args.kind == "dyck"
+    runs = ["b" * k + "a" if dyck else f",{k}" for k in range(n)]
+    # cell[q][p]: the text of entry j, pred[j - 1] = q and pred[j] = p
+    cell = [[""] * q + runs[:n - q] if dyck else runs for q in range(n)]
+    end = ["b" * (n - q) if dyck else "" for q in range(n)]
+    text = ["", "a" if dyck else "0"] + [""] * (n - 1)
+
+    def lines():
+        for d, pred in steps:
+            for i in range(d or 1, n):
+                text[i + 1] = text[i] + cell[pred[i - 1]][pred[i]]
+            yield text[n] + end[pred[-1]] if n else ""
+
+    _write_lines(lines())
     return 0
 
 

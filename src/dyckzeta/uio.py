@@ -13,9 +13,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import sub
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .errors import PreconditionError, ValidationError
 from .lattice import (
@@ -26,6 +25,9 @@ from .lattice import (
     area_sequence_from_word,
     catalan,
 )
+
+if TYPE_CHECKING:       # imported where used: fractions pulls in decimal
+    from fractions import Fraction
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,6 +85,7 @@ class IntervalConfiguration:
 
 
 def _exact(x) -> Fraction:
+    from fractions import Fraction
     if isinstance(x, float):
         raise ValidationError(
             f"floating-point endpoint {x!r} rejected; use Fraction or int"
@@ -147,42 +150,49 @@ def extend(u: UnitIntervalOrder, k: int) -> UnitIntervalOrder:
     return UnitIntervalOrder(u.pred + (k,))
 
 
+def _lex_steps(n: int, start: Optional[tuple[int, ...]] = None):
+    """(d, pred) per pred vector of size n in lexicographic order, ascending,
+    from the valid pred vector start on (the least one, all 0, by default);
+    pred is one list that keeps its first d entries from the step before
+    (d = 0 first).  A step is the lexicographic successor: the last entry
+    pred[d] below its ceiling d goes up by one and every entry after it
+    drops to the new value, the smallest that keeps the vector weakly
+    increasing.  That keeps it an order, so only start goes through
+    UnitIntervalOrder's check, one order per stream."""
+    if n < 0:
+        raise PreconditionError(f"size must be non-negative, got {n}")
+    pred = list(UnitIntervalOrder((0,) * n if start is None else start).pred)
+    if len(pred) != n:
+        raise PreconditionError(f"start vector has size {len(pred)}, expected {n}")
+
+    def steps():
+        d = 0
+        while True:
+            yield d, pred
+            d = n - 1
+            while d > 0 and pred[d] == d:
+                d -= 1
+            if d <= 0:
+                return
+            pred[d:] = [pred[d] + 1] * (n - d)
+
+    return steps()
+
+
 def enumerate_uio(
     n: int, start: Optional[tuple[int, ...]] = None
 ) -> Iterator[UnitIntervalOrder]:
-    """Yield every unit interval order on {1..n} exactly once.
-
-    Order is lexicographic, ascending, on pred vectors; verification shards
-    rely on this order being stable.  With start, a valid pred vector of
-    size n, the stream begins at that order and goes on in the same order,
-    so a shard that starts at unrank_uio(n, lo) draws only its own orders.
-    Each step is the lexicographic successor: the last entry below its
-    ceiling j - 1 goes up by one and every entry after it drops to the new
-    value, the smallest that keeps the vector weakly increasing.  That
-    keeps it an order, so only start goes through UnitIntervalOrder's check.
-    """
-    if n < 0:
-        raise PreconditionError(f"size must be non-negative, got {n}")
-    if start is None:
-        pred = [0] * n
-    else:
-        pred = list(UnitIntervalOrder(start).pred)
-        if len(pred) != n:
-            raise PreconditionError(
-                f"start vector has size {len(pred)}, expected {n}"
-            )
+    """Yield every unit interval order on {1..n} exactly once, in the
+    lexicographic order of pred vectors (_lex_steps), from start on if
+    given.  Verification shards rely on this order being stable, and one
+    that starts at unrank_uio(n, lo) draws only its own orders."""
+    steps = _lex_steps(n, start)
+    new, put = object.__new__, object.__setattr__
 
     def stream() -> Iterator[UnitIntervalOrder]:
-        while True:
-            u = object.__new__(UnitIntervalOrder)
-            object.__setattr__(u, "pred", tuple(pred))
+        for _, pred in steps:
+            put(u := new(UnitIntervalOrder), "pred", tuple(pred))
             yield u
-            j = n - 1
-            while j > 0 and pred[j] == j:
-                j -= 1
-            if j <= 0:
-                return
-            pred[j:] = [pred[j] + 1] * (n - j)
 
     return stream()
 
@@ -260,6 +270,7 @@ def _preds(values):
 
 def parse_intervals(text: str) -> IntervalConfiguration:
     """Parse a JSON list of {"num": ..., "den": ...} left endpoints."""
+    from fractions import Fraction
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -9,7 +9,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,13 +34,15 @@ from dyckzeta import (
     parse_word,
     q_map,
     uio_from_intervals,
+    unrank_uio,
     word_from_area_sequence,
     zeta,
     zeta_inverse,
 )
 from dyckzeta import cli, partlist, uio
 from dyckzeta.cli import main
-from dyckzeta.lattice import AREA_SET_MAX_BOXES, AREA_SET_TEXT_MAX_N
+from dyckzeta.lattice import AREA_SET_MAX_BOXES, AREA_SET_TEXT_MAX_N, _text_of_area
+from dyckzeta.uio import _complement
 from helpers import pred_vectors, rewrite_kernel
 
 
@@ -404,15 +406,66 @@ def test_enumerate_refuses_a_size_past_the_listing_bound_before_enumerating(
 ):
     # map refuses such orders anyway; enumerate would buffer a block of
     # lines of that size before writing any
-    def enumerate_uio(n):
+    def lex_steps(n):
         raise AssertionError("a refused size was enumerated")
 
-    monkeypatch.setattr(cli, "enumerate_uio", enumerate_uio)
+    monkeypatch.setattr(cli, "_lex_steps", lex_steps)
     top = partlist.LISTING_MAX_N
     for n in (top + 1, 10 ** 7):
         code, out, err = run(capsys, "enumerate", "--kind", kind, "--n", str(n))
         assert (code, out) == (2, "")
         assert err == f"error: listed orders have size <= {top}, got {n}\n"
+
+
+@pytest.mark.parametrize("kind", ["dyck", "uio"])
+def test_enumerate_edge_sizes(capsys, kind):
+    assert run(capsys, "enumerate", "--kind", kind, "--n", "-1") == (
+        2, "", "error: size must be non-negative, got -1\n")
+    assert run(capsys, "enumerate", "--kind", kind, "--n", "0") == (0, "\n", "")
+
+
+@pytest.mark.parametrize("kind", ["dyck", "uio"])
+def test_enumerate_checks_one_order_not_one_per_line(capsys, monkeypatch, kind):
+    # the successor's seed is the one order checked; the lines are built
+    # from the prefix each step keeps
+    checked = []
+    check = UnitIntervalOrder.__post_init__
+    monkeypatch.setattr(UnitIntervalOrder, "__post_init__",
+                        lambda u: checked.append(u.pred) or check(u))
+    code, out, _ = run(capsys, "enumerate", "--kind", kind, "--n", "8")
+    assert (code, len(out.splitlines())) == (0, 1430)
+    assert checked == [(0,) * 8]
+
+
+def enumerated_lines(capsys, kind, n):
+    code, out, err = run(capsys, "enumerate", "--kind", kind, "--n", str(n))
+    assert (code, err) == (0, "")
+    return out.splitlines()
+
+
+def path_text(u):
+    """a(U)'s text through the area sequence, with the whole vector formatted."""
+    return _text_of_area(_complement(u.pred))
+
+
+def test_enumerate_lines_are_the_object_texts(capsys):
+    # each line is built from the text of the prefix the successor keeps;
+    # the oracle formats every order whole, and enumerate_dyck lists the
+    # paths on its own
+    for n in range(11):
+        orders = list(enumerate_uio(n))
+        assert enumerated_lines(capsys, "uio", n) == [str(u) for u in orders]
+        dyck = enumerated_lines(capsys, "dyck", n)
+        assert dyck == [path_text(u) for u in orders]
+        assert dyck == [str(w) for w in enumerate_dyck(n)]
+    # the first and last 1 000 lines, where entries have two digits
+    for n in (11, 12):
+        last = unrank_uio(n, catalan(n) - 1000)
+        orders = [*islice(enumerate_uio(n), 1000), *enumerate_uio(n, last)]
+        for kind, text in (("uio", str), ("dyck", path_text)):
+            lines = enumerated_lines(capsys, kind, n)
+            assert len(lines) == catalan(n)
+            assert lines[:1000] + lines[-1000:] == list(map(text, orders))
 
 
 # ----------------------------------------------------------------- render

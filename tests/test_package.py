@@ -6,6 +6,9 @@ module that defined them.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 
 import dyckzeta
 from dyckzeta import IntervalConfiguration, Poset
@@ -42,3 +45,14 @@ def test_removed_names_are_gone():
             assert not hasattr(defining, name), (module, name)
     assert not hasattr(Poset, "covers")
     assert not hasattr(IntervalConfiguration, "normalized")
+
+
+def test_the_cli_starts_without_fractions():
+    # fractions and the decimal it imports cost about 2 ms a process; only
+    # interval endpoints need them, and they are imported where used
+    src = os.path.dirname(os.path.dirname(dyckzeta.__file__))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, dyckzeta.cli; "
+         "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    assert loaded.stdout == "[]\n"

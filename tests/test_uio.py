@@ -21,7 +21,7 @@ from dyckzeta import (
     uio_from_intervals,
     unrank_uio,
 )
-from dyckzeta.uio import _complement
+from dyckzeta.uio import _complement, _lex_steps
 from helpers import drawn_boxes, pred_vectors, rank_by_counting
 
 # five unit intervals with lefts 0, 2/3, 7/6, 3/2, 7/3: the worked example
@@ -256,6 +256,39 @@ def test_enumerate_uio_rejects_a_bad_start_vector():
         enumerate_uio(3, (0, 1))
     with pytest.raises(ValidationError, match="weak monotonicity"):
         enumerate_uio(3, (0, 1, 0))
+
+
+def lex_steps(n, start=None):
+    """_lex_steps as (d, vector) pairs, each vector copied from the one list."""
+    return [(d, tuple(pred)) for d, pred in _lex_steps(n, start)]
+
+
+def common_prefix(v, w):
+    return next((i for i, (x, y) in enumerate(zip(v, w)) if x != y), min(len(v), len(w)))
+
+
+def test_lex_steps_keep_the_common_prefix():
+    for n in range(0, 10):
+        steps = lex_steps(n)
+        vectors = [pred for _, pred in steps]
+        assert vectors == [u.pred for u in enumerate_uio(n)] == sorted(set(vectors))
+        assert [d for d, _ in steps] == [0] + [
+            common_prefix(v, w) for v, w in zip(vectors, vectors[1:])]
+        assert len({id(pred) for _, pred in _lex_steps(n)}) == 1   # one list
+
+
+def test_lex_steps_from_a_start_vector():
+    # from unrank_uio(n, r) the stream is the full one from rank r on, with
+    # d = 0 at its first step
+    for n in range(0, 8):
+        steps = lex_steps(n)
+        for r in range(catalan(n)):
+            assert lex_steps(n, unrank_uio(n, r)) == [(0, steps[r][1])] + steps[r + 1:]
+
+
+def test_lex_steps_refuse_a_negative_size_before_stepping():
+    with pytest.raises(PreconditionError, match="size must be non-negative, got -1"):
+        _lex_steps(-1)
 
 
 # ---------------------------------------------------------------- ranking
